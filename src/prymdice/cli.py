@@ -356,49 +356,62 @@ def _cmd_segre(args) -> tuple[dict, int]:
     }, 0
 
 
+def _global_flags(default) -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--json", action="store_true", default=default,
+                       help="emit JSON instead of text")
+    flags.add_argument("--verbose", action="store_true", default=default,
+                       help="progress notes on stderr")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prymdice",
         description="Degeneration data of Jacobians and Pryms from dual graphs",
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument(
-        "--verbose", action="store_true", help="progress notes on stderr"
+        parents=[_global_flags(False)],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cycles", help="fundamental cycle basis of a graph")
+    # the global flags are also accepted after the subcommand; there they
+    # default to unset, so a flag given before the subcommand is kept
+    after = _global_flags(argparse.SUPPRESS)
+
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=[after])
+
+    p = command("cycles", help="fundamental cycle basis of a graph")
     p.add_argument("graph")
     p.add_argument("--tree", help="comma-separated spanning forest edge labels")
     p.set_defaults(handler=_cmd_cycles)
 
-    p = sub.add_parser("jacobian-dice", help="cycle-space dicing system of a graph")
+    p = command("jacobian-dice", help="cycle-space dicing system of a graph")
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_jacobian_dice)
 
-    p = sub.add_parser("prym-dice", help="anti-invariant dicing of a cover with involution")
+    p = command("prym-dice", help="anti-invariant dicing of a cover with involution")
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_prym_dice)
 
-    p = sub.add_parser("vologodsky", help="family-independence criterion for a cover")
+    p = command("vologodsky", help="family-independence criterion for a cover")
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_vologodsky)
 
-    p = sub.add_parser("check-tu", help="total unimodularity of a matrix")
+    p = command("check-tu", help="total unimodularity of a matrix")
     p.add_argument("matrix")
     p.set_defaults(handler=_cmd_check_tu)
 
-    p = sub.add_parser("check-cographic", help="cographic recognition with certificate")
+    p = command("check-cographic", help="cographic recognition with certificate")
     p.add_argument("matrix")
     p.add_argument("--max-graphs", type=int, default=None)
     p.set_defaults(handler=_cmd_check_cographic)
 
-    p = sub.add_parser("equiv", help="lattice equivalence of two systems")
+    p = command("equiv", help="lattice equivalence of two systems")
     p.add_argument("matrix_a")
     p.add_argument("matrix_b")
     p.set_defaults(handler=_cmd_equiv)
 
-    p = sub.add_parser("segre", help="full pentagon double cover pipeline")
+    p = command("segre", help="full pentagon double cover pipeline")
     p.add_argument("--max-graphs", type=int, default=None)
     p.set_defaults(handler=_cmd_segre)
 

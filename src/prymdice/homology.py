@@ -21,10 +21,10 @@ def betti_number(G: MultiGraph) -> int:
     return G.num_edges - G.num_vertices + len(components(G))
 
 
-def default_spanning_forest(G: MultiGraph) -> frozenset:
-    """Greedy forest over edges in ascending label order (lexicographically
-    smallest tree-edge set)."""
-    parent = {v: v for v in G.vertices}
+def _forest_merger(vertices):
+    """Union-find over ``vertices`` (path halving); ``merge(t, h)`` joins the
+    trees of an edge's endpoints and returns False when they already agree."""
+    parent = {v: v for v in vertices}
 
     def find(v):
         while parent[v] != v:
@@ -32,34 +32,31 @@ def default_spanning_forest(G: MultiGraph) -> frozenset:
             v = parent[v]
         return v
 
-    chosen = []
-    for lab in sorted(G.edge_labels):
-        t, h = G.endpoints(lab)
+    def merge(t, h):
         rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rt] = rh
-            chosen.append(lab)
-    return frozenset(chosen)
+        if rt == rh:
+            return False
+        parent[rt] = rh
+        return True
+
+    return merge
+
+
+def default_spanning_forest(G: MultiGraph) -> frozenset:
+    """Greedy forest over edges in ascending label order (lexicographically
+    smallest tree-edge set)."""
+    merge = _forest_merger(G.vertices)
+    return frozenset(lab for lab in sorted(G.edge_labels) if merge(*G.endpoints(lab)))
 
 
 def _validate_spanning_forest(G: MultiGraph, tree_edges) -> frozenset:
     tree = frozenset(tree_edges)
     for lab in tree:
         G.edge_index(lab)  # raises on unknown label
-    parent = {v: v for v in G.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    merge = _forest_merger(G.vertices)
     for lab in sorted(tree):
-        t, h = G.endpoints(lab)
-        rt, rh = find(t), find(h)
-        if rt == rh:
+        if not merge(*G.endpoints(lab)):
             raise GraphError(f"supplied edge set is not a forest: {lab!r} closes a cycle")
-        parent[rt] = rh
     expected = G.num_vertices - len(components(G))
     if len(tree) != expected:
         raise GraphError(

@@ -6,6 +6,11 @@ are equivalent when an integer change of basis (GL_n(Z)) plus a signed
 relabeling of the vectors carries one onto the other; this is exactly
 invariance under change of lattice basis and re-orientation of edges.
 
+Every system caches one column matroid (its independent column subsets,
+as bitmasks), and that is the only source of independence data here: its
+invariants gate both equivalence searches, and its bases feed the
+forest-count filter of cographic recognition.
+
 Cographic recognition is decided by brute force: candidate multigraphs
 with the right edge count and incidence rank are enumerated exhaustively
 up to isomorphism and each is compared through an independence-structure
@@ -18,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import enumerate_graphs
@@ -52,7 +58,9 @@ class UnimodularSystem:
 
     Invariants: full row rank, no zero columns, and (unless constructed
     with ``allow_repeats=True``, as incidence matrices of graphs with
-    parallel edges require) no two columns equal or opposite.
+    parallel edges require) no two columns equal or opposite.  A system is
+    never mutated after construction, so its column matroid is computed on
+    first use and cached as ``matroid``.
     """
 
     def __init__(self, matrix: IntMatrix, allow_repeats: bool = False):
@@ -76,6 +84,10 @@ class UnimodularSystem:
             raise ValueError("columns do not span: row rank is deficient")
         self.matrix = matrix
         self.allow_repeats = allow_repeats
+
+    @cached_property
+    def matroid(self) -> "_ColumnMatroid":
+        return _ColumnMatroid(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -218,16 +230,25 @@ def spanning_forest_count(G: MultiGraph) -> int:
 
 
 class _ColumnMatroid:
-    """Bases and independence data of a matrix's columns, as bitmasks."""
+    """Bases and independence data of a full-row-rank matrix's columns, as bitmasks.
+
+    ``invariants`` (rank, basis count, independent-set census by size and
+    the sorted per-element profiles) is preserved by any column bijection
+    that maps independent sets to independent sets, so a mismatch refutes
+    both matroid and lattice equivalence.
+    """
 
     def __init__(self, M: IntMatrix):
         self.m = M.cols
         self.n = M.rows
         self.bases = self._compute_bases(M)
-        self.rank = self.n if self.bases else _column_rank_full(M)
+        self.rank = self.n
         self.independent = self._downward_closure()
         self.census = self._census()
         self.element_profiles = self._element_profiles()
+        self.invariants = (
+            self.rank, len(self.bases), self.census, tuple(sorted(self.element_profiles))
+        )
 
     def _compute_bases(self, M: IntMatrix):
         bases = []
@@ -270,34 +291,17 @@ class _ColumnMatroid:
             profiles.append(tuple(counts.get(k, 0) for k in range(1, self.rank + 1)))
         return tuple(profiles)
 
-    def is_independent(self, mask: int) -> bool:
-        return mask in self.independent
-
-
-def _column_rank_full(M: IntMatrix) -> int:
-    return rank(M.transpose())
-
 
 def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """Column bijection carrying independent sets to independent sets, or None.
 
-    Pruned by rank, independence census and per-element profiles before a
-    backtracking search that checks independence of every mapped subset
-    incrementally.
+    Pruned by the cached matroids' invariants before a backtracking search
+    that checks independence of every mapped subset incrementally.
     """
     if A.size != B.size:
         raise ValueError("matroid comparison requires equal ground set sizes")
-    MA = _ColumnMatroid(A.matrix)
-    MB = _ColumnMatroid(B.matrix)
-    return _matroid_backtrack(MA, MB)
-
-
-def _matroid_backtrack(MA: _ColumnMatroid, MB: _ColumnMatroid):
-    if MA.rank != MB.rank or len(MA.bases) != len(MB.bases):
-        return None
-    if MA.census != MB.census:
-        return None
-    if Counter(MA.element_profiles) != Counter(MB.element_profiles):
+    MA, MB = A.matroid, B.matroid
+    if MA.invariants != MB.invariants:
         return None
     m = MA.m
     by_profile: dict[tuple, list[int]] = {}
@@ -331,7 +335,7 @@ def _matroid_backtrack(MA: _ColumnMatroid, MB: _ColumnMatroid):
             image[e] = candidate
             used[candidate] = True
             ok = all(
-                MA.is_independent(ma) == MB.is_independent(mb)
+                (ma in MA.independent) == (mb in MB.independent)
                 for ma, mb in masks_with_new(depth)
             )
             if ok and extend(depth + 1):
@@ -401,6 +405,16 @@ def _sign_normalize(col):
     return col
 
 
+def _reduce(vec, rows, pivots) -> list:
+    """``vec`` reduced against echelon ``rows`` with pivot positions ``pivots``."""
+    red = [Fraction(x) for x in vec]
+    for row, p in zip(rows, pivots):
+        if red[p] != 0:
+            f = red[p] / row[p]
+            red = [x - f * y for x, y in zip(red, row)]
+    return red
+
+
 def _greedy_column_basis(M: IntMatrix):
     """Lexicographically first independent column tuple of full size."""
     n = M.rows
@@ -408,12 +422,7 @@ def _greedy_column_basis(M: IntMatrix):
     rows: list[list[Fraction]] = []
     pivots: list[int] = []
     for j in range(M.cols):
-        vec = [Fraction(x) for x in M.column(j)]
-        red = vec[:]
-        for row, p in zip(rows, pivots):
-            if red[p] != 0:
-                f = red[p] / row[p]
-                red = [x - f * y for x, y in zip(red, row)]
+        red = _reduce(M.column(j), rows, pivots)
         p = next((i for i in range(n) if red[i] != 0), None)
         if p is None:
             continue
@@ -425,43 +434,23 @@ def _greedy_column_basis(M: IntMatrix):
     raise ValueError("matrix does not have full row rank")
 
 
-def _rank_census(M: IntMatrix, max_size: int):
-    """Counts of independent column subsets by size, up to ``max_size``."""
-    counts = []
-    for k in range(1, max_size + 1):
-        c = 0
-        for cols in itertools.combinations(range(M.cols), k):
-            if _columns_independent(M, cols):
-                c += 1
-        counts.append(c)
-    return tuple(counts)
-
-
-def _columns_independent(M: IntMatrix, cols) -> bool:
-    k = len(cols)
-    if k > M.rows:
-        return False
-    sub = M.column_submatrix(cols)
-    if k == M.rows:
-        return det(sub) != 0
-    return rank(sub.transpose()) == k
-
-
 def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """Search for U in GL_n(Z) and a signed column bijection with U*A*sigma = B.
 
-    A column basis of A is mapped onto candidate ordered column bases of B;
-    each full candidate determines U, which is then verified entrywise.
-    Prefix candidates are pruned by span-membership counts.  Returns the
-    first witness found (deterministic order) or None.
+    Systems whose cached column matroids differ in their invariants are
+    rejected at once, since such an equivalence is in particular a matroid
+    isomorphism.  Otherwise a column basis of A is mapped onto candidate
+    ordered column bases of B; each full candidate determines U, which is
+    then verified entrywise.  Prefix candidates are pruned by
+    span-membership counts.  Returns the first witness found
+    (deterministic order) or None.
     """
     if A.dim != B.dim:
         raise ValueError("systems live in different dimensions")
     if A.size != B.size:
         return None
     n, m = A.dim, A.size
-    census_size = min(n, 3 if m > 12 else n)
-    if _rank_census(A.matrix, census_size) != _rank_census(B.matrix, census_size):
+    if A.matroid.invariants != B.matroid.invariants:
         return None
     basis_a = _greedy_column_basis(A.matrix)
     coords_a = _frac_columns(A.matrix, basis_a)
@@ -475,12 +464,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     def prefix_span_count(prefix_rows, prefix_pivots):
         cnt = 0
         for col in cols_b:
-            red = [Fraction(x) for x in col]
-            for row, p in zip(prefix_rows, prefix_pivots):
-                if red[p] != 0:
-                    f = red[p] / row[p]
-                    red = [x - f * y for x, y in zip(red, row)]
-            if all(x == 0 for x in red):
+            if all(x == 0 for x in _reduce(col, prefix_rows, prefix_pivots)):
                 cnt += 1
         return cnt
 
@@ -546,11 +530,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
         for j in range(m):
             if used[j]:
                 continue
-            red = [Fraction(x) for x in cols_b[j]]
-            for row, p in zip(rows_state, pivot_state):
-                if red[p] != 0:
-                    f = red[p] / row[p]
-                    red = [x - f * y for x, y in zip(red, row)]
+            red = _reduce(cols_b[j], rows_state, pivot_state)
             p = next((i for i in range(n) if red[i] != 0), None)
             if p is None:
                 continue  # dependent on prefix: cannot be a basis image
@@ -645,7 +625,7 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     if not tu.is_tu:
         raise NotTotallyUnimodularError(tu)
     n, m = S.dim, S.size
-    n_bases = len(_ColumnMatroid(S.matrix).bases)
+    n_bases = len(S.matroid.bases)
     tried = connected_tried = disconnected_tried = matches = 0
     for G in enumerate_graphs.multigraphs_with_cycle_space_rank(m, n):
         tried += 1

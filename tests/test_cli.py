@@ -202,3 +202,16 @@ def test_json_human_parity_on_check_tu(capsys, e5_file):
     assert data["result"]["totally_unimodular"] is True
     assert "totally_unimodular: yes" in human
     assert f"matrix: {e5_file}" in human
+
+
+def test_global_flags_accepted_after_the_subcommand(capsys, e5_file):
+    code_before, before, _ = run(capsys, "--json", "segre")
+    code_after, after, _ = run(capsys, "segre", "--json")
+    assert code_before == code_after == 0
+    assert after == before
+    quiet = run(capsys, "check-tu", e5_file)
+    assert run(capsys, "check-tu", e5_file, "--verbose") == quiet
+    assert quiet[0] == 0
+    code, _, err = run(capsys, "check-cographic", e5_file, "--verbose", "--max-graphs", "5")
+    assert code == 3
+    assert "note: searching" in err

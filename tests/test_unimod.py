@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from prymdice import unimod
 from prymdice.exactmat import IntMatrix, det
 from prymdice.graph import GraphError, MultiGraph
 from prymdice.homology import cographic_dicing_system
@@ -23,7 +26,7 @@ from prymdice.unimod import (
 from prymdice import enumerate_graphs as eg
 
 from conftest import seeded_rng
-from oracles import cofactor_det, tu_by_definition
+from oracles import cofactor_det, rational_rank, tu_by_definition
 
 
 def M(rows):
@@ -275,6 +278,48 @@ def test_lattice_equivalence_refines_matroid_equivalence():
     B = scramble(rng, A)
     assert systems_equivalent(A, B) is not None
     assert matroid_equivalent(A, B) is not None
+
+
+# ---------------------------------------------------------------------------
+# the cached column matroid
+# ---------------------------------------------------------------------------
+
+
+def _brute_force_census(S):
+    # number of k-subsets of columns of rank k, for k = 0 .. dim
+    cols = [list(S.column(j)) for j in range(S.size)]
+    return tuple(
+        sum(1 for sub in itertools.combinations(cols, k) if rational_rank(list(sub)) == k)
+        for k in range(S.dim + 1)
+    )
+
+
+def test_matroid_census_matches_brute_force():
+    systems = [e5(), scramble(seeded_rng(5), e5())]
+    for m in range(1, 6):
+        systems.extend(bond_system(g) for g in eg.connected_multigraphs_any_order(m))
+    assert len(systems) > 20
+    for S in systems:
+        census = S.matroid.census
+        assert census == _brute_force_census(S)
+        assert census[S.dim] == len(S.matroid.bases)
+
+
+def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
+    built = []
+
+    class CountingMatroid(unimod._ColumnMatroid):
+        def __init__(self, matrix):
+            built.append(matrix)
+            super().__init__(matrix)
+
+    monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
+    S = UnimodularSystem(M([[1, 0, 1], [0, 1, 1]]))
+    assert S.matroid is S.matroid
+    assert is_cographic(S).is_cographic
+    assert matroid_equivalent(S, bond_system(triangle)) is not None
+    assert sum(1 for matrix in built if matrix is S.matrix) == 1
+    assert len(built) > 1  # the candidate systems were counted too
 
 
 # ---------------------------------------------------------------------------
