@@ -187,6 +187,31 @@ def _component_specs(nedges: int, rank: int):
     yield from rec(nedges, rank, (nedges, rank))
 
 
+def _disjoint_unions(parts, reps_of):
+    """Disjoint unions with one connected component per entry of ``parts``.
+
+    Equal entries of ``parts`` must be adjacent; ``reps_of(part)`` lists
+    that part's ``(pairs, nverts)`` representatives.  A run of equal parts
+    takes a multiset of representatives, so each union appears once.
+    Yields ``MultiGraph`` objects in a fixed deterministic order.
+    """
+    runs = [(part, len(list(group))) for part, group in itertools.groupby(parts)]
+    rep_lists = [reps_of(part) for part, _ in runs]
+    per_run = [
+        itertools.combinations_with_replacement(range(len(reps)), count)
+        for reps, (_, count) in zip(rep_lists, runs)
+    ]
+    for combo in itertools.product(*per_run):
+        pairs = []
+        offset = 0
+        for reps, choice in zip(rep_lists, combo):
+            for rep_idx in choice:
+                comp, nverts_comp = reps[rep_idx]
+                pairs.extend(_relabel(comp, offset))
+                offset += nverts_comp
+        yield pair_graph_to_multigraph(tuple(sorted(pairs)), offset)
+
+
 def multigraphs_with_cycle_space_rank(nedges: int, rank: int):
     """All loopless multigraphs (no isolated vertices) with ``nedges`` edges
     whose incidence rank |V| - #components equals ``rank``, up to isomorphism.
@@ -194,35 +219,13 @@ def multigraphs_with_cycle_space_rank(nedges: int, rank: int):
     Yields ``MultiGraph`` objects: connected ones first, then shapes with
     more components, in a fixed deterministic order.
     """
-    shapes = sorted(_component_specs(nedges, rank), key=lambda s: (len(s), s))
-    for shape_list in shapes:
-        # multiset choice per repeated shape group
-        runs = []
-        i = 0
-        while i < len(shape_list):
-            j = i
-            while j < len(shape_list) and shape_list[j] == shape_list[i]:
-                j += 1
-            runs.append((shape_list[i], j - i))
-            i = j
-        per_run_choices = []
-        for shape, count in runs:
-            reps = connected_multigraphs(shape[0], shape[1] + 1)
-            per_run_choices.append(
-                list(itertools.combinations_with_replacement(range(len(reps)), count))
-            )
-        rep_lists = [connected_multigraphs(shape[0], shape[1] + 1) for shape, _ in runs]
-        for combo in itertools.product(*per_run_choices):
-            pairs = []
-            offset = 0
-            for run_idx, choice in enumerate(combo):
-                shape, _ = runs[run_idx]
-                nverts_comp = shape[1] + 1
-                for rep_idx in choice:
-                    comp = rep_lists[run_idx][rep_idx]
-                    pairs.extend(_relabel(comp, offset))
-                    offset += nverts_comp
-            yield pair_graph_to_multigraph(tuple(sorted(pairs)), offset)
+
+    def reps_of(shape):
+        nedges_comp, rank_comp = shape
+        return [(p, rank_comp + 1) for p in connected_multigraphs(nedges_comp, rank_comp + 1)]
+
+    for shape_list in sorted(_component_specs(nedges, rank), key=lambda s: (len(s), s)):
+        yield from _disjoint_unions(shape_list, reps_of)
 
 
 def all_multigraphs(nedges: int, loops: bool = False):
@@ -248,29 +251,7 @@ def all_multigraphs(nedges: int, loops: bool = False):
                 yield (first,) + rest
 
     for part in partitions(nedges, nedges):
-        runs = []
-        i = 0
-        while i < len(part):
-            j = i
-            while j < len(part) and part[j] == part[i]:
-                j += 1
-            runs.append((part[i], j - i))
-            i = j
-        per_run = []
-        rep_lists = []
-        for e, count in runs:
-            reps = connected_reps(e)
-            rep_lists.append(reps)
-            per_run.append(list(itertools.combinations_with_replacement(range(len(reps)), count)))
-        for combo in itertools.product(*per_run):
-            pairs = []
-            offset = 0
-            for run_idx, choice in enumerate(combo):
-                for rep_idx in choice:
-                    comp, nverts_comp = rep_lists[run_idx][rep_idx]
-                    pairs.extend(_relabel(comp, offset))
-                    offset += nverts_comp
-            yield pair_graph_to_multigraph(tuple(sorted(pairs)), offset)
+        yield from _disjoint_unions(part, connected_reps)
 
 
 def connected_multigraphs_any_order(nedges: int, loops: bool = False):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 
 
 class MatrixError(ValueError):
@@ -292,10 +292,6 @@ def square_submatrices(M: IntMatrix, k: int):
     for row_idx in itertools.combinations(range(M.rows), k):
         for col_idx in itertools.combinations(range(M.cols), k):
             yield row_idx, col_idx, M.submatrix(row_idx, col_idx)
-
-
-def square_submatrix_count(M: IntMatrix, k: int) -> int:
-    return comb(M.rows, k) * comb(M.cols, k)
 
 
 def column_gcd(M: IntMatrix, j: int) -> int:

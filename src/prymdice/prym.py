@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import IntMatrix, RationalMatrix, column_gcd, hnf_basis
+from .exactmat import IntMatrix, RationalMatrix, column_gcd, hnf_basis, row_lattice_contains
 from .graph import (
     CochainVector,
     GraphError,
@@ -71,8 +71,7 @@ class HalfLattice:
         twice = [2 * c for c in v.coefficients]
         if any(x.denominator != 1 for x in twice):
             return False
-        stacked = IntMatrix.from_rows(doubled.row_list() + [[int(x) for x in twice]])
-        return hnf_basis(stacked) == hnf_basis(doubled)
+        return row_lattice_contains(doubled, twice)
 
     def same_lattice_as(self, other: "HalfLattice") -> bool:
         if self.graph.edge_labels != other.graph.edge_labels:

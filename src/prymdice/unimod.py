@@ -8,8 +8,11 @@ invariance under change of lattice basis and re-orientation of edges.
 
 Every system caches one column matroid (its independent column subsets,
 as bitmasks), and that is the only source of independence data here: its
-invariants gate both equivalence searches, and its bases feed the
-forest-count filter of cographic recognition.
+invariants gate both equivalence searches, its independent sets choose
+the basis and drive the prefix pruning of the lattice-equivalence search,
+and its bases feed the forest-count filter of cographic recognition.
+Coordinates in a chosen basis come from one Cramer solve (adjugate and
+determinant), so no rational elimination is needed.
 
 Cographic recognition is decided by brute force: candidate multigraphs
 with the right edge count and incidence rank are enumerated exhaustively
@@ -24,7 +27,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 from . import enumerate_graphs
 from .exactmat import IntMatrix, det, rank, square_submatrices
@@ -291,6 +293,21 @@ class _ColumnMatroid:
             profiles.append(tuple(counts.get(k, 0) for k in range(1, self.rank + 1)))
         return tuple(profiles)
 
+    def first_basis(self) -> tuple:
+        """The lexicographically first basis, chosen greedily."""
+        chosen, mask = [], 0
+        for j in range(self.m):
+            if mask | 1 << j in self.independent:
+                chosen.append(j)
+                mask |= 1 << j
+        return tuple(chosen)
+
+    def span_size(self, mask: int) -> int:
+        """Number of elements in the span of the independent set ``mask``."""
+        return sum(
+            1 for j in range(self.m) if mask >> j & 1 or mask | 1 << j not in self.independent
+        )
+
 
 def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """Column bijection carrying independent sets to independent sets, or None.
@@ -378,26 +395,6 @@ def verify_equivalence(A: UnimodularSystem, B: UnimodularSystem, eq: Equivalence
     return True
 
 
-def _frac_columns(M: IntMatrix, basis_cols) -> list:
-    """Coordinates of every column of M in the basis given by ``basis_cols``."""
-    n = M.rows
-    aug = [
-        [Fraction(M.entry(i, c)) for c in basis_cols]
-        + [Fraction(M.entry(i, j)) for j in range(M.cols)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivval = aug[col][col]
-        aug[col] = [x / pivval for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [tuple(aug[i][n + j] for i in range(n)) for j in range(M.cols)]
-
-
 def _sign_normalize(col):
     for x in col:
         if x != 0:
@@ -405,33 +402,15 @@ def _sign_normalize(col):
     return col
 
 
-def _reduce(vec, rows, pivots) -> list:
-    """``vec`` reduced against echelon ``rows`` with pivot positions ``pivots``."""
-    red = [Fraction(x) for x in vec]
-    for row, p in zip(rows, pivots):
-        if red[p] != 0:
-            f = red[p] / row[p]
-            red = [x - f * y for x, y in zip(red, row)]
-    return red
+def _coordinates(adj: IntMatrix, d: int, M: IntMatrix) -> list:
+    """|d| times the coordinates of M's columns in a basis T with adj(T), det(T) = d.
 
-
-def _greedy_column_basis(M: IntMatrix):
-    """Lexicographically first independent column tuple of full size."""
-    n = M.rows
-    chosen = []
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for j in range(M.cols):
-        red = _reduce(M.column(j), rows, pivots)
-        p = next((i for i in range(n) if red[i] != 0), None)
-        if p is None:
-            continue
-        rows.append(red)
-        pivots.append(p)
-        chosen.append(j)
-        if len(chosen) == n:
-            return tuple(chosen)
-    raise ValueError("matrix does not have full row rank")
+    Cramer's rule gives T^{-1} M = adj(T) M / d.  The common positive scale
+    |d| keeps the coordinates integral and preserves what the search
+    compares: equality, absolute values and sign normalization.
+    """
+    N = adj @ M
+    return [tuple(x if d > 0 else -x for x in N.column(j)) for j in range(M.cols)]
 
 
 def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
@@ -439,10 +418,12 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
 
     Systems whose cached column matroids differ in their invariants are
     rejected at once, since such an equivalence is in particular a matroid
-    isomorphism.  Otherwise a column basis of A is mapped onto candidate
-    ordered column bases of B; each full candidate determines U, which is
-    then verified entrywise.  Prefix candidates are pruned by
-    span-membership counts.  Returns the first witness found
+    isomorphism.  Otherwise the lexicographically first column basis of A
+    is mapped onto candidate ordered column bases of B; each full candidate
+    determines U, which is then verified entrywise.  Prefix candidates are
+    pruned by span-membership counts, read off the cached matroids: column
+    j lies in the span of an independent prefix exactly when j is in the
+    prefix or adding j makes it dependent.  Returns the first witness found
     (deterministic order) or None.
     """
     if A.dim != B.dim:
@@ -450,32 +431,27 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     if A.size != B.size:
         return None
     n, m = A.dim, A.size
-    if A.matroid.invariants != B.matroid.invariants:
+    MA, MB = A.matroid, B.matroid
+    if MA.invariants != MB.invariants:
         return None
-    basis_a = _greedy_column_basis(A.matrix)
-    coords_a = _frac_columns(A.matrix, basis_a)
-    # span census of the pivot basis prefixes
+    basis_a = MA.first_basis()
+    AT = A.matrix.column_submatrix(basis_a)
+    det_a, adj_a = det(AT), _adjugate(AT)
+    coords_a = _coordinates(adj_a, det_a, A.matrix)
+    # how many columns of A each prefix of its basis spans
     span_counts_a = []
-    for k in range(1, n + 1):
-        cnt = sum(1 for col in coords_a if all(col[i] == 0 for i in range(k, n)))
-        span_counts_a.append(cnt)
-    cols_b = [tuple(B.matrix.column(j)) for j in range(m)]
-
-    def prefix_span_count(prefix_rows, prefix_pivots):
-        cnt = 0
-        for col in cols_b:
-            if all(x == 0 for x in _reduce(col, prefix_rows, prefix_pivots)):
-                cnt += 1
-        return cnt
-
+    prefix = 0
+    for j in basis_a:
+        prefix |= 1 << j
+        span_counts_a.append(MA.span_size(prefix))
     abs_multiset_a = Counter(tuple(abs(x) for x in col) for col in coords_a)
-    chosen: list[int] = []
-    used = [False] * m
-    rows_state: list[list[Fraction]] = []
-    pivot_state: list[int] = []
 
-    def try_full():
-        coords_b = _frac_columns(B.matrix, tuple(chosen))
+    def try_full(chosen):
+        BT = B.matrix.column_submatrix(chosen)
+        det_b = det(BT)
+        if abs(det_b) != abs(det_a):
+            return None  # |det U| = |det BT / det AT| would not be 1
+        coords_b = _coordinates(_adjugate(BT), det_b, B.matrix)
         if Counter(tuple(abs(x) for x in col) for col in coords_b) != abs_multiset_a:
             return None
         norm_b = Counter(_sign_normalize(col) for col in coords_b)
@@ -514,9 +490,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
                 column_map.append((target, sign))
             if not ok:
                 continue
-            BT = B.matrix.column_submatrix(chosen)
-            AT = A.matrix.column_submatrix(basis_a)
-            U = _solve_transform(BT, signs, AT)
+            U = _solve_transform(BT, signs, adj_a, det_a)
             if U is None:
                 continue
             eq = Equivalence(U, tuple(column_map))
@@ -524,47 +498,35 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
                 return eq
         return None
 
-    def extend(depth: int):
-        if depth == n:
-            return try_full()
+    def extend(chosen: tuple, mask: int):
+        if len(chosen) == n:
+            return try_full(chosen)
         for j in range(m):
-            if used[j]:
-                continue
-            red = _reduce(cols_b[j], rows_state, pivot_state)
-            p = next((i for i in range(n) if red[i] != 0), None)
-            if p is None:
-                continue  # dependent on prefix: cannot be a basis image
-            rows_state.append(red)
-            pivot_state.append(p)
-            used[j] = True
-            chosen.append(j)
-            if prefix_span_count(rows_state, pivot_state) == span_counts_a[depth]:
-                result = extend(depth + 1)
+            grown = mask | 1 << j
+            if grown == mask or grown not in MB.independent:
+                continue  # chosen already, or dependent on the prefix
+            if MB.span_size(grown) == span_counts_a[len(chosen)]:
+                result = extend(chosen + (j,), grown)
                 if result is not None:
                     return result
-            chosen.pop()
-            used[j] = False
-            rows_state.pop()
-            pivot_state.pop()
         return None
 
-    return extend(0)
+    return extend((), 0)
 
 
-def _solve_transform(BT: IntMatrix, signs, AT: IntMatrix):
-    """U = BT * diag(signs) * AT^{-1}, required integer with |det| = 1."""
-    n = AT.rows
-    det_at = det(AT)
-    if det_at == 0:
-        return None
+def _solve_transform(BT: IntMatrix, signs, adj_a: IntMatrix, det_a: int):
+    """U = BT * diag(signs) * AT^{-1}, required integer with |det| = 1.
+
+    AT enters through its adjugate and determinant: AT^{-1} = adj(AT) / det(AT).
+    """
+    n = BT.rows
     signed = IntMatrix.from_rows(
         [[BT.entry(i, j) * signs[j] for j in range(n)] for i in range(n)]
     )
-    adj = _adjugate(AT)
-    num = signed @ adj
-    if any(x % det_at for x in num.entries):
+    num = signed @ adj_a
+    if any(x % det_a for x in num.entries):
         return None
-    U = IntMatrix(n, n, tuple(x // det_at for x in num.entries))
+    U = IntMatrix(n, n, tuple(x // det_a for x in num.entries))
     if abs(det(U)) != 1:
         return None
     return U

@@ -2,13 +2,14 @@
 
 Nothing here imports the production linear algebra: determinants are
 cofactor expansions, ranks are Fraction Gaussian elimination, and the
-total-unimodularity oracle enumerates submatrices with its own loops.
+total-unimodularity oracle enumerates submatrices with its own loops, and
+lattice equivalence is decided by trying every signed image of one basis.
 Isomorphism-class counting is done by brute-force canonical forms over
 all vertex permutations.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def cofactor_det(rows):
@@ -60,6 +61,63 @@ def tu_by_definition(rows):
                 if abs(cofactor_det(sub)) > 1:
                     return False
     return True
+
+
+def _fraction_inverse(rows):
+    n = len(rows)
+    work = [
+        [Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+        for i, r in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if work[i][col] != 0)
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
+    return [r[n:] for r in work]
+
+
+def lattice_equivalent_by_definition(rows_a, rows_b):
+    """Whether U @ A equals B up to a signed column bijection, U in GL_n(Z).
+
+    Such a U carries a fixed column basis of A onto some signed ordered
+    choice of columns of B, so solving for U over every such choice
+    decides the question.  Exponential in the size: tiny systems only.
+    """
+    n, m = len(rows_a), len(rows_a[0])
+    if (len(rows_b), len(rows_b[0])) != (n, m):
+        return False
+    cols_a = [[r[j] for r in rows_a] for j in range(m)]
+    cols_b = [[r[j] for r in rows_b] for j in range(m)]
+
+    def unsigned(col):
+        return max(tuple(col), tuple(-x for x in col))
+
+    wanted = sorted(unsigned(c) for c in cols_b)
+    basis = next(
+        c for c in combinations(range(m), n)
+        if cofactor_det([[cols_a[j][i] for j in c] for i in range(n)]) != 0
+    )
+    inverse = _fraction_inverse([[cols_a[j][i] for j in basis] for i in range(n)])
+    for image in permutations(range(m), n):
+        for signs in product((1, -1), repeat=n):
+            targets = [[s * x for x in cols_b[j]] for j, s in zip(image, signs)]
+            U = [
+                [sum(targets[k][i] * inverse[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            if any(x.denominator != 1 for row in U for x in row):
+                continue
+            U = [[int(x) for x in row] for row in U]
+            if abs(cofactor_det(U)) != 1:
+                continue
+            UA = [[sum(U[i][k] * col[k] for k in range(n)) for i in range(n)] for col in cols_a]
+            if sorted(unsigned(c) for c in UA) == wanted:
+                return True
+    return False
 
 
 def canonical_pair_graph(pairs, nverts):

@@ -6,6 +6,8 @@ from prymdice import unimod
 from prymdice.exactmat import IntMatrix, det
 from prymdice.graph import GraphError, MultiGraph
 from prymdice.homology import cographic_dicing_system
+from prymdice.prym import prym_dicing
+from prymdice.segre import fixture
 from prymdice.unimod import (
     Equivalence,
     NotTotallyUnimodularError,
@@ -26,7 +28,12 @@ from prymdice.unimod import (
 from prymdice import enumerate_graphs as eg
 
 from conftest import seeded_rng
-from oracles import cofactor_det, rational_rank, tu_by_definition
+from oracles import (
+    cofactor_det,
+    lattice_equivalent_by_definition,
+    rational_rank,
+    tu_by_definition,
+)
 
 
 def M(rows):
@@ -278,6 +285,82 @@ def test_lattice_equivalence_refines_matroid_equivalence():
     B = scramble(rng, A)
     assert systems_equivalent(A, B) is not None
     assert matroid_equivalent(A, B) is not None
+
+
+def test_segre_dicing_first_witness_is_pinned():
+    f = fixture()
+    S = prym_dicing(f.cover, f.involution).system
+    eq = systems_equivalent(S, e5())
+    assert eq.U == M(
+        [[1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    )
+    signs = (1, -1, 1, 1, 1, 1, 1, 1, -1, -1)
+    assert eq.column_map == tuple(zip(range(10), signs))
+
+
+def test_scrambled_e5_first_witness_is_pinned():
+    T = scramble(seeded_rng(7), e5())
+    eq = systems_equivalent(e5(), T)
+    assert eq.U == M(
+        [
+            [-1, 0, 0, 1, 0],
+            [-2, 0, -1, 2, 0],
+            [0, 0, 0, -1, 1],
+            [1, -1, 2, -2, 0],
+            [0, 0, 1, -1, 0],
+        ]
+    )
+    assert eq.column_map == (
+        (0, 1), (1, -1), (2, 1), (6, 1), (5, 1), (4, 1), (8, -1), (3, 1), (9, 1), (7, -1)
+    )
+
+
+def _random_system_with_det_2_basis(rng, n, m):
+    while True:
+        rows = [[rng.choice((-1, 0, 0, 1, 1, 2)) for _ in range(m)] for _ in range(n)]
+        try:
+            S = UnimodularSystem(M(rows))
+        except ValueError:
+            continue
+        bases = itertools.combinations(range(m), n)
+        if any(abs(det(S.matrix.column_submatrix(c))) == 2 for c in bases):
+            return S
+
+
+def _with_a_doubled_column(rng, S):
+    # same column matroid, usually a different lattice
+    while True:
+        k = rng.randrange(S.size)
+        rows = [[x * (1 + (j == k)) for j, x in enumerate(r)] for r in S.matrix.row_list()]
+        try:
+            return UnimodularSystem(M(rows))
+        except ValueError:
+            continue
+
+
+def test_systems_equivalent_matches_definition_oracle_on_non_tu_systems():
+    rng = seeded_rng(8)
+    accepted = rejected_past_gate = 0
+    for n, m in ((2, 4), (3, 5)):
+        for _ in range(30):
+            A = _random_system_with_det_2_basis(rng, n, m)
+            kind = rng.randrange(3)
+            if kind == 0:
+                B = scramble(rng, A)
+            elif kind == 1:
+                B = scramble(rng, _with_a_doubled_column(rng, A))
+            else:
+                B = _random_system_with_det_2_basis(rng, n, m)
+            eq = systems_equivalent(A, B)
+            expected = lattice_equivalent_by_definition(A.matrix.row_list(), B.matrix.row_list())
+            assert (eq is not None) == expected
+            if expected:
+                assert verify_equivalence(A, B, eq)
+                accepted += 1
+            elif A.matroid.invariants == B.matroid.invariants:
+                rejected_past_gate += 1
+    # both verdicts occur, and rejections also come from the search itself
+    assert accepted >= 10 and rejected_past_gate >= 10
 
 
 # ---------------------------------------------------------------------------
