@@ -2,13 +2,16 @@
 
 Everything here is computed over Z (or (1/2)Z) with Python's arbitrary
 precision integers; there is deliberately no floating point anywhere in
-this module.  The three workhorses are
+this module.  The four workhorses are
 
 * ``hnf`` -- row-style Hermite normal form with a unimodular witness,
   used to extract canonical bases of row lattices,
 * ``det`` -- fraction-free (Bareiss) determinant,
 * ``square_submatrices`` -- deterministic enumeration of k x k
-  submatrices, which feeds total-unimodularity checking.
+  submatrices, in the order total-unimodularity certificates use,
+* ``minors`` -- every k x k minor in that same order, each computed from
+  the (k-1)-minors by Laplace expansion; it feeds the total-unimodularity
+  sweep and the bases of a column matroid.
 """
 
 from __future__ import annotations
@@ -292,6 +295,48 @@ def square_submatrices(M: IntMatrix, k: int):
     for row_idx in itertools.combinations(range(M.rows), k):
         for col_idx in itertools.combinations(range(M.cols), k):
             yield row_idx, col_idx, M.submatrix(row_idx, col_idx)
+
+
+def minors(M: IntMatrix, trailing_rows: bool = False):
+    """Yield ``(row_idx, col_idx, det)`` for every k x k minor, k = 1, 2, ...
+
+    The order is that of ``square_submatrices``: ascending k, then
+    lexicographic row sets, then lexicographic column sets.  Each k x k
+    minor is a Laplace expansion along the first row of its row set over
+    the stored (k-1)-minors of the remaining rows, skipping zero entries;
+    only two levels are kept and no submatrix is built.  With
+    ``trailing_rows`` the only row set of size k is the last k rows, so the
+    top level holds the minors on all rows, one per column set.
+    """
+    rows = [M.row(i) for i in range(M.rows)]
+    below = {(): {0: 1}}  # row set -> {column bitmask: minor}
+    for k in range(1, min(M.rows, M.cols) + 1):
+        col_sets = []
+        for col_idx in itertools.combinations(range(M.cols), k):
+            mask = 0
+            for c in col_idx:
+                mask |= 1 << c
+            col_sets.append((col_idx, mask))
+        if trailing_rows:
+            row_sets = [tuple(range(M.rows - k, M.rows))]
+        else:
+            row_sets = itertools.combinations(range(M.rows), k)
+        level = {}
+        for row_idx in row_sets:
+            top = rows[row_idx[0]]
+            rest = below[row_idx[1:]]
+            found = level[row_idx] = {}
+            for col_idx, mask in col_sets:
+                d = 0
+                sign = 1
+                for c in col_idx:
+                    a = top[c]
+                    if a:
+                        d += sign * a * rest[mask ^ 1 << c]
+                    sign = -sign
+                found[mask] = d
+                yield row_idx, col_idx, d
+        below = level
 
 
 def column_gcd(M: IntMatrix, j: int) -> int:

@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import enumerate_graphs
-from .exactmat import IntMatrix, det, rank, square_submatrices
+from .exactmat import IntMatrix, det, minors, rank
 from .graph import GraphError, MultiGraph, components
 
 
@@ -112,8 +112,13 @@ class UnimodularSystem:
         return f"UnimodularSystem(dim={self.dim}, size={self.size})"
 
 
+@cache
 def e5() -> UnimodularSystem:
-    """The exceptional rank-5 system on ten vectors, in its standard form."""
+    """The exceptional rank-5 system on ten vectors, in its standard form.
+
+    Systems are never mutated, so one shared instance (and its cached
+    column matroid) serves every caller.
+    """
     return UnimodularSystem(
         IntMatrix.from_rows(
             [
@@ -142,16 +147,16 @@ def _as_matrix(S) -> IntMatrix:
 def is_totally_unimodular(S) -> TUCertificate:
     """Exhaustive minor check: every square submatrix determinant in {-1, 0, 1}.
 
-    Minors are enumerated by ascending size and lexicographic index sets;
-    the first violation found is returned.  Brute force is deliberate: at
-    desk scale it is its own proof.
+    Every minor is checked, by ascending size and lexicographic index sets
+    (the order of ``square_submatrices``), and the sweep stops at the first
+    violation, which the certificate cites.  The minors come from the
+    level-wise Laplace recurrence of ``exactmat.minors``: each is expanded
+    over smaller minors that already passed, so the integers stay small.
+    A cited minor can be recomputed independently from its index sets.
     """
-    M = _as_matrix(S)
-    for k in range(1, min(M.rows, M.cols) + 1):
-        for row_idx, col_idx, sub in square_submatrices(M, k):
-            d = det(sub)
-            if d < -1 or d > 1:
-                return TUCertificate(False, (row_idx, col_idx, d))
+    for row_idx, col_idx, d in minors(_as_matrix(S)):
+        if d < -1 or d > 1:
+            return TUCertificate(False, (row_idx, col_idx, d))
     return TUCertificate(True)
 
 
@@ -253,9 +258,10 @@ class _ColumnMatroid:
         )
 
     def _compute_bases(self, M: IntMatrix):
+        # the full-height minors are the top level of the trailing-row sweep
         bases = []
-        for cols in itertools.combinations(range(self.m), self.n):
-            if det(M.column_submatrix(cols)) != 0:
+        for _, cols, d in minors(M, trailing_rows=True):
+            if d and len(cols) == self.n:
                 mask = 0
                 for c in cols:
                     mask |= 1 << c
@@ -284,14 +290,16 @@ class _ColumnMatroid:
         return tuple(counts.get(k, 0) for k in range(self.rank + 1))
 
     def _element_profiles(self):
-        profiles = []
-        for e in range(self.m):
-            bit = 1 << e
-            counts = Counter(
-                bin(mask).count("1") for mask in self.independent if mask & bit
-            )
-            profiles.append(tuple(counts.get(k, 0) for k in range(1, self.rank + 1)))
-        return tuple(profiles)
+        # per element: how many independent sets of each size 1..rank contain it
+        counts = [[0] * self.rank for _ in range(self.m)]
+        for mask in self.independent:
+            slot = bin(mask).count("1") - 1
+            mm = mask
+            while mm:
+                bit = mm & -mm
+                counts[bit.bit_length() - 1][slot] += 1
+                mm ^= bit
+        return tuple(tuple(c) for c in counts)
 
     def first_basis(self) -> tuple:
         """The lexicographically first basis, chosen greedily."""

@@ -2,7 +2,7 @@
 
 Nothing here imports the production linear algebra: determinants are
 cofactor expansions, ranks are Fraction Gaussian elimination, and the
-total-unimodularity oracle enumerates submatrices with its own loops, and
+total-unimodularity oracles enumerate submatrices with their own loops, and
 lattice equivalence is decided by trying every signed image of one basis.
 Isomorphism-class counting is done by brute-force canonical forms over
 all vertex permutations.
@@ -61,6 +61,22 @@ def tu_by_definition(rows):
                 if abs(cofactor_det(sub)) > 1:
                     return False
     return True
+
+
+def first_violating_minor_by_definition(rows):
+    """The first minor outside {-1, 0, 1} as (rows, cols, det), or None.
+
+    Minors are visited by ascending size, then lexicographic row sets, then
+    lexicographic column sets, the order a TU certificate cites.
+    """
+    nr, nc = len(rows), len(rows[0])
+    for k in range(1, min(nr, nc) + 1):
+        for ridx in combinations(range(nr), k):
+            for cidx in combinations(range(nc), k):
+                value = cofactor_det([[rows[i][j] for j in cidx] for i in ridx])
+                if abs(value) > 1:
+                    return ridx, cidx, value
+    return None
 
 
 def _fraction_inverse(rows):

@@ -12,12 +12,14 @@ from prymdice.exactmat import (
     format_matrix_text,
     hnf,
     hnf_basis,
+    minors,
     parse_matrix_text,
     rank,
     row_lattice_contains,
     square_submatrices,
 )
 
+from conftest import seeded_rng
 from oracles import cofactor_det, rational_rank
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -155,6 +157,31 @@ def test_square_submatrices_total_count(rows, k):
     if k > min(m.rows, m.cols):
         return
     assert len(list(square_submatrices(m, k))) == comb(m.rows, k) * comb(m.cols, k)
+
+
+def _minor_kernel_cases():
+    rng = seeded_rng(4)
+    shapes = [(1, 1), (4, 2), (5, 3), (3, 3), (2, 6), (5, 7)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(60)]
+    cases = [[[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)] for r, c in shapes]
+    cases.append([[1, -1, 2], [0, 0, 0], [2, 1, 1]])  # a zero row
+    return cases
+
+
+@pytest.mark.parametrize("trailing_rows", [False, True])
+def test_minors_match_cofactor_oracle_in_square_submatrices_order(trailing_rows):
+    for rows in _minor_kernel_cases():
+        m = M(rows)
+        got = list(minors(m, trailing_rows=trailing_rows))
+        order = [
+            (r, c)
+            for k in range(1, min(m.rows, m.cols) + 1)
+            for r, c, _ in square_submatrices(m, k)
+            if not trailing_rows or r == tuple(range(m.rows - k, m.rows))
+        ]
+        assert [(r, c) for r, c, _ in got] == order
+        for r, c, d in got:
+            assert d == cofactor_det([[rows[i][j] for j in c] for i in r])
 
 
 def test_rational_matrix_canonical_reduction():

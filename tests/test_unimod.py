@@ -30,6 +30,7 @@ from prymdice import enumerate_graphs as eg
 from conftest import seeded_rng
 from oracles import (
     cofactor_det,
+    first_violating_minor_by_definition,
     lattice_equivalent_by_definition,
     rational_rank,
     tu_by_definition,
@@ -100,6 +101,30 @@ def test_tu_agrees_with_definition_oracle():
         nc = rng.randint(1, 5)
         rows = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
         assert is_totally_unimodular(M(rows)).is_tu == tu_by_definition(rows)
+
+
+def test_tu_certificate_cites_the_first_violating_minor():
+    rng = seeded_rng(2)
+    verdicts = set()
+    for _ in range(320):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 8)
+        density = rng.choice((0.3, 0.5, 0.8))
+        big = rng.choice((0.0, 0.0, 0.05))
+        rows = [
+            [
+                0 if rng.random() > density
+                else rng.choice((-2, 2)) if rng.random() < big
+                else rng.choice((-1, 1))
+                for _ in range(nc)
+            ]
+            for _ in range(nr)
+        ]
+        cert = is_totally_unimodular(M(rows))
+        expected = first_violating_minor_by_definition(rows)
+        assert cert.violating_minor == expected
+        assert cert.is_tu == (expected is None)
+        verdicts.add((cert.is_tu, expected is not None and len(expected[0]) > 1))
+    assert verdicts == {(True, False), (False, False), (False, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +428,27 @@ def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
     assert matroid_equivalent(S, bond_system(triangle)) is not None
     assert sum(1 for matrix in built if matrix is S.matrix) == 1
     assert len(built) > 1  # the candidate systems were counted too
+
+
+def test_e5_is_shared_and_its_matroid_built_once(monkeypatch):
+    assert e5() is e5()
+    built = []
+
+    class CountingMatroid(unimod._ColumnMatroid):
+        def __init__(self, matrix):
+            built.append(matrix)
+            super().__init__(matrix)
+
+    monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
+    unimod.e5.cache_clear()  # E5's matroid may already be cached by another test
+    try:
+        X = scramble(seeded_rng(3), e5())
+        assert X.matrix != e5().matrix
+        assert systems_equivalent(X, e5()) is not None
+        assert systems_equivalent(X, e5()) is not None
+        assert sum(1 for matrix in built if matrix == e5().matrix) == 1
+    finally:
+        unimod.e5.cache_clear()
 
 
 # ---------------------------------------------------------------------------
