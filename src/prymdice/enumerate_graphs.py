@@ -2,10 +2,18 @@
 
 Graphs are represented internally as sorted tuples of vertex-index pairs
 ``(u, v)`` with ``u <= v`` (a pair with ``u == v`` is a loop); parallel
-edges repeat the pair.  Deduplication buckets candidates by a cheap
-signature and settles ties with networkx's VF2 matcher on multigraphs,
-so duplicates are impossible and nothing is missed; the enumerators are
-cross-checked against brute-force labeled counts in the tests.
+edges repeat the pair.  Isomorphism is decided by a canonical form: an
+individualization-refinement search labels the vertices, the least
+relabelled pair tuple over its leaves is the graph's certificate, and
+the leaves that reach it give the automorphism group.  Deduplication is a
+set of certificates, so duplicates are impossible and nothing is missed;
+the enumerators are cross-checked against brute-force labeled counts in
+the tests.
+
+Disconnected graphs are disjoint unions of connected representatives.
+The union generators work on pair-graphs and also report the chosen
+components, so a caller can compute per-component invariants once per
+representative; the public ``MultiGraph`` generators are views over them.
 """
 
 from __future__ import annotations
@@ -14,44 +22,134 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-import networkx as nx
-from networkx.algorithms.isomorphism import MultiGraphMatcher
-
 from .graph import MultiGraph
 
 PairGraph = tuple  # sorted tuple of (u, v) pairs, vertices 0..nverts-1
 
 
-def _to_nx(pairs, nverts: int) -> nx.MultiGraph:
-    g = nx.MultiGraph()
-    g.add_nodes_from(range(nverts))
-    g.add_edges_from(pairs)
-    return g
+def _refine(colour: list, nbrs: list) -> list:
+    """Coarsest equitable refinement of a colouring with colours 0..k-1.
+
+    A vertex's new colour ranks (old colour, multiset of (neighbour
+    colour, multiplicity)); ranks are assigned in sorted key order, so the
+    result does not depend on how the vertices are labelled.
+    """
+    count = len(set(colour))
+    while True:
+        keys = [
+            (c, tuple(sorted((colour[w], k) for w, k in adj)))
+            for c, adj in zip(colour, nbrs)
+        ]
+        ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
+        if len(ranks) == count:
+            return colour
+        colour = [ranks[key] for key in keys]
+        count = len(ranks)
 
 
-def _signature(pairs, nverts: int):
-    deg = [0] * nverts
-    loops = 0
-    mult: dict[tuple, int] = {}
+def _canonical_search(pairs, nverts: int):
+    """Canonical certificate of a pair-graph, with the data of its automorphisms.
+
+    Colours start from the loop counts and are refined to equitable;
+    every vertex of the first non-singleton cell is individualized in
+    turn, recursively, until the colouring is a labelling.  The least
+    relabelled pair tuple over the leaves is the certificate: equal for
+    two graphs on ``nverts`` vertices exactly when they are isomorphic.
+
+    Twins (vertices whose transposition is an automorphism) would repeat
+    a subtree, so only the first twin of each class in a cell is
+    individualized.  Returns ``(certificate, found, twin_classes)``: two
+    leaves with the same relabelled graph differ by an automorphism, and
+    ``found`` holds those of the leaves reaching the certificate, as
+    vertex permutations ``perm[v]``.  Composed with the permutations of
+    the twin classes they give the whole group.
+    """
+    mult = [[0] * nverts for _ in range(nverts)]
     for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
-        if u == v:
-            loops += 1
-        mult[(u, v)] = mult.get((u, v), 0) + 1
-    return (nverts, len(pairs), tuple(sorted(deg)), tuple(sorted(mult.values())), loops)
+        mult[u][v] += 1
+        if u != v:
+            mult[v][u] += 1
+    nbrs = [
+        tuple((w, k) for w, k in enumerate(row) if k and w != v)
+        for v, row in enumerate(mult)
+    ]
+    twin_class = list(range(nverts))
+    for v in range(nverts):
+        for u in range(v):
+            if twin_class[u] == u and all(
+                mult[u][x] == mult[v][x] for x in range(nverts) if x != u and x != v
+            ) and mult[u][u] == mult[v][v]:
+                twin_class[v] = u
+                break
+    loop_ranks = {k: i for i, k in enumerate(sorted({mult[v][v] for v in range(nverts)}))}
+    best = None
+    leaves = []
+
+    def search(colour):
+        nonlocal best, leaves
+        colour = _refine(colour, nbrs)
+        sizes = [0] * nverts
+        for c in colour:
+            sizes[c] += 1
+        target = next((c for c, size in enumerate(sizes) if size > 1), None)
+        if target is None:
+            relabelled = tuple(sorted(
+                (colour[u], colour[v]) if colour[u] <= colour[v] else (colour[v], colour[u])
+                for u, v in pairs
+            ))
+            if best is None or relabelled < best:
+                best, leaves = relabelled, [colour]
+            elif relabelled == best:
+                leaves.append(colour)
+            return
+        explored = set()
+        for v in range(nverts):
+            if colour[v] != target or twin_class[v] in explored:
+                continue
+            explored.add(twin_class[v])
+            # v goes first in its cell; the rest of the cell and the
+            # cells after it move up by one
+            search([c if c < target or u == v else c + 1 for u, c in enumerate(colour)])
+
+    search([loop_ranks[mult[v][v]] for v in range(nverts)])
+    first = leaves[0]
+    found = []
+    for leaf in leaves:
+        inverse = [0] * nverts
+        for v, c in enumerate(leaf):
+            inverse[c] = v
+        found.append(tuple(inverse[c] for c in first))
+    twin_classes = {}
+    for v, rep in enumerate(twin_class):
+        twin_classes.setdefault(rep, []).append(v)
+    return best, found, [members for members in twin_classes.values() if len(members) > 1]
+
+
+def _automorphism_vertex_perms(pairs, nverts: int) -> list:
+    """Every automorphism once, as vertex permutations ``perm[v]``."""
+    _, found, twin_classes = _canonical_search(pairs, nverts)
+    group = dict.fromkeys(found)
+    for members in twin_classes:
+        extended = {}
+        for image in itertools.permutations(members):
+            moved = dict(zip(members, image))
+            for perm in group:
+                extended[tuple(moved.get(x, x) for x in perm)] = None
+        group = extended
+    return list(group)
 
 
 def _dedup(items: list, nverts: int) -> list:
-    """Isomorphism-reduce a list of pair-graphs on the same vertex count."""
-    buckets: dict[tuple, list] = {}
+    """Isomorphism-reduce a list of pair-graphs on the same vertex count.
+
+    Keeps the first item of each isomorphism class, in input order.
+    """
+    seen = set()
     out = []
     for pairs in items:
-        sig = _signature(pairs, nverts)
-        reps = buckets.setdefault(sig, [])
-        g = _to_nx(pairs, nverts)
-        if not any(MultiGraphMatcher(g, rep_g).is_isomorphic() for _, rep_g in reps):
-            reps.append((pairs, g))
+        certificate = _canonical_search(pairs, nverts)[0]
+        if certificate not in seen:
+            seen.add(certificate)
             out.append(pairs)
     return out
 
@@ -81,12 +179,6 @@ def connected_simple_graphs(nverts: int, nedges: int) -> tuple:
         for u in range(nverts - 1):
             candidates.append(tuple(sorted(pairs + ((u, nverts - 1),))))
     return tuple(_dedup(candidates, nverts))
-
-
-def _automorphism_vertex_perms(pairs, nverts: int) -> list:
-    g = _to_nx(pairs, nverts)
-    gm = MultiGraphMatcher(g, g)
-    return [tuple(mapping[i] for i in range(nverts)) for mapping in gm.isomorphisms_iter()]
 
 
 def _compositions(total: int, parts: int, minimum: int = 0):
@@ -193,7 +285,9 @@ def _disjoint_unions(parts, reps_of):
     Equal entries of ``parts`` must be adjacent; ``reps_of(part)`` lists
     that part's ``(pairs, nverts)`` representatives.  A run of equal parts
     takes a multiset of representatives, so each union appears once.
-    Yields ``MultiGraph`` objects in a fixed deterministic order.
+    Yields ``(pairs, nverts, components)`` in a fixed deterministic order,
+    where ``components`` lists the chosen representatives in the order
+    their vertex ranges follow each other.
     """
     runs = [(part, len(list(group))) for part, group in itertools.groupby(parts)]
     rep_lists = [reps_of(part) for part, _ in runs]
@@ -203,21 +297,25 @@ def _disjoint_unions(parts, reps_of):
     ]
     for combo in itertools.product(*per_run):
         pairs = []
+        chosen = []
         offset = 0
         for reps, choice in zip(rep_lists, combo):
             for rep_idx in choice:
-                comp, nverts_comp = reps[rep_idx]
+                comp, nverts_comp = rep = reps[rep_idx]
                 pairs.extend(_relabel(comp, offset))
+                chosen.append(rep)
                 offset += nverts_comp
-        yield pair_graph_to_multigraph(tuple(sorted(pairs)), offset)
+        yield tuple(sorted(pairs)), offset, tuple(chosen)
 
 
-def multigraphs_with_cycle_space_rank(nedges: int, rank: int):
+def pair_graphs_with_cycle_space_rank(nedges: int, rank: int):
     """All loopless multigraphs (no isolated vertices) with ``nedges`` edges
     whose incidence rank |V| - #components equals ``rank``, up to isomorphism.
 
-    Yields ``MultiGraph`` objects: connected ones first, then shapes with
-    more components, in a fixed deterministic order.
+    Yields ``(pairs, nverts, components)``: connected graphs first, then
+    shapes with more components, in a fixed deterministic order; each
+    entry of ``components`` is a connected representative
+    ``(pairs, nverts)`` from ``connected_multigraphs``.
     """
 
     def reps_of(shape):
@@ -226,6 +324,12 @@ def multigraphs_with_cycle_space_rank(nedges: int, rank: int):
 
     for shape_list in sorted(_component_specs(nedges, rank), key=lambda s: (len(s), s)):
         yield from _disjoint_unions(shape_list, reps_of)
+
+
+def multigraphs_with_cycle_space_rank(nedges: int, rank: int):
+    """``pair_graphs_with_cycle_space_rank`` as ``MultiGraph`` objects, same order."""
+    for pairs, nverts, _ in pair_graphs_with_cycle_space_rank(nedges, rank):
+        yield pair_graph_to_multigraph(pairs, nverts)
 
 
 def all_multigraphs(nedges: int, loops: bool = False):
@@ -251,7 +355,8 @@ def all_multigraphs(nedges: int, loops: bool = False):
                 yield (first,) + rest
 
     for part in partitions(nedges, nedges):
-        yield from _disjoint_unions(part, connected_reps)
+        for pairs, nverts, _ in _disjoint_unions(part, connected_reps):
+            yield pair_graph_to_multigraph(pairs, nverts)
 
 
 def connected_multigraphs_any_order(nedges: int, loops: bool = False):

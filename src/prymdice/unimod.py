@@ -51,7 +51,10 @@ class SearchCapExceeded(RuntimeError):
     def __init__(self, report: "SearchReport"):
         self.report = report
         super().__init__(
-            f"cographic search cap of {report.cap} candidate graphs exceeded"
+            f"cographic search cap of {report.cap} candidate graphs exceeded "
+            f"(graphs_tried={report.graphs_tried}, connected_tried={report.connected_tried}, "
+            f"disconnected_tried={report.disconnected_tried}, "
+            f"forest_count_matches={report.forest_count_matches})"
         )
 
 
@@ -210,25 +213,42 @@ def bond_system(G: MultiGraph) -> UnimodularSystem:
 
 
 def spanning_forest_count(G: MultiGraph) -> int:
-    """Number of spanning forests with |V| - #components edges (Kirchhoff)."""
+    """Number of spanning forests with |V| - #components edges (Kirchhoff).
+
+    A spanning forest is one spanning tree per component, so the count is
+    the product of the components' spanning-tree counts.
+    """
     total = 1
     for comp in components(G):
-        verts = sorted(comp)
-        if len(verts) == 1:
-            continue
-        index = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        lap = [[0] * n for _ in range(n)]
-        for lab, t, h in G.edges:
-            if t in index and h in index and t != h:
-                i, j = index[t], index[h]
-                lap[i][i] += 1
-                lap[j][j] += 1
-                lap[i][j] -= 1
-                lap[j][i] -= 1
-        reduced = IntMatrix.from_rows([row[:-1] for row in lap[:-1]])
-        total *= det(reduced)
+        index = {v: i for i, v in enumerate(sorted(comp))}
+        pairs = tuple(sorted(
+            (index[t], index[h]) if index[t] <= index[h] else (index[h], index[t])
+            for _, t, h in G.edges
+            if t in index and t != h
+        ))
+        # uncached: the cache is for the search's recurring components,
+        # not for arbitrary graphs
+        total *= _spanning_tree_count.__wrapped__(pairs, len(index))
     return total
+
+
+@cache
+def _spanning_tree_count(pairs, nverts: int) -> int:
+    """Spanning trees of a connected pair-graph: a reduced Laplacian determinant.
+
+    Loops are ignored.  Cached, since the cographic search meets the same
+    connected components in many disjoint unions.
+    """
+    if nverts == 1:
+        return 1
+    lap = [[0] * nverts for _ in range(nverts)]
+    for u, v in pairs:
+        if u != v:
+            lap[u][u] += 1
+            lap[v][v] += 1
+            lap[u][v] -= 1
+            lap[v][u] -= 1
+    return det(IntMatrix.from_rows([row[:-1] for row in lap[:-1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +561,22 @@ def _solve_transform(BT: IntMatrix, signs, adj_a: IntMatrix, det_a: int):
 
 
 def _adjugate(M: IntMatrix) -> IntMatrix:
+    """adj(M)[j][i] = (-1)^(i+j) times the minor of M without row i and column j.
+
+    The (n-1)-minors are the second-to-last level of ``minors``; the sweep
+    stops before it computes the determinant level.
+    """
     n = M.rows
+    if n == 1:
+        return IntMatrix.identity(1)  # the empty minor is 1
     out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows_idx = [r for r in range(n) if r != i]
-            cols_idx = [c for c in range(n) if c != j]
-            minor = det(M.submatrix(rows_idx, cols_idx))
-            out[j][i] = (-1) ** (i + j) * minor
+    for rows_idx, cols_idx, d in minors(M):
+        if len(rows_idx) == n:
+            break
+        if len(rows_idx) == n - 1:
+            i = n * (n - 1) // 2 - sum(rows_idx)
+            j = n * (n - 1) // 2 - sum(cols_idx)
+            out[j][i] = -d if (i + j) & 1 else d
     return IntMatrix.from_rows(out)
 
 
@@ -585,8 +613,11 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     to ``dim`` is enumerated up to isomorphism (connected shapes first,
     then all disconnected component splits); each candidate's cut-space
     system is compared via ``matroid_equivalent``.  A fast necessary
-    invariant (spanning-forest count vs. basis count, via the matrix-tree
-    determinant) filters candidates before the full search.
+    invariant filters candidates before the full search: the spanning-forest
+    count must equal the basis count.  The enumeration reports each
+    candidate's connected components, so the count is a product of cached
+    per-component matrix-tree determinants, and only candidates that pass
+    are built as graphs.
 
     Raises ``NotTotallyUnimodularError`` on non-TU input and
     ``SearchCapExceeded`` when ``max_graphs`` is hit.
@@ -597,9 +628,9 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     n, m = S.dim, S.size
     n_bases = len(S.matroid.bases)
     tried = connected_tried = disconnected_tried = matches = 0
-    for G in enumerate_graphs.multigraphs_with_cycle_space_rank(m, n):
+    for pairs, nverts, parts in enumerate_graphs.pair_graphs_with_cycle_space_rank(m, n):
         tried += 1
-        if len(components(G)) == 1:
+        if len(parts) == 1:
             connected_tried += 1
         else:
             disconnected_tried += 1
@@ -607,9 +638,13 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
             raise SearchCapExceeded(
                 SearchReport(tried, connected_tried, disconnected_tried, matches, m, n, max_graphs)
             )
-        if spanning_forest_count(G) != n_bases:
+        forests = 1
+        for part in parts:
+            forests *= _spanning_tree_count(*part)
+        if forests != n_bases:
             continue
         matches += 1
+        G = enumerate_graphs.pair_graph_to_multigraph(pairs, nverts)
         candidate = UnimodularSystem(cut_space_matrix(G), allow_repeats=True)
         bijection = matroid_equivalent(S, candidate)
         if bijection is not None:

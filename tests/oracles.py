@@ -5,7 +5,8 @@ cofactor expansions, ranks are Fraction Gaussian elimination, and the
 total-unimodularity oracles enumerate submatrices with their own loops, and
 lattice equivalence is decided by trying every signed image of one basis.
 Isomorphism-class counting is done by brute-force canonical forms over
-all vertex permutations.
+all vertex permutations, and isomorphisms and automorphisms are listed by
+trying every vertex permutation.
 """
 
 from fractions import Fraction
@@ -144,6 +145,21 @@ def canonical_pair_graph(pairs, nverts):
         if best is None or relabeled < best:
             best = relabeled
     return best
+
+
+def isomorphisms_by_brute_force(pairs_a, pairs_b, nverts):
+    """Every vertex permutation carrying pair-graph a onto b, as ``perm[v]``.
+
+    Tries all nverts! permutations: at most 7 vertices.
+    """
+    if nverts > 7:
+        raise ValueError("brute-force isomorphism listing is for at most 7 vertices")
+    target = sorted(tuple(sorted(p)) for p in pairs_b)
+    return [
+        perm
+        for perm in permutations(range(nverts))
+        if sorted(tuple(sorted((perm[u], perm[v]))) for (u, v) in pairs_a) == target
+    ]
 
 
 def brute_force_multigraph_classes(nverts, nedges, loops=False, connected=None, rank=None):

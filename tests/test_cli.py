@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import prymdice
 
 from prymdice.cli import main
 from prymdice.exactmat import IntMatrix, format_matrix_text
@@ -215,3 +220,30 @@ def test_global_flags_accepted_after_the_subcommand(capsys, e5_file):
     code, _, err = run(capsys, "check-cographic", e5_file, "--verbose", "--max-graphs", "5")
     assert code == 3
     assert "note: searching" in err
+
+
+@pytest.mark.parametrize("argv", [["check-cographic", "E5"], ["segre"]])
+def test_capped_search_reports_its_counters(capsys, e5_file, argv):
+    argv = [e5_file if a == "E5" else a for a in argv]
+    code, out, err = run(capsys, "--json", *argv, "--max-graphs", "10")
+    assert code == 3
+    assert out == ""
+    for counter in (
+        "graphs_tried=11", "connected_tried=11", "disconnected_tried=0", "forest_count_matches=0",
+    ):
+        assert counter in err
+
+
+def test_cli_import_does_not_load_networkx():
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = os.path.dirname(os.path.dirname(prymdice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys, prymdice.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,8 +1,15 @@
+import hashlib
+
 from prymdice import enumerate_graphs as eg
 from prymdice.graph import MultiGraph, components
 from prymdice.homology import betti_number
 
-from oracles import brute_force_multigraph_classes, canonical_pair_graph
+from conftest import seeded_rng
+from oracles import (
+    brute_force_multigraph_classes,
+    canonical_pair_graph,
+    isomorphisms_by_brute_force,
+)
 
 
 def _as_pairs(G):
@@ -152,3 +159,76 @@ def test_full_scale_family_contains_random_samples():
         assert any(
             MultiGraphMatcher(g, rep).is_isomorphic() for rep in candidates
         ), f"random graph missing from enumeration: {G.edges}"
+
+
+def _relabelled(rng, pairs, nverts):
+    sigma = list(range(nverts))
+    rng.shuffle(sigma)
+    return tuple(sorted(tuple(sorted((sigma[u], sigma[v]))) for u, v in pairs))
+
+
+def test_canonical_form_matches_brute_force_oracle():
+    # every multigraph with at most 5 edges (loops included) on at most 7
+    # vertices, every connected simple graph on 6 vertices (where the cell
+    # to branch on first starts to matter), and the symmetric graphs where
+    # the search branches most, each in two random relabellings
+    graphs = [
+        (_as_pairs(G), G.num_vertices)
+        for m in range(1, 6)
+        for G in eg.all_multigraphs(m, loops=True)
+        if G.num_vertices <= 7
+    ]
+    graphs += [(pairs, 6) for k in range(5, 16) for pairs in eg.connected_simple_graphs(6, k)]
+    c6 = tuple(sorted([(i, i + 1) for i in range(5)] + [(0, 5)]))
+    k4 = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
+    k15 = tuple((0, v) for v in range(1, 6))
+    k33 = tuple((u, v) for u in range(3) for v in range(3, 6))
+    named = [(c6, 6, 12), (k4, 4, 24), (k15, 6, 120), (k33, 6, 72)]
+    graphs += [(pairs, nverts) for pairs, nverts, _ in named]
+    for pairs, nverts, order in named:
+        assert len(eg._automorphism_vertex_perms(pairs, nverts)) == order
+
+    rng = seeded_rng(5)
+    by_certificate, by_oracle = {}, {}
+    copy_id = 0
+    for pairs, nverts in graphs:
+        for copy in (pairs, _relabelled(rng, pairs, nverts), _relabelled(rng, pairs, nverts)):
+            certificate = eg._canonical_search(copy, nverts)[0]
+            automorphisms = eg._automorphism_vertex_perms(copy, nverts)
+            assert len(set(automorphisms)) == len(automorphisms)
+            assert set(automorphisms) == set(isomorphisms_by_brute_force(copy, copy, nverts))
+            by_certificate.setdefault((nverts, certificate), set()).add(copy_id)
+            by_oracle.setdefault((nverts, canonical_pair_graph(copy, nverts)), set()).add(copy_id)
+            copy_id += 1
+    # equal certificates exactly when the oracle finds the graphs isomorphic
+    assert {frozenset(ids) for ids in by_certificate.values()} == {
+        frozenset(ids) for ids in by_oracle.values()
+    }
+
+
+def _digest(graphs):
+    h = hashlib.sha256()
+    for G in graphs:
+        h.update(repr((G.vertices, G.edges)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_enumeration_order_is_pinned():
+    # recorded with the earlier VF2 deduplication: the same representatives
+    # in the same order, down to vertex names and edge labels
+    assert _digest(eg.multigraphs_with_cycle_space_rank(10, 5)) == (
+        "f10b14ca101c7e45d81ed00c08c0be6e497db80b6787ef4a326ce2a464d54095"
+    )
+    assert _digest(
+        G for m in range(1, 7) for G in eg.all_multigraphs(m, loops=True)
+    ) == "c006186fa20890fc6752ac8899a05e8b5322bff4d8775ce48abfd6afa5529f9a"
+
+
+def test_pair_level_unions_match_the_multigraph_view():
+    unions = list(eg.pair_graphs_with_cycle_space_rank(6, 3))
+    graphs = list(eg.multigraphs_with_cycle_space_rank(6, 3))
+    assert [_as_pairs(G) for G in graphs] == [pairs for pairs, _, _ in unions]
+    for G, (pairs, nverts, parts) in zip(graphs, unions):
+        assert G.num_vertices == nverts == sum(n for _, n in parts)
+        assert len(components(G)) == len(parts)

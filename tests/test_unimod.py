@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -312,6 +313,25 @@ def test_lattice_equivalence_refines_matroid_equivalence():
     assert matroid_equivalent(A, B) is not None
 
 
+def test_adjugate_matches_cofactor_oracle():
+    rng = seeded_rng(12)
+    cases = [[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for n in (1, 2, 3, 4, 5) * 8]
+    cases.append([[1, 2, 3], [2, 4, 6], [0, 1, 1]])  # singular
+    cases.append([[0, 0], [0, 0]])
+    for rows in cases:
+        n = len(rows)
+        expected = [
+            [
+                (-1) ** (i + j) * cofactor_det(
+                    [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+                )
+                for i in range(n)
+            ]
+            for j in range(n)
+        ]
+        assert unimod._adjugate(M(rows)) == M(expected), rows
+
+
 def test_segre_dicing_first_witness_is_pinned():
     f = fixture()
     S = prym_dicing(f.cover, f.involution).system
@@ -551,6 +571,43 @@ def test_search_cap_exceeded():
         is_cographic(e5(), max_graphs=10)
     assert err.value.report.cap == 10
     assert err.value.report.graphs_tried == 11
+
+
+def test_cographic_search_results_are_pinned():
+    # recorded with the earlier search, which built every candidate graph and
+    # counted its spanning forests through the matrix-tree determinant
+    report = is_cographic(e5()).report
+    counters = (
+        report.graphs_tried, report.connected_tried,
+        report.disconnected_tried, report.forest_count_matches,
+    )
+    assert counters == (3761, 2445, 1316, 0)
+    certificates = []
+    for m in range(1, 7):
+        for g in eg.connected_multigraphs_any_order(m):
+            cert = is_cographic(bond_system(g))
+            w = cert.witness
+            certificates.append((
+                cert.is_cographic,
+                None if w is None else (w.vertices, w.edges),
+                cert.column_to_edge,
+                cert.report,
+            ))
+    assert len(certificates) == 156
+    assert hashlib.sha256(repr(certificates).encode()).hexdigest() == (
+        "fe6f2142b651e9893c4fc113cc56e991d986a49b5723431b9b8b134d60ca75a0"
+    )
+
+
+def test_forest_count_is_the_product_over_components():
+    triangle = MultiGraph(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a")])
+    banana = MultiGraph(
+        ["a", "b", "c", "d", "e"],
+        [("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a"), ("p", "d", "e"),
+         ("q", "e", "d"), ("r", "d", "e"), ("l", "e", "e")],
+    )
+    assert spanning_forest_count(triangle) == 3
+    assert spanning_forest_count(banana) == 3 * 3
 
 
 def test_e5_dual_representation_not_cographic_either():
