@@ -193,6 +193,31 @@ def _compositions(total: int, parts: int, minimum: int = 0):
 
 
 @lru_cache(maxsize=None)
+def _edge_actions(support, nverts: int) -> tuple:
+    """The automorphisms of a simple pair-graph as permutations of its edge positions."""
+    position = {e: i for i, e in enumerate(support)}
+    return tuple(
+        tuple(position[(p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])] for u, v in support)
+        for p in _automorphism_vertex_perms(support, nverts)
+    )
+
+
+def _least_in_orbit(weights: tuple, actions) -> bool:
+    """Whether ``weights`` is the lexicographic least of its images under ``actions``.
+
+    An action maps ``weights`` to ``(weights[action[0]], weights[action[1]], ...)``;
+    the test returns at the first image that is smaller.
+    """
+    for action in actions:
+        for i, a in enumerate(action):
+            if weights[a] != weights[i]:
+                if weights[a] < weights[i]:
+                    return False
+                break
+    return True
+
+
+@lru_cache(maxsize=None)
 def connected_multigraphs(nedges: int, nverts: int) -> tuple:
     """Connected loopless multigraphs up to isomorphism, as pair-graphs.
 
@@ -206,24 +231,13 @@ def connected_multigraphs(nedges: int, nverts: int) -> tuple:
     max_support = min(nedges, comb(nverts, 2))
     for k in range(nverts - 1, max_support + 1):
         for support in connected_simple_graphs(nverts, k):
-            perms = _automorphism_vertex_perms(support, nverts)
-            edge_list = list(support)
-            edge_pos = {e: i for i, e in enumerate(edge_list)}
-            perm_actions = []
-            for perm in perms:
-                action = tuple(
-                    edge_pos[tuple(sorted((perm[u], perm[v])))] for (u, v) in edge_list
-                )
-                perm_actions.append(action)
+            actions = _edge_actions(support, nverts)
             for mult in _compositions(nedges - k, k, minimum=0):
                 weights = tuple(1 + x for x in mult)
-                canonical = min(
-                    tuple(weights[action[i]] for i in range(k)) for action in perm_actions
-                )
-                if weights != canonical:
+                if not _least_in_orbit(weights, actions):
                     continue
                 pairs = []
-                for e, w in zip(edge_list, weights):
+                for e, w in zip(support, weights):
                     pairs.extend([e] * w)
                 out.append(tuple(sorted(pairs)))
     return tuple(sorted(out))
@@ -234,15 +248,10 @@ def connected_multigraphs_with_loops(nedges: int, nverts: int) -> tuple:
     """Connected multigraphs with loops allowed (connectivity of the loopless core)."""
     out = []
     for nloops in range(nedges + 1):
-        core_edges = nedges - nloops
-        cores = connected_multigraphs(core_edges, nverts)
-        for core in cores:
-            perms = _automorphism_vertex_perms(core, nverts)
+        for core in connected_multigraphs(nedges - nloops, nverts):
+            actions = _automorphism_vertex_perms(core, nverts)
             for distribution in _compositions(nloops, nverts, minimum=0):
-                canonical = min(
-                    tuple(distribution[perm[i]] for i in range(nverts)) for perm in perms
-                )
-                if distribution != tuple(canonical):
+                if not _least_in_orbit(distribution, actions):
                     continue
                 pairs = list(core)
                 for v, cnt in enumerate(distribution):
@@ -251,8 +260,14 @@ def connected_multigraphs_with_loops(nedges: int, nverts: int) -> tuple:
     return tuple(sorted(out))
 
 
-def _relabel(pairs, offset: int):
-    return [(u + offset, v + offset) for (u, v) in pairs]
+def _connected_reps(nedges: int, loops: bool) -> list:
+    """Connected ``(pairs, nverts)`` representatives with ``nedges`` edges, by vertex count."""
+    family = connected_multigraphs_with_loops if loops else connected_multigraphs
+    return [
+        (pairs, nverts)
+        for nverts in range(1 if loops else 2, nedges + 2)
+        for pairs in family(nedges, nverts)
+    ]
 
 
 def _component_specs(nedges: int, rank: int):
@@ -302,7 +317,7 @@ def _disjoint_unions(parts, reps_of):
         for reps, choice in zip(rep_lists, combo):
             for rep_idx in choice:
                 comp, nverts_comp = rep = reps[rep_idx]
-                pairs.extend(_relabel(comp, offset))
+                pairs.extend((u + offset, v + offset) for u, v in comp)
                 chosen.append(rep)
                 offset += nverts_comp
         yield tuple(sorted(pairs)), offset, tuple(chosen)
@@ -336,16 +351,6 @@ def all_multigraphs(nedges: int, loops: bool = False):
     """All multigraphs with exactly ``nedges`` edges and no isolated vertices,
     up to isomorphism (disconnected shapes included)."""
 
-    def connected_reps(e):
-        reps = []
-        if loops:
-            for nv in range(1, e + 2):
-                reps.extend((p, nv) for p in connected_multigraphs_with_loops(e, nv))
-        else:
-            for nv in range(2, e + 2):
-                reps.extend((p, nv) for p in connected_multigraphs(e, nv))
-        return reps
-
     def partitions(n, maximum):
         if n == 0:
             yield ()
@@ -355,20 +360,14 @@ def all_multigraphs(nedges: int, loops: bool = False):
                 yield (first,) + rest
 
     for part in partitions(nedges, nedges):
-        for pairs, nverts, _ in _disjoint_unions(part, connected_reps):
+        for pairs, nverts, _ in _disjoint_unions(part, lambda e: _connected_reps(e, loops)):
             yield pair_graph_to_multigraph(pairs, nverts)
 
 
 def connected_multigraphs_any_order(nedges: int, loops: bool = False):
     """Connected multigraphs with exactly ``nedges`` edges, all vertex counts."""
-    if loops:
-        for nv in range(1, nedges + 2):
-            for pairs in connected_multigraphs_with_loops(nedges, nv):
-                yield pair_graph_to_multigraph(pairs, nv)
-    else:
-        for nv in range(2, nedges + 2):
-            for pairs in connected_multigraphs(nedges, nv):
-                yield pair_graph_to_multigraph(pairs, nv)
+    for pairs, nverts in _connected_reps(nedges, loops):
+        yield pair_graph_to_multigraph(pairs, nverts)
 
 
 def pair_graph_to_multigraph(pairs, nverts: int) -> MultiGraph:

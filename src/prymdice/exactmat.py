@@ -6,7 +6,8 @@ this module.  The four workhorses are
 
 * ``hnf`` -- row-style Hermite normal form with a unimodular witness,
   used to extract canonical bases of row lattices,
-* ``det`` -- fraction-free (Bareiss) determinant,
+* ``det`` -- fraction-free (Bareiss) determinant, also on plain row lists
+  (``det_of_rows``),
 * ``square_submatrices`` -- deterministic enumeration of k x k
   submatrices, in the order total-unimodularity certificates use,
 * ``minors`` -- every k x k minor in that same order, each computed from
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 
 class MatrixError(ValueError):
@@ -82,12 +84,10 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise MatrixError("incompatible shapes for multiplication")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        columns = [other.column(j) for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols, tuple(
+            sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in columns
+        ))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
@@ -254,15 +254,18 @@ def det(M: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if M.rows != M.cols:
         raise MatrixError("determinant requires a square matrix")
-    n = M.rows
+    return det_of_rows(M.row_list())
+
+
+def det_of_rows(a: list) -> int:
+    """``det`` of a square matrix given as a list of row lists, which it overwrites."""
+    n = len(a)
     if n == 0:
         return 1
     if n == 1:
-        return M.entries[0]
+        return a[0][0]
     if n == 2:
-        a, b, c, d = M.entries
-        return a * d - b * c
-    a = M.row_list()
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .exactmat import IntMatrix
 from .graph import CochainVector, GraphError, MultiGraph, components
-from .unimod import UnimodularSystem
+from .unimod import UnimodularSystem, _sign_normalize
 
 
 def betti_number(G: MultiGraph) -> int:
@@ -177,13 +177,11 @@ def collapse_columns(rows: list, edge_labels) -> tuple[IntMatrix, tuple, tuple]:
         if all(x == 0 for x in col):
             dropped.append(edge_labels[j])
             continue
-        neg = tuple(-x for x in col)
-        if col in seen:
-            groups[seen[col]].append(edge_labels[j])
-        elif neg in seen:
-            groups[seen[neg]].append(edge_labels[j])
+        key = _sign_normalize(col)
+        if key in seen:
+            groups[seen[key]].append(edge_labels[j])
         else:
-            seen[col] = len(kept)
+            seen[key] = len(kept)
             kept.append(j)
             groups.append([edge_labels[j]])
     matrix = IntMatrix.from_rows([[r[j] for j in kept] for r in rows])

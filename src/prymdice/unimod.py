@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import enumerate_graphs
-from .exactmat import IntMatrix, det, minors, rank
+from .exactmat import IntMatrix, det, det_of_rows, minors, rank
 from .graph import GraphError, MultiGraph, components
 
 
@@ -58,6 +58,14 @@ class SearchCapExceeded(RuntimeError):
         )
 
 
+def _sign_normalize(col):
+    """The one of ``col`` and ``-col`` whose first nonzero entry is positive."""
+    for x in col:
+        if x != 0:
+            return col if x > 0 else tuple(-y for y in col)
+    return col
+
+
 class UnimodularSystem:
     """A system of m >= n integer vectors spanning R^n (columns of ``matrix``).
 
@@ -79,12 +87,10 @@ class UnimodularSystem:
         if not allow_repeats:
             seen = {}
             for j in range(matrix.cols):
-                col = matrix.column(j)
-                neg = tuple(-x for x in col)
-                if col in seen or neg in seen:
-                    other = seen.get(col, seen.get(neg))
-                    raise ValueError(f"columns {other} and {j} are equal or opposite")
-                seen[col] = j
+                key = _sign_normalize(matrix.column(j))
+                if key in seen:
+                    raise ValueError(f"columns {seen[key]} and {j} are equal or opposite")
+                seen[key] = j
         if rank(matrix) != matrix.rows:
             raise ValueError("columns do not span: row rank is deficient")
         self.matrix = matrix
@@ -248,7 +254,7 @@ def _spanning_tree_count(pairs, nverts: int) -> int:
             lap[v][v] += 1
             lap[u][v] -= 1
             lap[v][u] -= 1
-    return det(IntMatrix.from_rows([row[:-1] for row in lap[:-1]]))
+    return det_of_rows([row[:-1] for row in lap[:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +429,6 @@ def verify_equivalence(A: UnimodularSystem, B: UnimodularSystem, eq: Equivalence
     return True
 
 
-def _sign_normalize(col):
-    for x in col:
-        if x != 0:
-            return col if x > 0 else tuple(-y for y in col)
-    return col
-
-
 def _coordinates(adj: IntMatrix, d: int, M: IntMatrix) -> list:
     """|d| times the coordinates of M's columns in a basis T with adj(T), det(T) = d.
 
@@ -473,6 +472,8 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
         prefix |= 1 << j
         span_counts_a.append(MA.span_size(prefix))
     abs_multiset_a = Counter(tuple(abs(x) for x in col) for col in coords_a)
+    cols_b = [B.column(k) for k in range(m)]
+    keys_b = [_sign_normalize(col) for col in cols_b]
 
     def try_full(chosen):
         BT = B.matrix.column_submatrix(chosen)
@@ -490,37 +491,20 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
             )
             if norm_a != norm_b:
                 continue
-            # build the signed bijection column by column
-            pool: dict[tuple, list[int]] = {}
-            for j, col in enumerate(coords_b):
-                pool.setdefault(_sign_normalize(col), []).append(j)
-            column_map = []
-            ok = True
-            for col in coords_a:
-                scaled = tuple(s * x for s, x in zip(signs, col))
-                key = _sign_normalize(scaled)
-                candidates = pool.get(key)
-                if not candidates:
-                    ok = False
-                    break
-                target = None
-                for idx in candidates:
-                    if coords_b[idx] == scaled:
-                        target, sign = idx, 1
-                        break
-                    if coords_b[idx] == tuple(-x for x in scaled):
-                        target, sign = idx, -1
-                        break
-                if target is None:
-                    ok = False
-                    break
-                candidates.remove(target)
-                column_map.append((target, sign))
-            if not ok:
-                continue
             U = _solve_transform(BT, signs, adj_a, det_a)
             if U is None:
                 continue
+            # each column of U*A goes to the first free column of B with its
+            # sign-normalized key; the equal coordinate keys above guarantee one
+            UA = U @ A.matrix
+            free = [True] * m
+            column_map = []
+            for j in range(m):
+                col = UA.column(j)
+                key = _sign_normalize(col)
+                target = next(k for k in range(m) if free[k] and keys_b[k] == key)
+                free[target] = False
+                column_map.append((target, 1 if cols_b[target] == col else -1))
             eq = Equivalence(U, tuple(column_map))
             if verify_equivalence(A, B, eq):
                 return eq
@@ -543,7 +527,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
 
 
 def _solve_transform(BT: IntMatrix, signs, adj_a: IntMatrix, det_a: int):
-    """U = BT * diag(signs) * AT^{-1}, required integer with |det| = 1.
+    """U = BT * diag(signs) * AT^{-1}, or None when it is not integral.
 
     AT enters through its adjugate and determinant: AT^{-1} = adj(AT) / det(AT).
     """
@@ -554,10 +538,7 @@ def _solve_transform(BT: IntMatrix, signs, adj_a: IntMatrix, det_a: int):
     num = signed @ adj_a
     if any(x % det_a for x in num.entries):
         return None
-    U = IntMatrix(n, n, tuple(x // det_a for x in num.entries))
-    if abs(det(U)) != 1:
-        return None
-    return U
+    return IntMatrix(n, n, tuple(x // det_a for x in num.entries))
 
 
 def _adjugate(M: IntMatrix) -> IntMatrix:
@@ -628,6 +609,7 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     n, m = S.dim, S.size
     n_bases = len(S.matroid.bases)
     tried = connected_tried = disconnected_tried = matches = 0
+    witness = None
     for pairs, nverts, parts in enumerate_graphs.pair_graphs_with_cycle_space_rank(m, n):
         tried += 1
         if len(parts) == 1:
@@ -635,9 +617,7 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
         else:
             disconnected_tried += 1
         if max_graphs is not None and tried > max_graphs:
-            raise SearchCapExceeded(
-                SearchReport(tried, connected_tried, disconnected_tried, matches, m, n, max_graphs)
-            )
+            break
         forests = 1
         for part in parts:
             forests *= _spanning_tree_count(*part)
@@ -648,10 +628,11 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
         candidate = UnimodularSystem(cut_space_matrix(G), allow_repeats=True)
         bijection = matroid_equivalent(S, candidate)
         if bijection is not None:
-            report = SearchReport(
-                tried, connected_tried, disconnected_tried, matches, m, n, max_graphs
-            )
-            column_to_edge = tuple(G.edge_labels[k] for k in bijection)
-            return CographicCertificate(True, G, column_to_edge, report)
+            witness = G, tuple(G.edge_labels[k] for k in bijection)
+            break
     report = SearchReport(tried, connected_tried, disconnected_tried, matches, m, n, max_graphs)
-    return CographicCertificate(False, None, None, report)
+    if max_graphs is not None and tried > max_graphs:
+        raise SearchCapExceeded(report)
+    if witness is None:
+        return CographicCertificate(False, None, None, report)
+    return CographicCertificate(True, *witness, report)

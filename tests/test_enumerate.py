@@ -225,6 +225,16 @@ def test_enumeration_order_is_pinned():
     ) == "c006186fa20890fc6752ac8899a05e8b5322bff4d8775ce48abfd6afa5529f9a"
 
 
+def test_loopless_unions_and_connected_loop_shapes_are_pinned():
+    # recorded before the orbit-least test and the shared representative
+    # list: loopless disconnected shapes and connected shapes with loops
+    assert _digest(
+        G for m in range(1, 8) for G in eg.all_multigraphs(m)
+    ) == "d6bc2e8fb5125aed52c634fb203bcaaddd927adfa32b7d5b8ffa90d4f23e71a7"
+    assert _digest(
+        G for m in range(1, 8) for G in eg.connected_multigraphs_any_order(m, loops=True)
+    ) == "0202e0b2481b7ba1edc8bc3207c331fb5ba87b1f0d187e7aa260575ab2da26a5"
+
 def test_pair_level_unions_match_the_multigraph_view():
     unions = list(eg.pair_graphs_with_cycle_space_rank(6, 3))
     graphs = list(eg.multigraphs_with_cycle_space_rank(6, 3))

@@ -227,7 +227,7 @@ def scramble(rng, S):
     signs = [rng.choice([1, -1]) for _ in range(m)]
     UA = U @ S.matrix
     rows = [[signs[j] * UA.entry(i, perm[j]) for j in range(m)] for i in range(n)]
-    return UnimodularSystem(IntMatrix.from_rows(rows))
+    return UnimodularSystem(IntMatrix.from_rows(rows), allow_repeats=S.allow_repeats)
 
 
 def test_scrambled_e5_recognized():
@@ -359,6 +359,43 @@ def test_scrambled_e5_first_witness_is_pinned():
         (0, 1), (1, -1), (2, 1), (6, 1), (5, 1), (4, 1), (8, -1), (3, 1), (9, 1), (7, -1)
     )
 
+
+def test_bulk_witnesses_are_pinned():
+    # recorded before the signed bijection was read off U @ A: the first
+    # witness of every call, in both argument orders, for E5 scrambles,
+    # systems with a determinant-2 basis against scrambles of themselves or
+    # of a doubled-column variant (equivalent or not), and scrambled bond
+    # systems, whose parallel edges give equal columns, so the choice among
+    # equal columns shows in the witness
+    rng = seeded_rng(13)
+    calls = []
+    for _ in range(100):
+        T = scramble(rng, e5())
+        calls += [(e5(), T), (T, e5())]
+    for n, m in ((2, 4), (3, 5), (3, 6)):
+        for _ in range(20):
+            A = _random_system_with_det_2_basis(rng, n, m)
+            B = scramble(rng, _with_a_doubled_column(rng, A) if rng.randrange(2) else A)
+            calls += [(A, B), (B, A)]
+    witnesses = [systems_equivalent(A, B) for A, B in calls]
+    assert sum(eq is None for eq in witnesses) == 54
+    found = [(eq.U, eq.column_map) for eq in witnesses if eq is not None]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "9dec7e1686f531873720ef9f8802ab648f41594a61d4e3583e2ebc624a1310fb"
+    )
+    bonds = []
+    for m in range(2, 6):
+        for G in eg.connected_multigraphs_any_order(m):
+            if G.num_vertices < 3:
+                continue  # random_gl needs two rows
+            S = bond_system(G)
+            T = scramble(rng, S)
+            eq, back = systems_equivalent(S, T), systems_equivalent(T, S)
+            assert verify_equivalence(S, T, eq) and verify_equivalence(T, S, back)
+            bonds += [(eq.U, eq.column_map), (back.U, back.column_map)]
+    assert hashlib.sha256(repr(bonds).encode()).hexdigest() == (
+        "5d289c7d7ecbde3d490e632bde24b1f1aaf3784ca98718e67dd9ac7e4639f662"
+    )
 
 def _random_system_with_det_2_basis(rng, n, m):
     while True:
