@@ -151,9 +151,10 @@ class GraphInvolution:
         for lab in graph.edge_labels:
             if lab not in self.edge_map:
                 raise GraphError(f"edge map does not cover {lab!r}")
+        vset = set(graph.vertices)
         for v in graph.vertices:
             w = self.vertex_map[v]
-            if w not in set(graph.vertices):
+            if w not in vset:
                 raise GraphError(f"vertex map sends {v!r} outside the graph")
             if self.vertex_map[w] != v:
                 raise GraphError(f"vertex map is not an involution at {v!r}")
@@ -204,7 +205,7 @@ class CochainVector:
 
     def __init__(self, graph: MultiGraph, coefficients):
         self.graph = graph
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
         if len(coeffs) != graph.num_edges:
             raise GraphError(
                 f"expected {graph.num_edges} coefficients, got {len(coeffs)}"

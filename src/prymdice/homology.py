@@ -84,6 +84,16 @@ class CycleBasis:
         )
 
 
+def _forest_adjacency(G: MultiGraph, tree_edges) -> dict:
+    """Per vertex, the forest edges at it as (label, other end, +1 if it is the tail)."""
+    adj: dict[str, list] = {v: [] for v in G.vertices}
+    for lab in tree_edges:
+        t, h = G.endpoints(lab)
+        adj[t].append((lab, h, 1))
+        adj[h].append((lab, t, -1))
+    return adj
+
+
 def fundamental_cycle(G: MultiGraph, tree_edges, label: str, sign: int = 1) -> CochainVector:
     """The unique cycle supported on ``label`` plus forest edges.
 
@@ -92,14 +102,13 @@ def fundamental_cycle(G: MultiGraph, tree_edges, label: str, sign: int = 1) -> C
     """
     if label in tree_edges:
         raise GraphError(f"{label!r} is a tree edge; fundamental cycles need a non-tree edge")
+    return _fundamental_cycle(G, _forest_adjacency(G, tree_edges), label, sign)
+
+
+def _fundamental_cycle(G: MultiGraph, adj: dict, label: str, sign: int) -> CochainVector:
     tail, head = G.endpoints(label)
     coeffs = {label: sign}
     if tail != head:
-        adj: dict[str, list] = {v: [] for v in G.vertices}
-        for lab in tree_edges:
-            t, h = G.endpoints(lab)
-            adj[t].append((lab, h, 1))
-            adj[h].append((lab, t, -1))
         prev = {head: None}
         queue = deque([head])
         while queue:
@@ -126,8 +135,9 @@ def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
         forest = default_spanning_forest(G)
     else:
         forest = _validate_spanning_forest(G, tree)
+    adj = _forest_adjacency(G, forest)
     basis = tuple(
-        fundamental_cycle(G, forest, lab)
+        _fundamental_cycle(G, adj, lab, 1)
         for lab in G.edge_labels
         if lab not in forest
     )

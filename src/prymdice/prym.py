@@ -84,6 +84,14 @@ class HalfLattice:
         return f"HalfLattice(rank={self.rank}, edges={self.graph.num_edges})"
 
 
+def _lattice_from_doubled_rows(G: MultiGraph, rows) -> HalfLattice:
+    """HNF-reduced HalfLattice generated by the halves of integer rows."""
+    rows = [row for row in rows if any(row)]
+    if not rows:
+        return HalfLattice(G, RationalMatrix(IntMatrix(0, G.num_edges, ()), 1))
+    return HalfLattice(G, RationalMatrix(hnf_basis(IntMatrix.from_rows(rows)), 2))
+
+
 def lattice_from_vectors(G: MultiGraph, vectors) -> HalfLattice:
     """HNF-reduced HalfLattice generated by half-integral cochain vectors."""
     rows = []
@@ -91,21 +99,34 @@ def lattice_from_vectors(G: MultiGraph, vectors) -> HalfLattice:
         doubled = [2 * c for c in v.coefficients]
         if any(x.denominator != 1 for x in doubled):
             raise GraphError("generators must have half-integer coefficients")
-        row = [int(x) for x in doubled]
-        if any(row):
-            rows.append(row)
-    if not rows:
-        return HalfLattice(G, RationalMatrix(IntMatrix(0, G.num_edges, ()), 1))
-    reduced = hnf_basis(IntMatrix.from_rows(rows))
-    return HalfLattice(G, RationalMatrix(reduced, 2))
+        rows.append([int(x) for x in doubled])
+    return _lattice_from_doubled_rows(G, rows)
 
 
 def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
-    """Image of the integral cycle lattice under the anti-invariant projection."""
-    basis = cycle_basis(G).basis
-    lattice = lattice_from_vectors(G, [pi_minus(iota, h) for h in basis])
-    for v in lattice.basis_vectors():
-        if apply_involution(iota, v) != -v:
+    """Image of the integral cycle lattice under the anti-invariant projection.
+
+    Works on the doubled projections 2 * pi_minus(h) = h - iota(h), which
+    are integer rows: iota moves coordinate j to coordinate pj with sign
+    sj, listed in ``moves`` as (j, pj, sj).
+    """
+    moves = [
+        (j, G.edge_index(iota.edge_map[lab]), iota.edge_sign[lab])
+        for j, lab in enumerate(G.edge_labels)
+    ]
+    rows = []
+    for h in cycle_basis(G).basis:
+        coeffs = [c.numerator for c in h.coefficients]
+        row = coeffs[:]
+        for j, pj, sj in moves:
+            if coeffs[j]:
+                row[pj] -= sj * coeffs[j]
+        rows.append(row)
+    lattice = _lattice_from_doubled_rows(G, rows)
+    doubled = lattice.basis.doubled()
+    for i in range(lattice.rank):
+        row = doubled.row(i)
+        if any(row[pj] != -sj * row[j] for j, pj, sj in moves):
             raise GraphError("internal error: lattice basis vector is not anti-invariant")
     return lattice
 
@@ -185,6 +206,74 @@ class VologodskyResult:
     witness: VologodskyWitness | None = None
 
 
+def _connected_orbit_unions(orbits, orbit_adjacency, adjacency, cuts):
+    """Every union of vertex orbits that induces a connected subgraph, as
+    (orbit mask, vertex mask, cut mask) triples in no particular order.
+
+    ``orbits[i]`` holds the vertex bits of orbit i, ``orbit_adjacency[i]``
+    its neighbours in the orbit quotient, ``adjacency`` maps a vertex bit
+    to its neighbours' bits and ``cuts[i]`` is the edge mask of orbit i's
+    cut.  A union connected in the graph is connected in the quotient, so
+    each set is grown along quotient edges from its least orbit: a branch
+    adds one orbit of the frontier, and the orbits tried before it at the
+    same node are barred below the later branches, so no set repeats.
+
+    Connectivity is carried down the tree.  Paths in the quotient lift
+    through the involution, so every component of a quotient-connected
+    union meets each of its orbits: the union is connected, or it is
+    ``comp`` (the component of the root's first vertex) and the image of
+    ``comp``.  Adding an adjacent orbit keeps a connected union connected,
+    and joins the two halves exactly when the new vertices that ``comp``
+    reaches touch the other half.
+    """
+    orbit_vertices = [sum(bits) for bits in orbits]
+    out = []
+    for root, root_bits in enumerate(orbits):
+        below = (1 << root) - 1
+        comp, reach = _join(root_bits[0], adjacency[root_bits[0]], root_bits, adjacency)
+        stack = [(
+            1 << root, orbit_vertices[root], comp, reach, cuts[root],
+            orbit_adjacency[root] & ~below & ~(1 << root), below,
+        )]
+        while stack:
+            mask, vertices, comp, reach, cut, frontier, barred = stack.pop()
+            connected = comp == vertices
+            if connected:
+                out.append((mask, vertices, cut))
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                i = bit.bit_length() - 1
+                grown = mask | bit
+                grown_vertices = vertices | orbit_vertices[i]
+                if connected:
+                    grown_comp, grown_reach = grown_vertices, 0
+                else:
+                    grown_comp, grown_reach = _join(comp, reach, orbits[i], adjacency)
+                    if grown_reach & vertices & ~comp:
+                        grown_comp = grown_vertices
+                stack.append((
+                    grown, grown_vertices, grown_comp, grown_reach, cut ^ cuts[i],
+                    frontier | (orbit_adjacency[i] & ~grown & ~barred), barred,
+                ))
+                barred |= bit
+    return out
+
+
+def _join(comp, reach, new_bits, adjacency):
+    """Grow the component ``comp`` (neighbourhood ``reach``) into the
+    vertices ``new_bits`` it reaches, directly or through each other."""
+    grew = True
+    while grew:
+        grew = False
+        for v in new_bits:
+            if v & reach and not v & comp:
+                comp |= v
+                reach |= adjacency[v]
+                grew = True
+    return comp, reach
+
+
 def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     """Family-independence criterion for the cell decomposition.
 
@@ -192,60 +281,76 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     joined by at least four edges; the witness returned is the first such
     pair in a fixed deterministic order (invariant vertex subsets are
     unions of vertex orbits, scanned in ascending bitmask order).
+
+    Vertex and edge sets are bitmasks over ``G.vertices`` and ``G.edges``.
+    The edges joining two disjoint vertex sets are the edges in both cuts.
     """
     if iota.graph != G:
         raise GraphError("involution belongs to a different graph")
     if G.num_edges < 4:
         return VologodskyResult(True)
-    orbits = []
-    seen = set()
+    bit = {v: 1 << i for i, v in enumerate(G.vertices)}
+    # incidence: a vertex's non-loop edges; the cut of a vertex set is the
+    # XOR of its vertices' incidences, since an inner edge appears twice
+    adjacency = dict.fromkeys(bit.values(), 0)
+    incidence = dict.fromkeys(bit.values(), 0)
+    for k, (_, t, h) in enumerate(G.edges):
+        tb, hb = bit[t], bit[h]
+        adjacency[tb] |= hb
+        adjacency[hb] |= tb
+        if tb != hb:
+            incidence[tb] |= 1 << k
+            incidence[hb] |= 1 << k
+    orbits, cuts, orbit_of = [], [], {}
     for v in G.vertices:
-        if v in seen:
-            continue
-        orbit = frozenset({v, iota.vertex_map[v]})
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    k = len(orbits)
-
-    def vertex_set(mask: int) -> frozenset:
-        out = set()
-        for i in range(k):
-            if mask >> i & 1:
-                out.update(orbits[i])
-        return frozenset(out)
-
-    def induced_connected(vset: frozenset) -> bool:
-        start = next(iter(vset))
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for _, y in G.neighbors(x):
-                if y in vset and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        return comp == vset
-
-    connected_masks = [
-        (mask, vertex_set(mask))
-        for mask in range(1, 1 << k)
-        if induced_connected(vertex_set(mask))
-    ]
-    for idx, (mask_a, set_a) in enumerate(connected_masks):
-        for mask_b, set_b in connected_masks[idx + 1 :]:
-            if mask_a & mask_b:
-                continue
-            crossing = [
-                lab
-                for lab, t, h in G.edges
-                if (t in set_a and h in set_b) or (t in set_b and h in set_a)
-            ]
-            if len(crossing) >= 4:
+        if v not in orbit_of:
+            w = iota.vertex_map[v]
+            orbit_of[v] = orbit_of[w] = len(orbits)
+            if w == v:
+                orbits.append((bit[v],))
+                cuts.append(incidence[bit[v]])
+            else:
+                orbits.append((bit[v], bit[w]))
+                cuts.append(incidence[bit[v]] ^ incidence[bit[w]])
+    orbit_adjacency = [0] * len(orbits)
+    for _, t, h in G.edges:
+        orbit_adjacency[orbit_of[t]] |= 1 << orbit_of[h]
+        orbit_adjacency[orbit_of[h]] |= 1 << orbit_of[t]
+    unions = sorted(_connected_orbit_unions(orbits, orbit_adjacency, adjacency, cuts))
+    # containing[i]: the positions in ``unions`` of the sets holding orbit i
+    containing = [0] * len(orbits)
+    for pos, (mask, _, _) in enumerate(unions):
+        while mask:
+            low = mask & -mask
+            containing[low.bit_length() - 1] |= 1 << pos
+            mask ^= low
+    everything = (1 << len(unions)) - 1
+    for pos, (mask_a, set_a, cut_a) in enumerate(unions):
+        overlapping = (2 << pos) - 1
+        while mask_a:
+            low = mask_a & -mask_a
+            overlapping |= containing[low.bit_length() - 1]
+            mask_a ^= low
+        later = everything & ~overlapping
+        while later:
+            low = later & -later
+            later ^= low
+            _, set_b, cut_b = unions[low.bit_length() - 1]
+            crossing = cut_a & cut_b
+            if crossing.bit_count() >= 4:
                 return VologodskyResult(
                     False,
-                    VologodskyWitness(set_a, set_b, tuple(sorted(crossing))),
+                    VologodskyWitness(
+                        _vertex_names(G, set_a),
+                        _vertex_names(G, set_b),
+                        tuple(sorted(lab for k, lab in enumerate(G.edge_labels) if crossing >> k & 1)),
+                    ),
                 )
     return VologodskyResult(True)
+
+
+def _vertex_names(G: MultiGraph, vertices: int) -> frozenset:
+    return frozenset(v for i, v in enumerate(G.vertices) if vertices >> i & 1)
 
 
 @dataclass(frozen=True)

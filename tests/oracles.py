@@ -6,7 +6,8 @@ total-unimodularity oracles enumerate submatrices with their own loops, and
 lattice equivalence is decided by trying every signed image of one basis.
 Isomorphism-class counting is done by brute-force canonical forms over
 all vertex permutations, and isomorphisms and automorphisms are listed by
-trying every vertex permutation.
+trying every vertex permutation.  The Vologodsky criterion is checked on
+every union of vertex orbits with set-based searches.
 """
 
 from fractions import Fraction
@@ -207,3 +208,51 @@ def brute_force_multigraph_classes(nverts, nedges, loops=False, connected=None, 
 
     rec(0, nedges, [])
     return classes
+
+
+def vologodsky_by_definition(vertices, edges, vertex_map):
+    """The first pair of disjoint connected invariant vertex sets joined by
+    at least four edges, as ``(False, (set_0, set_1, edge_labels))``, or
+    ``(True, None)``.
+
+    ``edges`` holds ``(label, tail, head)`` triples.  Invariant sets are
+    unions of vertex orbits (orbits numbered by their first vertex in
+    ``vertices``), encoded as orbit bitmasks; the connected ones are
+    listed in ascending mask order, and pairs are taken in that order,
+    the second set after the first.  Exponential in the orbit count.
+    """
+    orbits = []
+    for v in vertices:
+        if not any(v in orbit for orbit in orbits):
+            orbits.append({v, vertex_map[v]})
+    neighbours = {v: set() for v in vertices}
+    for _, t, h in edges:
+        neighbours[t].add(h)
+        neighbours[h].add(t)
+
+    def connected(vset):
+        start = next(iter(vset))
+        seen, stack = {start}, [start]
+        while stack:
+            for y in neighbours[stack.pop()] & vset:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen == vset
+
+    listed = []
+    for mask in range(1, 1 << len(orbits)):
+        vset = set().union(*(orbits[i] for i in range(len(orbits)) if mask >> i & 1))
+        if connected(vset):
+            listed.append((mask, frozenset(vset)))
+    for idx, (mask_a, set_a) in enumerate(listed):
+        for mask_b, set_b in listed[idx + 1:]:
+            if mask_a & mask_b:
+                continue
+            crossing = [
+                lab for lab, t, h in edges
+                if (t in set_a and h in set_b) or (t in set_b and h in set_a)
+            ]
+            if len(crossing) >= 4:
+                return False, (set_a, set_b, tuple(sorted(crossing)))
+    return True, None
