@@ -365,6 +365,17 @@ def _global_flags(default) -> argparse.ArgumentParser:
     return flags
 
 
+def _graph_cap(text: str) -> int:
+    """A ``--max-graphs`` value: a count, so 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prymdice",
@@ -403,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("check-cographic", help="cographic recognition with certificate")
     p.add_argument("matrix")
-    p.add_argument("--max-graphs", type=int, default=None)
+    p.add_argument("--max-graphs", type=_graph_cap, default=None)
     p.set_defaults(handler=_cmd_check_cographic)
 
     p = command("equiv", help="lattice equivalence of two systems")
@@ -412,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_equiv)
 
     p = command("segre", help="full pentagon double cover pipeline")
-    p.add_argument("--max-graphs", type=int, default=None)
+    p.add_argument("--max-graphs", type=_graph_cap, default=None)
     p.set_defaults(handler=_cmd_segre)
 
     return parser

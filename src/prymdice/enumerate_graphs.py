@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .graph import MultiGraph
 
@@ -181,23 +182,26 @@ def connected_simple_graphs(nverts: int, nedges: int) -> tuple:
     return tuple(_dedup(candidates, nverts))
 
 
-def _compositions(total: int, parts: int, minimum: int = 0):
-    """All tuples of ``parts`` integers >= minimum summing to ``total``."""
+def _compositions(total: int, parts: int):
+    """All tuples of ``parts`` non-negative integers summing to ``total``."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
 def _edge_actions(support, nverts: int) -> tuple:
-    """The automorphisms of a simple pair-graph as permutations of its edge positions."""
+    """The automorphisms of a simple pair-graph as permutations of its edge
+    positions followed by its vertices (vertex v at position ``len(support) + v``)."""
     position = {e: i for i, e in enumerate(support)}
+    k = len(support)
     return tuple(
         tuple(position[(p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])] for u, v in support)
+        + tuple(k + w for w in p)
         for p in _automorphism_vertex_perms(support, nverts)
     )
 
@@ -205,68 +209,49 @@ def _edge_actions(support, nverts: int) -> tuple:
 def _least_in_orbit(weights: tuple, actions) -> bool:
     """Whether ``weights`` is the lexicographic least of its images under ``actions``.
 
-    An action maps ``weights`` to ``(weights[action[0]], weights[action[1]], ...)``;
-    the test returns at the first image that is smaller.
+    An action maps ``weights`` to ``(weights[action[0]], weights[action[1]], ...)``,
+    read up to ``len(weights)``; the test returns at the first image that is smaller.
     """
     for action in actions:
-        for i, a in enumerate(action):
-            if weights[a] != weights[i]:
-                if weights[a] < weights[i]:
+        for a, w in zip(action, weights):
+            if weights[a] != w:
+                if weights[a] < w:
                     return False
                 break
     return True
 
 
 @lru_cache(maxsize=None)
-def connected_multigraphs(nedges: int, nverts: int) -> tuple:
-    """Connected loopless multigraphs up to isomorphism, as pair-graphs.
+def connected_multigraphs(nedges: int, nverts: int, loops: bool = False) -> tuple:
+    """Connected multigraphs up to isomorphism, as pair-graphs.
 
-    Enumerated as a simple support graph plus a positive multiplicity on
-    each support edge, with multiplicity patterns reduced modulo the
-    support's automorphisms.
+    Enumerated as a connected simple support plus one weight vector: a
+    positive multiplicity on each support edge followed, with ``loops``,
+    by a loop count on each vertex.  Weight vectors are reduced modulo
+    the support's automorphisms; the least vector of an orbit has the
+    least multiplicities, and then the least loop counts under their
+    stabiliser, which is the automorphism group of the loopless core.
     """
-    if nverts == 1:
-        return ((),) if nedges == 0 else ()
     out = []
-    max_support = min(nedges, comb(nverts, 2))
-    for k in range(nverts - 1, max_support + 1):
+    slots = nverts if loops else 0
+    for k in range(nverts - 1, min(nedges, comb(nverts, 2)) + 1):
         for support in connected_simple_graphs(nverts, k):
             actions = _edge_actions(support, nverts)
-            for mult in _compositions(nedges - k, k, minimum=0):
-                weights = tuple(1 + x for x in mult)
-                if not _least_in_orbit(weights, actions):
-                    continue
-                pairs = []
-                for e, w in zip(support, weights):
-                    pairs.extend([e] * w)
-                out.append(tuple(sorted(pairs)))
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def connected_multigraphs_with_loops(nedges: int, nverts: int) -> tuple:
-    """Connected multigraphs with loops allowed (connectivity of the loopless core)."""
-    out = []
-    for nloops in range(nedges + 1):
-        for core in connected_multigraphs(nedges - nloops, nverts):
-            actions = _automorphism_vertex_perms(core, nverts)
-            for distribution in _compositions(nloops, nverts, minimum=0):
-                if not _least_in_orbit(distribution, actions):
-                    continue
-                pairs = list(core)
-                for v, cnt in enumerate(distribution):
-                    pairs.extend([(v, v)] * cnt)
-                out.append(tuple(sorted(pairs)))
+            cells = support + tuple((v, v) for v in range(slots))
+            minimum = (1,) * k + (0,) * slots
+            for extra in _compositions(nedges - k, k + slots):
+                weights = tuple(map(add, minimum, extra))
+                if _least_in_orbit(weights, actions):
+                    out.append(tuple(sorted(e for e, w in zip(cells, weights) for _ in range(w))))
     return tuple(sorted(out))
 
 
 def _connected_reps(nedges: int, loops: bool) -> list:
     """Connected ``(pairs, nverts)`` representatives with ``nedges`` edges, by vertex count."""
-    family = connected_multigraphs_with_loops if loops else connected_multigraphs
     return [
         (pairs, nverts)
-        for nverts in range(1 if loops else 2, nedges + 2)
-        for pairs in family(nedges, nverts)
+        for nverts in range(1, nedges + 2)
+        for pairs in connected_multigraphs(nedges, nverts, loops)
     ]
 
 

@@ -2,17 +2,20 @@
 
 Everything here is computed over Z (or (1/2)Z) with Python's arbitrary
 precision integers; there is deliberately no floating point anywhere in
-this module.  The four workhorses are
+this module.  The three workhorses are
 
 * ``hnf`` -- row-style Hermite normal form with a unimodular witness,
   used to extract canonical bases of row lattices,
 * ``det`` -- fraction-free (Bareiss) determinant, also on plain row lists
   (``det_of_rows``),
-* ``square_submatrices`` -- deterministic enumeration of k x k
-  submatrices, in the order total-unimodularity certificates use,
-* ``minors`` -- every k x k minor in that same order, each computed from
-  the (k-1)-minors by Laplace expansion; it feeds the total-unimodularity
-  sweep and the bases of a column matroid.
+* ``minors`` -- every k x k minor in the order total-unimodularity
+  certificates use, each computed from the (k-1)-minors by Laplace
+  expansion; it feeds the total-unimodularity sweep and the bases of a
+  column matroid.
+
+``square_submatrices`` enumerates the k x k submatrices themselves in
+that order; the library no longer calls it, and it stays as the order
+reference for ``minors``.
 """
 
 from __future__ import annotations

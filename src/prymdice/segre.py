@@ -36,8 +36,6 @@ from .prym import (
     multipliers as edge_multipliers,
     pi_minus,
     prym_dicing,
-    torus_rank,
-    vologodsky_check,
     x_minus,
 )
 from .unimod import (
@@ -252,8 +250,6 @@ def degeneration_report(
     enumerates every candidate multigraph); pass ``cographic_search=False``
     to stop after the equivalence is established.
     """
-    vol = vologodsky_check(f.cover, f.involution)
-    rank = torus_rank(f.cover, f.involution)
     dicing = prym_dicing(f.cover, f.involution)
     reference = e5()
     equivalence = systems_equivalent(dicing.system, reference)
@@ -270,9 +266,9 @@ def degeneration_report(
     else:
         conclusion = "system does not match the reference"
     return DegenerationReport(
-        vologodsky_passed=vol.passed,
-        vologodsky_witness=vol.witness,
-        torus_rank=rank,
+        vologodsky_passed=dicing.family_independent,
+        vologodsky_witness=dicing.vologodsky_witness,
+        torus_rank=dicing.lattice.rank,
         dicing=dicing,
         equivalence=equivalence,
         equivalence_verified=verified,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -176,6 +177,11 @@ def test_segre_command_deterministic(capsys):
     code2, out2, _ = run(capsys, "--json", "segre")
     assert code1 == code2 == 0
     assert out1 == out2
+    # recorded before the report read its Vologodsky and rank fields from
+    # the dicing: the JSON stays byte-identical
+    assert hashlib.sha256(out1.encode()).hexdigest() == (
+        "50f4a1a4ba60135ff42796cd51deec9a4b0458d5de7a7a4a87175400051fda98"
+    )
     data = json.loads(out1)
     assert data["result"]["conclusion"] == "non-cographic dicing obtained"
     assert data["result"]["torus_rank"] == 5
@@ -232,6 +238,18 @@ def test_capped_search_reports_its_counters(capsys, e5_file, argv):
         "graphs_tried=11", "connected_tried=11", "disconnected_tried=0", "forest_count_matches=0",
     ):
         assert counter in err
+
+
+@pytest.mark.parametrize("argv", [["check-cographic", "E5"], ["segre"]])
+def test_negative_graph_cap_is_a_usage_error(capsys, e5_file, argv):
+    argv = [e5_file if a == "E5" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-graphs", "-5"])
+    assert exc.value.code == 2
+    assert "--max-graphs: must be 0 or more, got -5" in capsys.readouterr().err
+    code, _, err = run(capsys, *argv, "--max-graphs", "0")
+    assert code == 3
+    assert "cap of 0 candidate graphs exceeded" in err
 
 
 def test_cli_import_does_not_load_networkx():
