@@ -5,7 +5,8 @@ precision integers; there is deliberately no floating point anywhere in
 this module.  The three workhorses are
 
 * ``hnf`` -- row-style Hermite normal form with a unimodular witness,
-  used to extract canonical bases of row lattices,
+  read off one Hermite pass over ``[M | I]``; ``hnf_basis`` (the canonical
+  basis of a row lattice) and ``rank`` run the same pass without the witness,
 * ``det`` -- fraction-free (Bareiss) determinant, also on plain row lists
   (``det_of_rows``),
 * ``minors`` -- every k x k minor in the order total-unimodularity
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from operator import mul
 
 
@@ -107,9 +107,6 @@ class IntMatrix:
     def column_submatrix(self, col_idx) -> "IntMatrix":
         return self.submatrix(range(self.rows), col_idx)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"IntMatrix({self.rows}x{self.cols}: {body})"
@@ -175,70 +172,72 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _hermite(rows: list, ncols: int) -> int:
+    """Bring ``rows`` to Hermite form on their first ``ncols`` columns, in place.
+
+    Each row operation is unimodular and acts on the whole row, so columns
+    past ``ncols`` (say an identity block) record the operations.  Returns
+    the pivot count r: the first r rows carry the pivots, positive, with the
+    entries above each pivot reduced into ``[0, pivot)``, and the rows below
+    them are zero on the first ``ncols`` columns.
+    """
+    n = len(rows)
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, n):
+            b = rows[i][c]
+            if b == 0:
+                continue
+            a = rows[r][c]
+            g, s, t = _xgcd(a, b)
+            p, q = a // g, b // g
+            # [[s, t], [-q, p]] has determinant s*p + t*q = 1
+            top, row = rows[r], rows[i]
+            rows[r] = [s * x + t * y for x, y in zip(top, row)]
+            rows[i] = [p * y - q * x for x, y in zip(top, row)]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q != 0:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
     Returns ``(H, U)`` with ``H = U @ M``, ``U`` unimodular
     (``|det U| = 1``).  ``H`` is in row echelon form with positive pivots
     and entries above each pivot reduced into ``[0, pivot)``; its nonzero
-    rows are a canonical basis of the row lattice of ``M``.
+    rows are a canonical basis of the row lattice of ``M``.  ``U`` is read
+    off the identity block of ``[M | I]`` after one Hermite pass.
     """
     if M.rows == 0 or M.cols == 0:
         raise MatrixError("hnf requires a nonempty matrix")
-    A = M.row_list()
-    U = IntMatrix.identity(M.rows).row_list()
-    n, m = M.rows, M.cols
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if A[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            A[r], A[pivot] = A[pivot], A[r]
-            U[r], U[pivot] = U[pivot], U[r]
-        for i in range(r + 1, n):
-            if A[i][c] == 0:
-                continue
-            a, b = A[r][c], A[i][c]
-            g, s, t = _xgcd(a, b)
-            p, q = a // g, b // g
-            # [[s, t], [-q, p]] has determinant s*p + t*q = 1
-            A[r], A[i] = (
-                [s * x + t * y for x, y in zip(A[r], A[i])],
-                [-q * x + p * y for x, y in zip(A[r], A[i])],
-            )
-            U[r], U[i] = (
-                [s * x + t * y for x, y in zip(U[r], U[i])],
-                [-q * x + p * y for x, y in zip(U[r], U[i])],
-            )
-        if A[r][c] < 0:
-            A[r] = [-x for x in A[r]]
-            U[r] = [-x for x in U[r]]
-        for i in range(r):
-            q = A[i][c] // A[r][c]
-            if q != 0:
-                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-        r += 1
-    return IntMatrix.from_rows(A), IntMatrix.from_rows(U)
+    rows = [list(M.row(i)) + [int(i == j) for j in range(M.rows)] for i in range(M.rows)]
+    _hermite(rows, M.cols)
+    return (
+        IntMatrix.from_rows([row[: M.cols] for row in rows]),
+        IntMatrix.from_rows([row[M.cols :] for row in rows]),
+    )
 
 
 def hnf_basis(M: IntMatrix) -> IntMatrix:
     """The nonzero rows of hnf(M): a canonical basis of the row lattice."""
-    H, _ = hnf(M)
-    rows = [H.row(i) for i in range(H.rows) if any(H.row(i))]
-    if not rows:
-        return IntMatrix(0, M.cols, ())
-    return IntMatrix.from_rows(rows)
+    rows = M.row_list()
+    r = _hermite(rows, M.cols)
+    return IntMatrix(r, M.cols, tuple(x for row in rows[:r] for x in row))
 
 
 def rank(M: IntMatrix) -> int:
     """Rank over the rationals (= number of nonzero rows of the HNF)."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    if M.is_zero():
-        return 0
-    return hnf_basis(M).rows
+    return _hermite(M.row_list(), M.cols)
 
 
 def row_lattice_contains(M: IntMatrix, v) -> bool:
@@ -343,13 +342,6 @@ def minors(M: IntMatrix, trailing_rows: bool = False):
                 found[mask] = d
                 yield row_idx, col_idx, d
         below = level
-
-
-def column_gcd(M: IntMatrix, j: int) -> int:
-    g = 0
-    for x in M.column(j):
-        g = gcd(g, x)
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactmat import IntMatrix
 from .graph import CochainVector, GraphError, MultiGraph, components
@@ -67,21 +68,27 @@ def _validate_spanning_forest(G: MultiGraph, tree_edges) -> frozenset:
 
 @dataclass(frozen=True)
 class CycleBasis:
-    """Fundamental cycle basis with respect to a spanning forest."""
+    """Fundamental cycle basis with respect to a spanning forest.
+
+    ``rows`` holds one integer tuple per cycle, in the graph's edge order.
+    """
 
     graph: MultiGraph
     tree_edges: frozenset
-    basis: tuple
+    rows: tuple
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The cycles as ``CochainVector``s."""
+        return tuple(CochainVector(self.graph, row) for row in self.rows)
 
     def coefficient_matrix(self) -> IntMatrix:
         """Rows = basis cycles, columns = edges in graph order."""
-        return IntMatrix.from_rows(
-            [[int(c) for c in v.coefficients] for v in self.basis]
-        )
+        return IntMatrix.from_rows(self.rows)
 
 
 def _forest_adjacency(G: MultiGraph, tree_edges) -> dict:
@@ -102,12 +109,15 @@ def fundamental_cycle(G: MultiGraph, tree_edges, label: str, sign: int = 1) -> C
     """
     if label in tree_edges:
         raise GraphError(f"{label!r} is a tree edge; fundamental cycles need a non-tree edge")
-    return _fundamental_cycle(G, _forest_adjacency(G, tree_edges), label, sign)
+    adj = _forest_adjacency(G, tree_edges)
+    return CochainVector(G, _fundamental_cycle(G, adj, label, sign))
 
 
-def _fundamental_cycle(G: MultiGraph, adj: dict, label: str, sign: int) -> CochainVector:
+def _fundamental_cycle(G: MultiGraph, adj: dict, label: str, sign: int) -> tuple:
+    """``fundamental_cycle`` as an integer row in the graph's edge order."""
     tail, head = G.endpoints(label)
-    coeffs = {label: sign}
+    row = [0] * G.num_edges
+    row[G.edge_index(label)] = sign
     if tail != head:
         prev = {head: None}
         queue = deque([head])
@@ -124,9 +134,9 @@ def _fundamental_cycle(G: MultiGraph, adj: dict, label: str, sign: int) -> Cocha
         x = tail
         while prev[x] is not None:
             _, lab, s = prev[x]
-            coeffs[lab] = sign * s
+            row[G.edge_index(lab)] = sign * s
             x = prev[x][0]
-    return CochainVector.from_edge_dict(G, coeffs)
+    return tuple(row)
 
 
 def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
@@ -136,12 +146,12 @@ def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
     else:
         forest = _validate_spanning_forest(G, tree)
     adj = _forest_adjacency(G, forest)
-    basis = tuple(
+    rows = tuple(
         _fundamental_cycle(G, adj, lab, 1)
         for lab in G.edge_labels
         if lab not in forest
     )
-    return CycleBasis(G, forest, basis)
+    return CycleBasis(G, forest, rows)
 
 
 def is_cycle(G: MultiGraph, v: CochainVector) -> bool:
@@ -207,9 +217,7 @@ def cographic_dicing(G: MultiGraph, tree=None) -> DicingColumns:
     """
     if betti_number(G) == 0:
         raise GraphError("graph is a forest: cycle space is trivial, no dicing")
-    cb = cycle_basis(G, tree)
-    rows = [[int(c) for c in v.coefficients] for v in cb.basis]
-    matrix, groups, dropped = collapse_columns(rows, G.edge_labels)
+    matrix, groups, dropped = collapse_columns(cycle_basis(G, tree).rows, G.edge_labels)
     return DicingColumns(UnimodularSystem(matrix), groups, dropped)
 
 

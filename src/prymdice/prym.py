@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .exactmat import IntMatrix, RationalMatrix, column_gcd, hnf_basis, row_lattice_contains
+from .exactmat import IntMatrix, RationalMatrix, hnf_basis, row_lattice_contains
 from .graph import (
     CochainVector,
     GraphError,
@@ -36,15 +37,19 @@ def pi_minus(iota: GraphInvolution, h: CochainVector) -> CochainVector:
 
 
 class HalfLattice:
-    """Sublattice of (1/2)Z^E given by a row basis; rows are anti-invariant."""
+    """Sublattice of (1/2)Z^E generated by the rows of a half-integer matrix.
 
-    def __init__(self, graph: MultiGraph, basis: RationalMatrix):
-        if basis.cols != graph.num_edges:
+    The generators may be dependent.  ``doubled`` is the Hermite basis of
+    twice the lattice inside Z^E, which is canonical, so two lattices agree
+    exactly when their ``doubled`` bases do; ``basis`` is its half.
+    """
+
+    def __init__(self, graph: MultiGraph, generators: RationalMatrix):
+        if generators.cols != graph.num_edges:
             raise GraphError("basis width does not match the graph's edge count")
         self.graph = graph
-        self.basis = basis
-        if basis.rows and hnf_basis(basis.doubled()).rows != basis.rows:
-            raise GraphError("basis rows are linearly dependent")
+        self.doubled = hnf_basis(generators.doubled())
+        self.basis = RationalMatrix(self.doubled, 2)
 
     @property
     def ambient_edges(self) -> tuple:
@@ -52,7 +57,7 @@ class HalfLattice:
 
     @property
     def rank(self) -> int:
-        return self.basis.rows
+        return self.doubled.rows
 
     def basis_vectors(self) -> tuple:
         den = self.basis.denominator
@@ -65,42 +70,31 @@ class HalfLattice:
         )
 
     def contains(self, v: CochainVector) -> bool:
-        if self.rank == 0:
-            return v.is_zero()
-        doubled = self.basis.doubled()
         twice = [2 * c for c in v.coefficients]
         if any(x.denominator != 1 for x in twice):
             return False
-        return row_lattice_contains(doubled, twice)
+        return row_lattice_contains(self.doubled, twice)
 
     def same_lattice_as(self, other: "HalfLattice") -> bool:
-        if self.graph.edge_labels != other.graph.edge_labels:
-            return False
-        if self.rank == 0 or other.rank == 0:
-            return self.rank == other.rank
-        return hnf_basis(self.basis.doubled()) == hnf_basis(other.basis.doubled())
+        return (
+            self.graph.edge_labels == other.graph.edge_labels
+            and self.doubled == other.doubled
+        )
 
     def __repr__(self):
         return f"HalfLattice(rank={self.rank}, edges={self.graph.num_edges})"
 
 
-def _lattice_from_doubled_rows(G: MultiGraph, rows) -> HalfLattice:
-    """HNF-reduced HalfLattice generated by the halves of integer rows."""
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return HalfLattice(G, RationalMatrix(IntMatrix(0, G.num_edges, ()), 1))
-    return HalfLattice(G, RationalMatrix(hnf_basis(IntMatrix.from_rows(rows)), 2))
-
-
 def lattice_from_vectors(G: MultiGraph, vectors) -> HalfLattice:
-    """HNF-reduced HalfLattice generated by half-integral cochain vectors."""
+    """HalfLattice generated by half-integral cochain vectors."""
     rows = []
     for v in vectors:
         doubled = [2 * c for c in v.coefficients]
         if any(x.denominator != 1 for x in doubled):
             raise GraphError("generators must have half-integer coefficients")
         rows.append([int(x) for x in doubled])
-    return _lattice_from_doubled_rows(G, rows)
+    generators = IntMatrix(len(rows), G.num_edges, tuple(x for row in rows for x in row))
+    return HalfLattice(G, RationalMatrix(generators, 2))
 
 
 def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
@@ -115,17 +109,16 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
         for j, lab in enumerate(G.edge_labels)
     ]
     rows = []
-    for h in cycle_basis(G).basis:
-        coeffs = [c.numerator for c in h.coefficients]
-        row = coeffs[:]
+    for h in cycle_basis(G).rows:
+        row = list(h)
         for j, pj, sj in moves:
-            if coeffs[j]:
-                row[pj] -= sj * coeffs[j]
+            if h[j]:
+                row[pj] -= sj * h[j]
         rows.append(row)
-    lattice = _lattice_from_doubled_rows(G, rows)
-    doubled = lattice.basis.doubled()
+    generators = IntMatrix(len(rows), G.num_edges, tuple(x for row in rows for x in row))
+    lattice = HalfLattice(G, RationalMatrix(generators, 2))
     for i in range(lattice.rank):
-        row = doubled.row(i)
+        row = lattice.doubled.row(i)
         if any(row[pj] != -sj * row[j] for j, pj, sj in moves):
             raise GraphError("internal error: lattice basis vector is not anti-invariant")
     return lattice
@@ -174,10 +167,9 @@ def multipliers(X: HalfLattice) -> MultiplierVector:
     multipliers 2, 1, 0.  Any other g falls outside the model of a
     projected cycle lattice and is rejected.
     """
-    doubled = X.basis.doubled()
     values = []
     for j, lab in enumerate(X.ambient_edges):
-        g = column_gcd(doubled, j) if X.rank else 0
+        g = gcd(*X.doubled.column(j))
         if g == 0:
             values.append(0)
         elif g == 1:
@@ -384,20 +376,11 @@ def prym_dicing(G: MultiGraph, iota: GraphInvolution) -> PrymDicing:
     if X.rank == 0:
         raise GraphError("anti-invariant lattice is trivial: no dicing to compute")
     mult = multipliers(X)
-    doubled = X.basis.doubled()
-    rows = []
-    for i in range(X.rank):
-        row = []
-        for j, lab in enumerate(X.ambient_edges):
-            m_j = mult[lab]
-            if m_j == 2:
-                row.append(doubled.entry(i, j))
-            elif m_j == 1:
-                # image is Z: every doubled coordinate is even
-                row.append(doubled.entry(i, j) // 2)
-            else:
-                row.append(0)
-        rows.append(row)
+    # exact: a multiplier is 1 only where every doubled coordinate is even
+    rows = [
+        [x * m // 2 for x, m in zip(X.doubled.row(i), mult.values)]
+        for i in range(X.rank)
+    ]
     matrix, groups, dropped = collapse_columns(rows, G.edge_labels)
     system = UnimodularSystem(matrix)
     result = vologodsky_check(G, iota)

@@ -600,9 +600,12 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     per-component matrix-tree determinants, and only candidates that pass
     are built as graphs.
 
-    Raises ``NotTotallyUnimodularError`` on non-TU input and
+    Raises ``ValueError`` on a negative ``max_graphs``,
+    ``NotTotallyUnimodularError`` on non-TU input and
     ``SearchCapExceeded`` when ``max_graphs`` is hit.
     """
+    if max_graphs is not None and max_graphs < 0:
+        raise ValueError(f"max_graphs must be 0 or more, got {max_graphs}")
     tu = is_totally_unimodular(S)
     if not tu.is_tu:
         raise NotTotallyUnimodularError(tu)

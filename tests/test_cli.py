@@ -188,6 +188,24 @@ def test_segre_command_deterministic(capsys):
     assert data["certificate"]["reference_cographic"]["cographic"] is False
 
 
+@pytest.mark.parametrize("command, digest", [
+    ("prym-dice", "ae37bb6e501ad251522afcaec7f46fef5f0a8c7aded0cc88890f929ac995c7d0"),
+    ("cycles", "8d1f62ee8fbbc27b59ca6f2003f7d54802101771fae0618e0c2be9c09bbd69c3"),
+])
+def test_shipped_cover_outputs_are_pinned(capsys, command, digest):
+    # recorded with the earlier lattice layer, which built every cycle as a
+    # Fraction cochain and reduced each half-lattice up to three times;
+    # the inputs block holds the file path and is left out
+    path = os.path.join(os.path.dirname(prymdice.__file__), "data", "segre_cover.graph")
+    code, out, _ = run(capsys, "--json", command, path)
+    assert code == 0
+    data = json.loads(out)
+    pinned = json.dumps(
+        {"result": data["result"], "certificate": data["certificate"]}, sort_keys=True
+    )
+    assert hashlib.sha256(pinned.encode()).hexdigest() == digest
+
+
 def test_segre_human_output_matches_json_data(capsys):
     _, human, _ = run(capsys, "segre")
     _, js, _ = run(capsys, "--json", "segre")

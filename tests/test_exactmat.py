@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -81,6 +82,26 @@ def test_hnf_preserves_row_lattice(rows):
         assert row_lattice_contains(H, row)
     for i in range(H.rows):
         assert row_lattice_contains(m, H.row(i))
+
+
+def test_hermite_outputs_are_pinned():
+    # recorded with the earlier hnf, which wrote every row operation once for
+    # H and once for U; U is a public witness, so it is pinned with H
+    rng = seeded_rng(9)
+    found = []
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2 and rng.random() < 0.4:
+            a, b, c = rng.sample(range(nrows), 3)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[c] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+        m = M(rows)
+        found.append((hnf(m), hnf_basis(m), rank(m)))
+    assert sum(r < H.rows for (H, _), _, r in found) > 100  # dependent rows
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "28bb0b8335dd8d5f5938b46b8413a708c42741970b6d23df4b2d39a44c7a2692"
+    )
 
 
 def test_rank_identity_and_zero():

@@ -222,6 +222,17 @@ def test_lattice_membership_and_equality():
     assert regen.same_lattice_as(lattice)
 
 
+def test_half_lattice_reduces_dependent_generators():
+    g, iota = build_cover()
+    lattice = x_minus(g, iota)
+    rows = lattice.doubled.row_list()
+    generators = [[sum(col) for col in zip(*rows)]] + rows[::-1] + [[0] * g.num_edges]
+    regen = HalfLattice(g, RationalMatrix(IntMatrix.from_rows(generators), 2))
+    assert regen.rank == lattice.rank == 5
+    assert regen.doubled == lattice.doubled
+    assert regen.same_lattice_as(lattice)
+
+
 def test_segre_dicing_is_tu_and_family_independent():
     g, iota = build_cover()
     dicing = prym_dicing(g, iota)

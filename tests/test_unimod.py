@@ -610,6 +610,14 @@ def test_search_cap_exceeded():
     assert err.value.report.graphs_tried == 11
 
 
+def test_negative_search_cap_is_rejected_before_the_search():
+    with pytest.raises(ValueError, match="max_graphs"):
+        is_cographic(e5(), max_graphs=-5)
+    # the cap is checked before the TU sweep, so a non-TU input gets the same error
+    with pytest.raises(ValueError, match="max_graphs"):
+        is_cographic(UnimodularSystem(M([[1, 1, 0], [1, -1, 1]])), max_graphs=-1)
+
+
 def test_cographic_search_results_are_pinned():
     # recorded with the earlier search, which built every candidate graph and
     # counted its spanning forests through the matrix-tree determinant
