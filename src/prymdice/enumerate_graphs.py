@@ -10,6 +10,13 @@ set of certificates, so duplicates are impossible and nothing is missed;
 the enumerators are cross-checked against brute-force labeled counts in
 the tests.
 
+Connected simple supports are grown edge by edge and pendant by pendant,
+and each kept support has had exactly one canonical search: the one that
+admitted it, whose leaves give the automorphism group it carries.  A
+parent grows only by the least augmentation of each orbit under that
+group, and a support's multiplicity and loop patterns are reduced under
+the same group.
+
 Disconnected graphs are disjoint unions of connected representatives.
 The union generators work on pair-graphs and also report the chosen
 components, so a caller can compute per-component invariants once per
@@ -21,7 +28,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, sub
 
 from .graph import MultiGraph
 
@@ -126,9 +133,12 @@ def _canonical_search(pairs, nverts: int):
     return best, found, [members for members in twin_classes.values() if len(members) > 1]
 
 
-def _automorphism_vertex_perms(pairs, nverts: int) -> list:
-    """Every automorphism once, as vertex permutations ``perm[v]``."""
-    _, found, twin_classes = _canonical_search(pairs, nverts)
+def _group(found, twin_classes) -> list:
+    """The automorphism group from a ``_canonical_search``, identity first.
+
+    Composes the ``found`` permutations with every permutation of each
+    twin class, keeping each automorphism once.
+    """
     group = dict.fromkeys(found)
     for members in twin_classes:
         extended = {}
@@ -140,70 +150,116 @@ def _automorphism_vertex_perms(pairs, nverts: int) -> list:
     return list(group)
 
 
-def _dedup(items: list, nverts: int) -> list:
-    """Isomorphism-reduce a list of pair-graphs on the same vertex count.
-
-    Keeps the first item of each isomorphism class, in input order.
-    """
-    seen = set()
-    out = []
-    for pairs in items:
-        certificate = _canonical_search(pairs, nverts)[0]
-        if certificate not in seen:
-            seen.add(certificate)
-            out.append(pairs)
-    return out
+def _automorphism_vertex_perms(pairs, nverts: int) -> list:
+    """Every automorphism once, as vertex permutations ``perm[v]``."""
+    _, found, twin_classes = _canonical_search(pairs, nverts)
+    return _group(found, twin_classes)
 
 
-@lru_cache(maxsize=None)
-def connected_simple_graphs(nverts: int, nedges: int) -> tuple:
-    """Connected simple graphs on ``nverts`` unlabeled vertices with ``nedges`` edges.
-
-    Built recursively: every connected graph either has a degree-1 vertex
-    (grown by attaching a pendant) or contains a non-bridge edge (grown by
-    adding an edge to a smaller connected graph on the same vertices).
-    """
-    if nverts < 1 or nedges < 0:
-        return ()
-    if nverts == 1:
-        return ((),) if nedges == 0 else ()
-    if nedges < nverts - 1 or nedges > comb(nverts, 2):
-        return ()
-    candidates = []
-    for pairs in connected_simple_graphs(nverts, nedges - 1):
-        present = set(pairs)
-        for u in range(nverts):
-            for v in range(u + 1, nverts):
-                if (u, v) not in present:
-                    candidates.append(tuple(sorted(pairs + ((u, v),))))
-    for pairs in connected_simple_graphs(nverts - 1, nedges - 1):
-        for u in range(nverts - 1):
-            candidates.append(tuple(sorted(pairs + ((u, nverts - 1),))))
-    return tuple(_dedup(candidates, nverts))
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def _edge_actions(support, nverts: int) -> tuple:
-    """The automorphisms of a simple pair-graph as permutations of its edge
-    positions followed by its vertices (vertex v at position ``len(support) + v``)."""
+def _edge_actions(support, perms) -> tuple:
+    """Automorphisms ``perms`` of a simple pair-graph as permutations of its
+    edge positions followed by its vertices (vertex v at position
+    ``len(support) + v``)."""
     position = {e: i for i, e in enumerate(support)}
     k = len(support)
     return tuple(
         tuple(position[(p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])] for u, v in support)
         + tuple(k + w for w in p)
-        for p in _automorphism_vertex_perms(support, nverts)
+        for p in perms
     )
+
+
+def _dedup(items: list, nverts: int) -> list:
+    """Isomorphism-reduce a list of simple pair-graphs on the same vertex count.
+
+    Keeps the first item of each isomorphism class, in input order, as
+    ``(pairs, actions)``: the one canonical search that admits an item
+    also gives its automorphism group, kept as ``_edge_actions``.
+    """
+    seen = set()
+    out = []
+    for pairs in items:
+        certificate, found, twin_classes = _canonical_search(pairs, nverts)
+        if certificate not in seen:
+            seen.add(certificate)
+            out.append((pairs, _edge_actions(pairs, _group(found, twin_classes))))
+    return out
+
+
+def _vertex_perms(support, actions) -> list:
+    """The vertex permutations ``perm[v]`` that ``_edge_actions`` carries in its tails."""
+    k = len(support)
+    return [[x - k for x in action[k:]] for action in actions]
+
+
+def _least_pair_in_orbit(u: int, v: int, perms) -> bool:
+    """Whether the pair ``u < v`` is the least of its images under ``perms``."""
+    for p in perms:
+        a, b = p[u], p[v]
+        if a > b:
+            a, b = b, a
+        if (a, b) < (u, v):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _supports(nverts: int, nedges: int) -> tuple:
+    """Connected simple graphs with their automorphism groups, as ``(pairs, actions)``.
+
+    Built recursively: every connected graph either has a degree-1 vertex
+    (grown by attaching a pendant) or contains a non-bridge edge (grown by
+    adding an edge to a smaller connected graph on the same vertices).  A
+    parent grows only by the least non-edge, and the least pendant vertex,
+    of each orbit under its group: any other choice gives a graph
+    isomorphic to an earlier candidate of the same parent, so the first
+    candidate of each isomorphism class, the one ``_dedup`` keeps, is
+    still tried.
+    """
+    if nverts < 1 or nedges < 0:
+        return ()
+    if nverts == 1:
+        return (((), ((0,),)),) if nedges == 0 else ()
+    if nedges < nverts - 1 or nedges > comb(nverts, 2):
+        return ()
+    candidates = []
+    for pairs, actions in _supports(nverts, nedges - 1):
+        perms = _vertex_perms(pairs, actions)
+        present = set(pairs)
+        for u in range(nverts):
+            for v in range(u + 1, nverts):
+                if (u, v) not in present and _least_pair_in_orbit(u, v, perms):
+                    candidates.append(tuple(sorted(pairs + ((u, v),))))
+    for pairs, actions in _supports(nverts - 1, nedges - 1):
+        perms = _vertex_perms(pairs, actions)
+        for u in range(nverts - 1):
+            if all(p[u] >= u for p in perms):
+                candidates.append(tuple(sorted(pairs + ((u, nverts - 1),))))
+    return tuple(_dedup(candidates, nverts))
+
+
+def connected_simple_graphs(nverts: int, nedges: int) -> tuple:
+    """Connected simple graphs on ``nverts`` unlabeled vertices with ``nedges``
+    edges, as pair-graphs (see ``_supports``)."""
+    return tuple(pairs for pairs, _ in _supports(nverts, nedges))
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of ``parts`` non-negative integers summing to ``total``,
+    in lexicographic order.
+
+    Stars and bars, with each of the ``parts - 1`` bars placed by its cut:
+    the number of stars before it.  The cuts are a non-decreasing tuple in
+    ``0..total``, the parts are their differences, and cuts in
+    lexicographic order give the parts in lexicographic order.
+    """
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        ends = (0,) + cuts + (total,)
+        yield tuple(map(sub, ends[1:], ends))
 
 
 def _least_in_orbit(weights: tuple, actions) -> bool:
@@ -235,13 +291,13 @@ def connected_multigraphs(nedges: int, nverts: int, loops: bool = False) -> tupl
     out = []
     slots = nverts if loops else 0
     for k in range(nverts - 1, min(nedges, comb(nverts, 2)) + 1):
-        for support in connected_simple_graphs(nverts, k):
-            actions = _edge_actions(support, nverts)
+        for support, actions in _supports(nverts, k):
+            others = actions[1:]  # actions[0] is the identity
             cells = support + tuple((v, v) for v in range(slots))
             minimum = (1,) * k + (0,) * slots
             for extra in _compositions(nedges - k, k + slots):
                 weights = tuple(map(add, minimum, extra))
-                if _least_in_orbit(weights, actions):
+                if not others or _least_in_orbit(weights, others):
                     out.append(tuple(sorted(e for e, w in zip(cells, weights) for _ in range(w))))
     return tuple(sorted(out))
 

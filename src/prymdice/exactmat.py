@@ -7,6 +7,8 @@ this module.  The three workhorses are
 * ``hnf`` -- row-style Hermite normal form with a unimodular witness,
   read off one Hermite pass over ``[M | I]``; ``hnf_basis`` (the canonical
   basis of a row lattice) and ``rank`` run the same pass without the witness,
+  and ``hermite_lattice_contains`` tests membership against such a basis
+  without another pass,
 * ``det`` -- fraction-free (Bareiss) determinant, also on plain row lists
   (``det_of_rows``),
 * ``minors`` -- every k x k minor in the order total-unimodularity
@@ -242,14 +244,31 @@ def rank(M: IntMatrix) -> int:
 
 def row_lattice_contains(M: IntMatrix, v) -> bool:
     """Whether integer vector ``v`` lies in the row lattice of ``M``."""
-    v = tuple(int(x) for x in v)
-    if len(v) != M.cols:
+    return hermite_lattice_contains(hnf_basis(M), v)
+
+
+def hermite_lattice_contains(H: IntMatrix, v) -> bool:
+    """``row_lattice_contains`` for an ``H`` already in Hermite form, such
+    as ``hnf_basis`` returns.
+
+    Row by row, the entry of ``v`` at the row's pivot must be a multiple of
+    the pivot, and subtracting that multiple of the row clears it; ``v`` is
+    in the lattice exactly when nothing is left.
+    """
+    v = [int(x) for x in v]
+    if len(v) != H.cols:
         raise MatrixError("vector length does not match column count")
-    basis = hnf_basis(M)
-    if basis.rows == 0:
-        return all(x == 0 for x in v)
-    stacked = IntMatrix.from_rows(basis.row_list() + [list(v)])
-    return hnf_basis(stacked) == basis
+    c = 0
+    for i in range(H.rows):
+        row = H.row(i)
+        while row[c] == 0:
+            c += 1
+        q, r = divmod(v[c], row[c])
+        if r:
+            return False
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
 
 
 def det(M: IntMatrix) -> int:

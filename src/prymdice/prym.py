@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactmat import IntMatrix, RationalMatrix, hnf_basis, row_lattice_contains
+from .exactmat import IntMatrix, RationalMatrix, hermite_lattice_contains, hnf_basis
 from .graph import (
     CochainVector,
     GraphError,
@@ -73,7 +73,7 @@ class HalfLattice:
         twice = [2 * c for c in v.coefficients]
         if any(x.denominator != 1 for x in twice):
             return False
-        return row_lattice_contains(self.doubled, twice)
+        return hermite_lattice_contains(self.doubled, twice)
 
     def same_lattice_as(self, other: "HalfLattice") -> bool:
         return (

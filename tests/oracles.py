@@ -138,6 +138,12 @@ def lattice_equivalent_by_definition(rows_a, rows_b):
     return False
 
 
+def compositions_by_brute_force(total, parts):
+    """Every ``parts``-tuple of integers in 0..total summing to ``total``,
+    in lexicographic order."""
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
 def canonical_pair_graph(pairs, nverts):
     """Minimum over all vertex permutations of the sorted pair tuple."""
     best = None

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 
+import prymdice
 from prymdice import enumerate_graphs as eg
 from prymdice.graph import MultiGraph, components
 from prymdice.homology import betti_number
@@ -8,6 +12,7 @@ from conftest import seeded_rng
 from oracles import (
     brute_force_multigraph_classes,
     canonical_pair_graph,
+    compositions_by_brute_force,
     isomorphisms_by_brute_force,
 )
 
@@ -24,6 +29,71 @@ def test_connected_simple_graph_counts():
     assert len(eg.connected_simple_graphs(6, 5)) == 6  # trees on six vertices
     assert len(eg.connected_simple_graphs(6, 10)) == 14
     assert eg.connected_simple_graphs(3, 3) == (((0, 1), (0, 2), (1, 2)),)
+
+
+def test_connected_simple_graphs_are_pinned():
+    # recorded before each support carried its automorphism group and
+    # before augmentations were pruned by orbit; the totals per vertex
+    # count are OEIS A001349
+    digest = hashlib.sha256()
+    totals = []
+    for nverts in range(1, 8):
+        totals.append(0)
+        for nedges in range(22):
+            graphs = eg.connected_simple_graphs(nverts, nedges)
+            totals[-1] += len(graphs)
+            digest.update(repr((nverts, nedges, graphs)).encode())
+    assert totals == [1, 1, 2, 6, 21, 112, 853]
+    assert digest.hexdigest() == (
+        "d1bfbbbabcedbce35d93c2c1fe89c0c8292aa6a2a5c9370e8f99d44b784c9650"
+    )
+
+
+def test_carried_groups_match_a_fresh_search():
+    for nverts in range(1, 7):
+        for nedges in range(nverts - 1, nverts * (nverts - 1) // 2 + 1):
+            for pairs, actions in eg._supports(nverts, nedges):
+                perms = eg._vertex_perms(pairs, actions)
+                assert perms[0] == list(range(nverts))
+                carried = {tuple(p) for p in perms}
+                assert len(carried) == len(actions)
+                assert carried == set(eg._automorphism_vertex_perms(pairs, nverts))
+
+
+def test_cold_e5_search_makes_no_second_search_per_support():
+    # a fresh interpreter, so the enumerator's caches start cold; a second
+    # search per support (the group found again) would raise the count
+    src = os.path.dirname(os.path.dirname(prymdice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = """
+from prymdice import enumerate_graphs as eg
+from prymdice.unimod import e5, is_cographic
+calls = {}
+def counted(name):
+    original = getattr(eg, name)
+    def wrapper(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args)
+    setattr(eg, name, wrapper)
+counted("_canonical_search")
+counted("_automorphism_vertex_perms")
+r = is_cographic(e5()).report
+print(calls.get("_canonical_search", 0), calls.get("_automorphism_vertex_perms", 0),
+      r.graphs_tried, r.connected_tried, r.disconnected_tried, r.forest_count_matches)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["456", "0", "3761", "2445", "1316", "0"]
+
+
+def test_compositions_match_brute_force_order():
+    for total in range(7):
+        for parts in range(7):
+            assert list(eg._compositions(total, parts)) == compositions_by_brute_force(
+                total, parts
+            )
 
 
 def test_connected_multigraph_hand_counts():

@@ -11,6 +11,7 @@ from prymdice.exactmat import (
     RationalMatrix,
     det,
     format_matrix_text,
+    hermite_lattice_contains,
     hnf,
     hnf_basis,
     minors,
@@ -264,3 +265,30 @@ def test_matrix_text_comments_and_errors():
         parse_matrix_text("denominator 5\n1 1\n2\n")
     with pytest.raises(MatrixError):
         parse_matrix_text("1 2\n1 2\n3 4\n")
+
+
+def test_row_lattice_contains_matches_the_stacked_hermite_definition():
+    # the earlier definition: v is in the lattice when stacking it under
+    # the Hermite basis leaves that basis unchanged
+    def stacked(m, v):
+        basis = hnf_basis(m)
+        if basis.rows == 0:
+            return not any(v)
+        return hnf_basis(M(basis.row_list() + [list(v)])) == basis
+
+    rng = seeded_rng(17)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        m = M(rows)
+        inside = [sum(rng.randint(-3, 3) * r[j] for r in rows) for j in range(ncols)]
+        nudged = list(inside)
+        nudged[rng.randrange(ncols)] += rng.choice([-1, 1])
+        other = [rng.randint(-4, 4) for _ in range(ncols)]
+        for v in (inside, nudged, other):
+            expected = stacked(m, v)
+            assert row_lattice_contains(m, v) == expected
+            assert hermite_lattice_contains(hnf_basis(m), v) == expected
+            outcomes[expected] += 1
+    assert min(outcomes.values()) > 100

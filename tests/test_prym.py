@@ -222,6 +222,27 @@ def test_lattice_membership_and_equality():
     assert regen.same_lattice_as(lattice)
 
 
+def test_lattice_membership_makes_no_hermite_pass(monkeypatch):
+    from prymdice import exactmat, prym
+
+    g, iota = build_cover()
+    lattice = x_minus(g, iota)
+    vectors = lattice.basis_vectors()
+    outside = CochainVector(g, [Fraction(1, 2)] + [0] * (g.num_edges - 1))
+    original = exactmat.hnf_basis
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(exactmat, "hnf_basis", counted)
+    monkeypatch.setattr(prym, "hnf_basis", counted)
+    assert lattice.contains(vectors[0] + vectors[1])
+    assert not lattice.contains(outside)
+    assert calls == []
+
+
 def test_half_lattice_reduces_dependent_generators():
     g, iota = build_cover()
     lattice = x_minus(g, iota)
