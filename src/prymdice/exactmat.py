@@ -2,7 +2,7 @@
 
 Everything here is computed over Z (or (1/2)Z) with Python's arbitrary
 precision integers; there is deliberately no floating point anywhere in
-this module.  The three workhorses are
+this module.  The four workhorses are
 
 * ``hnf`` -- row-style Hermite normal form with a unimodular witness,
   read off one Hermite pass over ``[M | I]``; ``hnf_basis`` (the canonical
@@ -13,8 +13,13 @@ this module.  The three workhorses are
   (``det_of_rows``),
 * ``minors`` -- every k x k minor in the order total-unimodularity
   certificates use, each computed from the (k-1)-minors by Laplace
-  expansion; it feeds the total-unimodularity sweep and the bases of a
-  column matroid.
+  expansion; it feeds the total-unimodularity sweep and, through the
+  coordinate block of a standard form, the bases of a column matroid,
+* ``gauss_jordan`` -- fraction-free (Bareiss) Gauss-Jordan elimination
+  with greedy column pivoting: the lexicographically first column basis,
+  its determinant d and d times the coordinates of every column in it,
+  including any columns appended to the rows (an identity block gives
+  the adjugate of the basis).
 
 ``square_submatrices`` enumerates the k x k submatrices themselves in
 that order; the library no longer calls it, and it stays as the order
@@ -308,6 +313,61 @@ def det_of_rows(a: list) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def gauss_jordan(rows: list, ncols: int) -> tuple[tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan elimination of n independent rows, in place.
+
+    ``rows`` is a list of n row lists.  Pivots are chosen greedily among
+    the first ``ncols`` columns: a column is a pivot when it has a nonzero
+    entry in a row not yet pivoted, so the pivots are the lexicographically
+    first n independent columns.  Each step is Bareiss's, applied to every
+    other row, above the pivot as well as below: a row becomes
+    ``(p * row - a * pivot_row) / p0`` with p the new pivot, a the row's
+    entry in the pivot column and p0 the previous pivot; every entry is
+    then a minor of the input, so the division is exact.
+
+    Returns ``(pivots, d)``, with d the determinant of the input's columns
+    ``pivots`` (in that order), the basis matrix T.  The rows are left as
+    adj(T) times the input, which is d * T^{-1} times it: d times the
+    identity on the pivot columns, and on every other column, appended
+    ones included, d times its coordinates in the basis.  Raises
+    ``MatrixError`` when the first ``ncols`` columns have rank below n, so
+    a singular T has no adjugate read off here.
+    """
+    n = len(rows)
+    pivots = []
+    prev = 1
+    sign = 1
+    for c in range(ncols):
+        k = len(pivots)
+        if k == n:
+            break
+        i = next((i for i in range(k, n) if rows[i][c]), None)
+        if i is None:
+            continue
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[c]
+        for i in range(n):
+            if i == k:
+                continue
+            a = rows[i][c]
+            if a:
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in rows[i]]
+        pivots.append(c)
+        prev = p
+    if len(pivots) < n:
+        raise MatrixError(f"rank {len(pivots)} below the {n} rows on the pivot columns")
+    if sign < 0:
+        # the swaps permuted the rows of T: undo the permutation's sign
+        rows[:] = [[-x for x in row] for row in rows]
+        prev = -prev
+    return tuple(pivots), prev
+
+
 def square_submatrices(M: IntMatrix, k: int):
     """Yield every k x k submatrix exactly once.
 
@@ -321,16 +381,14 @@ def square_submatrices(M: IntMatrix, k: int):
             yield row_idx, col_idx, M.submatrix(row_idx, col_idx)
 
 
-def minors(M: IntMatrix, trailing_rows: bool = False):
+def minors(M: IntMatrix):
     """Yield ``(row_idx, col_idx, det)`` for every k x k minor, k = 1, 2, ...
 
     The order is that of ``square_submatrices``: ascending k, then
     lexicographic row sets, then lexicographic column sets.  Each k x k
     minor is a Laplace expansion along the first row of its row set over
     the stored (k-1)-minors of the remaining rows, skipping zero entries;
-    only two levels are kept and no submatrix is built.  With
-    ``trailing_rows`` the only row set of size k is the last k rows, so the
-    top level holds the minors on all rows, one per column set.
+    only two levels are kept and no submatrix is built.
     """
     rows = [M.row(i) for i in range(M.rows)]
     below = {(): {0: 1}}  # row set -> {column bitmask: minor}
@@ -341,12 +399,8 @@ def minors(M: IntMatrix, trailing_rows: bool = False):
             for c in col_idx:
                 mask |= 1 << c
             col_sets.append((col_idx, mask))
-        if trailing_rows:
-            row_sets = [tuple(range(M.rows - k, M.rows))]
-        else:
-            row_sets = itertools.combinations(range(M.rows), k)
         level = {}
-        for row_idx in row_sets:
+        for row_idx in itertools.combinations(range(M.rows), k):
             top = rows[row_idx[0]]
             rest = below[row_idx[1:]]
             found = level[row_idx] = {}

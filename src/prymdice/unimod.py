@@ -8,11 +8,15 @@ invariance under change of lattice basis and re-orientation of edges.
 
 Every system caches one column matroid (its independent column subsets,
 as bitmasks), and that is the only source of independence data here: its
-invariants gate both equivalence searches, its independent sets choose
-the basis and drive the prefix pruning of the lattice-equivalence search,
-and its bases feed the forest-count filter of cographic recognition.
-Coordinates in a chosen basis come from one Cramer solve (adjugate and
-determinant), so no rational elimination is needed.
+invariants gate both equivalence searches, its independent sets drive the
+prefix pruning of the lattice-equivalence search, and its bases feed the
+forest-count filter of cographic recognition.  The matroid is read off the
+system's standard form: one fraction-free Gauss-Jordan pass
+(``exactmat.gauss_jordan``) pivots the system at its lexicographically
+first basis B, with determinant d, and leaves d times every column's
+coordinates in B.  The nonzero minors of that coordinate block are the
+other bases.  Coordinates in any other chosen basis come from the same
+routine, so no rational elimination and no adjugate sweep is needed.
 
 Cographic recognition is decided by brute force: candidate multigraphs
 with the right edge count and incidence rank are enumerated exhaustively
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import enumerate_graphs
-from .exactmat import IntMatrix, det, det_of_rows, minors, rank
+from .exactmat import IntMatrix, det, det_of_rows, gauss_jordan, minors, rank
 from .graph import GraphError, MultiGraph, components
 
 
@@ -73,7 +77,8 @@ class UnimodularSystem:
     with ``allow_repeats=True``, as incidence matrices of graphs with
     parallel edges require) no two columns equal or opposite.  A system is
     never mutated after construction, so its column matroid is computed on
-    first use and cached as ``matroid``.
+    first use and cached as ``matroid``, together with the standard form
+    it is read from.
     """
 
     def __init__(self, matrix: IntMatrix, allow_repeats: bool = False):
@@ -99,6 +104,11 @@ class UnimodularSystem:
     @cached_property
     def matroid(self) -> "_ColumnMatroid":
         return _ColumnMatroid(self.matrix)
+
+    @property
+    def standard_form(self) -> "StandardForm":
+        """The system pivoted at its first basis; built once, with ``matroid``."""
+        return self.matroid.form
 
     @property
     def dim(self) -> int:
@@ -262,8 +272,46 @@ def _spanning_tree_count(pairs, nverts: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StandardForm:
+    """A system M pivoted at its lexicographically first basis.
+
+    ``basis`` lists the basis columns in order and ``det`` is the
+    determinant of the basis matrix T = M[:, basis].  ``coordinates`` is
+    adj(T) M = det * T^{-1} M, which is ``det`` times the identity on the
+    basis columns; for a TU system det = +-1, so up to that sign and the
+    column order this is the standard representation [I | A].
+    ``adjugate`` is adj(T).  Both come from one ``gauss_jordan`` pass over
+    [M | I].
+    """
+
+    basis: tuple
+    det: int
+    coordinates: IntMatrix
+    adjugate: IntMatrix
+
+    @classmethod
+    def of(cls, M: IntMatrix) -> "StandardForm":
+        n, m = M.rows, M.cols
+        rows = [list(M.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+        basis, d = gauss_jordan(rows, m)
+        return cls(
+            basis,
+            d,
+            IntMatrix.from_rows([row[:m] for row in rows]),
+            IntMatrix.from_rows([row[m:] for row in rows]),
+        )
+
+
 class _ColumnMatroid:
     """Bases and independence data of a full-row-rank matrix's columns, as bitmasks.
+
+    Everything is read off the standard form ``form``.  Its basis B is one
+    basis; for a set R of basis positions and a set K of other columns of
+    the same size, (B minus the columns at R) plus K is a basis exactly
+    when the minor of the coordinate block at rows R and columns K is
+    nonzero.  So the bases are the nonzero minors of the n x (m - n)
+    coordinate block, C(m, n) - 1 of them drawn, plus B.
 
     ``invariants`` (rank, basis count, independent-set census by size and
     the sorted per-element profiles) is preserved by any column bijection
@@ -273,68 +321,59 @@ class _ColumnMatroid:
 
     def __init__(self, M: IntMatrix):
         self.m = M.cols
-        self.n = M.rows
-        self.bases = self._compute_bases(M)
-        self.rank = self.n
-        self.independent = self._downward_closure()
-        self.census = self._census()
-        self.element_profiles = self._element_profiles()
+        self.n = self.rank = M.rows
+        self.form = StandardForm.of(M)
+        self.bases = self._compute_bases()
+        self.independent, self.census, self.element_profiles = self._downward_closure()
         self.invariants = (
             self.rank, len(self.bases), self.census, tuple(sorted(self.element_profiles))
         )
 
-    def _compute_bases(self, M: IntMatrix):
-        # the full-height minors are the top level of the trailing-row sweep
-        bases = []
-        for _, cols, d in minors(M, trailing_rows=True):
-            if d and len(cols) == self.n:
-                mask = 0
-                for c in cols:
-                    mask |= 1 << c
-                bases.append(mask)
+    def _compute_bases(self):
+        basis = self.form.basis
+        others = [j for j in range(self.m) if j not in basis]
+        first = 0
+        for j in basis:
+            first |= 1 << j
+        bases = [first]
+        if others:
+            row_bits = [1 << j for j in basis]
+            col_bits = [1 << j for j in others]
+            for rows, cols, d in minors(self.form.coordinates.column_submatrix(others)):
+                if d:
+                    mask = first
+                    for r in rows:
+                        mask ^= row_bits[r]
+                    for c in cols:
+                        mask |= col_bits[c]
+                    bases.append(mask)
         return frozenset(bases)
 
     def _downward_closure(self):
-        independent = set(self.bases)
-        level = set(self.bases)
-        while level:
-            nxt = set()
+        """The independent sets, the census by size and the element profiles.
+
+        The sets are built a level at a time, from the bases down, each level
+        the one-element deletions of the one above.  Every set of a level has
+        that level's size, so the census is the level sizes, and one walk over
+        each set's elements both builds the next level and counts, per
+        element and size, the independent sets that contain it.
+        """
+        counts = [[0] * self.rank for _ in range(self.m)]
+        level = self.bases
+        levels = [level]
+        for size in range(self.rank, 0, -1):
+            smaller = set()
             for mask in level:
                 mm = mask
                 while mm:
                     bit = mm & -mm
-                    nxt.add(mask ^ bit)
+                    smaller.add(mask ^ bit)
+                    counts[bit.bit_length() - 1][size - 1] += 1
                     mm ^= bit
-            nxt -= independent
-            independent |= nxt
-            level = nxt
-        independent.add(0)
-        return independent
-
-    def _census(self):
-        counts = Counter(bin(mask).count("1") for mask in self.independent)
-        return tuple(counts.get(k, 0) for k in range(self.rank + 1))
-
-    def _element_profiles(self):
-        # per element: how many independent sets of each size 1..rank contain it
-        counts = [[0] * self.rank for _ in range(self.m)]
-        for mask in self.independent:
-            slot = bin(mask).count("1") - 1
-            mm = mask
-            while mm:
-                bit = mm & -mm
-                counts[bit.bit_length() - 1][slot] += 1
-                mm ^= bit
-        return tuple(tuple(c) for c in counts)
-
-    def first_basis(self) -> tuple:
-        """The lexicographically first basis, chosen greedily."""
-        chosen, mask = [], 0
-        for j in range(self.m):
-            if mask | 1 << j in self.independent:
-                chosen.append(j)
-                mask |= 1 << j
-        return tuple(chosen)
+            level = smaller
+            levels.append(level)
+        census = tuple(len(level) for level in reversed(levels))
+        return set().union(*levels), census, tuple(tuple(c) for c in counts)
 
     def span_size(self, mask: int) -> int:
         """Number of elements in the span of the independent set ``mask``."""
@@ -429,15 +468,15 @@ def verify_equivalence(A: UnimodularSystem, B: UnimodularSystem, eq: Equivalence
     return True
 
 
-def _coordinates(adj: IntMatrix, d: int, M: IntMatrix) -> list:
-    """|d| times the coordinates of M's columns in a basis T with adj(T), det(T) = d.
+def _scaled_columns(rows, d: int) -> list:
+    """The columns of ``rows`` = d * T^{-1} M, scaled by |d| instead of d.
 
-    Cramer's rule gives T^{-1} M = adj(T) M / d.  The common positive scale
-    |d| keeps the coordinates integral and preserves what the search
-    compares: equality, absolute values and sign normalization.
+    The common positive scale |d| keeps the coordinates integral and
+    preserves what the search compares: equality, absolute values and sign
+    normalization.
     """
-    N = adj @ M
-    return [tuple(x if d > 0 else -x for x in N.column(j)) for j in range(M.cols)]
+    cols = zip(*rows)
+    return list(cols) if d > 0 else [tuple(-x for x in col) for col in cols]
 
 
 def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
@@ -445,12 +484,15 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
 
     Systems whose cached column matroids differ in their invariants are
     rejected at once, since such an equivalence is in particular a matroid
-    isomorphism.  Otherwise the lexicographically first column basis of A
-    is mapped onto candidate ordered column bases of B; each full candidate
-    determines U, which is then verified entrywise.  Prefix candidates are
-    pruned by span-membership counts, read off the cached matroids: column
-    j lies in the span of an independent prefix exactly when j is in the
-    prefix or adding j makes it dependent.  Returns the first witness found
+    isomorphism.  Otherwise A's standard form supplies its lexicographically
+    first basis AT, det(AT), adj(AT) and the scaled coordinates of all its
+    columns, and that basis is mapped onto candidate ordered column bases of
+    B.  Each full candidate BT gets det(BT) and adj(BT) times B from one
+    ``gauss_jordan`` pass over [BT | B]; matching coordinates determine U,
+    which is then verified entrywise.  Prefix candidates are pruned by
+    span-membership counts, read off the cached matroids: column j lies in
+    the span of an independent prefix exactly when j is in the prefix or
+    adding j makes it dependent.  Returns the first witness found
     (deterministic order) or None.
     """
     if A.dim != B.dim:
@@ -461,10 +503,11 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     MA, MB = A.matroid, B.matroid
     if MA.invariants != MB.invariants:
         return None
-    basis_a = MA.first_basis()
-    AT = A.matrix.column_submatrix(basis_a)
-    det_a, adj_a = det(AT), _adjugate(AT)
-    coords_a = _coordinates(adj_a, det_a, A.matrix)
+    form_a = MA.form
+    basis_a, det_a, adj_a = form_a.basis, form_a.det, form_a.adjugate
+    coords_a = _scaled_columns(
+        [form_a.coordinates.row(i) for i in range(n)], det_a
+    )
     # how many columns of A each prefix of its basis spans
     span_counts_a = []
     prefix = 0
@@ -472,15 +515,16 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
         prefix |= 1 << j
         span_counts_a.append(MA.span_size(prefix))
     abs_multiset_a = Counter(tuple(abs(x) for x in col) for col in coords_a)
+    rows_b = [B.matrix.row(i) for i in range(n)]
     cols_b = [B.column(k) for k in range(m)]
     keys_b = [_sign_normalize(col) for col in cols_b]
 
     def try_full(chosen):
-        BT = B.matrix.column_submatrix(chosen)
-        det_b = det(BT)
+        rows = [[row[j] for j in chosen] + list(row) for row in rows_b]
+        _, det_b = gauss_jordan(rows, n)
         if abs(det_b) != abs(det_a):
             return None  # |det U| = |det BT / det AT| would not be 1
-        coords_b = _coordinates(_adjugate(BT), det_b, B.matrix)
+        coords_b = _scaled_columns([row[n:] for row in rows], det_b)
         if Counter(tuple(abs(x) for x in col) for col in coords_b) != abs_multiset_a:
             return None
         norm_b = Counter(_sign_normalize(col) for col in coords_b)
@@ -491,7 +535,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
             )
             if norm_a != norm_b:
                 continue
-            U = _solve_transform(BT, signs, adj_a, det_a)
+            U = _solve_transform(cols_b, chosen, signs, adj_a, det_a)
             if U is None:
                 continue
             # each column of U*A goes to the first free column of B with its
@@ -526,39 +570,20 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     return extend((), 0)
 
 
-def _solve_transform(BT: IntMatrix, signs, adj_a: IntMatrix, det_a: int):
+def _solve_transform(cols_b, chosen, signs, adj_a: IntMatrix, det_a: int):
     """U = BT * diag(signs) * AT^{-1}, or None when it is not integral.
 
-    AT enters through its adjugate and determinant: AT^{-1} = adj(AT) / det(AT).
+    BT is the columns ``chosen`` of B, and AT enters through its adjugate
+    and determinant: AT^{-1} = adj(AT) / det(AT).
     """
-    n = BT.rows
+    n = len(chosen)
     signed = IntMatrix.from_rows(
-        [[BT.entry(i, j) * signs[j] for j in range(n)] for i in range(n)]
+        [[cols_b[j][i] * s for j, s in zip(chosen, signs)] for i in range(n)]
     )
     num = signed @ adj_a
     if any(x % det_a for x in num.entries):
         return None
     return IntMatrix(n, n, tuple(x // det_a for x in num.entries))
-
-
-def _adjugate(M: IntMatrix) -> IntMatrix:
-    """adj(M)[j][i] = (-1)^(i+j) times the minor of M without row i and column j.
-
-    The (n-1)-minors are the second-to-last level of ``minors``; the sweep
-    stops before it computes the determinant level.
-    """
-    n = M.rows
-    if n == 1:
-        return IntMatrix.identity(1)  # the empty minor is 1
-    out = [[0] * n for _ in range(n)]
-    for rows_idx, cols_idx, d in minors(M):
-        if len(rows_idx) == n:
-            break
-        if len(rows_idx) == n - 1:
-            i = n * (n - 1) // 2 - sum(rows_idx)
-            j = n * (n - 1) // 2 - sum(cols_idx)
-            out[j][i] = -d if (i + j) & 1 else d
-    return IntMatrix.from_rows(out)
 
 
 # ---------------------------------------------------------------------------

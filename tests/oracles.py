@@ -51,6 +51,31 @@ def rational_rank(rows):
     return rank
 
 
+def independent_column_sets(cols):
+    """Bitmasks of the linearly independent subsets of the vectors ``cols``.
+
+    Depth-first over subsets in index order, each vector reduced by Fraction
+    elimination against the echelon rows of its prefix; a vector that
+    reduces to zero is dependent on the prefix, and so is every superset.
+    """
+    found = set()
+
+    def grow(mask, start, echelon):
+        found.add(mask)
+        for j in range(start, len(cols)):
+            v = [Fraction(x) for x in cols[j]]
+            for p, row in echelon:
+                if v[p]:
+                    f = v[p] / row[p]
+                    v = [a - f * b for a, b in zip(v, row)]
+            p = next((i for i, x in enumerate(v) if x), None)
+            if p is not None:
+                grow(mask | 1 << j, j + 1, echelon + [(p, v)])
+
+    grow(0, 0, [])
+    return found
+
+
 def tu_by_definition(rows):
     """All-minors total unimodularity straight from the definition."""
     if not rows:

@@ -141,14 +141,20 @@ def test_cycle_space_rank_family_matches_brute_force():
             key = canonical_pair_graph(_as_pairs(G), G.num_vertices)
             assert (G.num_vertices, key) not in seen, "duplicate candidate"
             seen.add((G.num_vertices, key))
-        # brute force across all plausible labeled vertex counts
+        # brute force across all plausible labeled vertex counts: without
+        # loops or isolated vertices every component has at least two
+        # vertices, so |V| <= 2 * (|V| - #components) = 2 * rank
         brute = set()
-        for nverts in range(2, nedges + rank + 1):
+        for nverts in range(2, 2 * rank + 1):
             for cls in brute_force_multigraph_classes(
                 nverts, nedges, loops=False, rank=rank
             ):
                 brute.add((nverts, cls))
         assert seen == brute
+        if (nedges, rank) in ((3, 1), (4, 2)):
+            assert not brute_force_multigraph_classes(
+                2 * rank + 1, nedges, loops=False, rank=rank
+            )
 
 
 def test_all_multigraphs_includes_disconnected():

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from prymdice import unimod
-from prymdice.exactmat import IntMatrix, det
+from prymdice.exactmat import IntMatrix, MatrixError, det, gauss_jordan
 from prymdice.graph import GraphError, MultiGraph
 from prymdice.homology import cographic_dicing_system
 from prymdice.prym import prym_dicing
@@ -32,6 +32,7 @@ from conftest import seeded_rng
 from oracles import (
     cofactor_det,
     first_violating_minor_by_definition,
+    independent_column_sets,
     lattice_equivalent_by_definition,
     rational_rank,
     tu_by_definition,
@@ -248,13 +249,10 @@ def test_equivalence_symmetry_and_transitivity():
     ab = systems_equivalent(A, B)
     bc = systems_equivalent(B, C)
     assert ab and bc
-    # symmetry: invert the transformation explicitly
-    from prymdice.unimod import _adjugate
-
-    det_u = det(ab.U)
-    adj = _adjugate(ab.U)
-    inv_entries = tuple(x // det_u for x in adj.entries)
-    U_inv = IntMatrix(5, 5, inv_entries)
+    # symmetry: invert the transformation explicitly, U^{-1} = adj(U) / det(U)
+    rows = [list(ab.U.row(i)) + [int(i == j) for j in range(5)] for i in range(5)]
+    _, det_u = gauss_jordan(rows, 5)
+    U_inv = M([[x // det_u for x in row[5:]] for row in rows])
     back_map = [None] * B.size
     for j, (target, sign) in enumerate(ab.column_map):
         back_map[target] = (j, sign)
@@ -314,12 +312,20 @@ def test_lattice_equivalence_refines_matroid_equivalence():
 
 
 def test_adjugate_matches_cofactor_oracle():
+    # gauss_jordan over [T | I] leaves [det(T) I | adj(T)]
     rng = seeded_rng(12)
     cases = [[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for n in (1, 2, 3, 4, 5) * 8]
     cases.append([[1, 2, 3], [2, 4, 6], [0, 1, 1]])  # singular
     cases.append([[0, 0], [0, 0]])
+    inverted = 0
     for rows in cases:
         n = len(rows)
+        work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        d = cofactor_det(rows)
+        if d == 0:
+            with pytest.raises(MatrixError):
+                gauss_jordan(work, n)
+            continue
         expected = [
             [
                 (-1) ** (i + j) * cofactor_det(
@@ -329,7 +335,11 @@ def test_adjugate_matches_cofactor_oracle():
             ]
             for j in range(n)
         ]
-        assert unimod._adjugate(M(rows)) == M(expected), rows
+        assert gauss_jordan(work, n) == (tuple(range(n)), d), rows
+        assert [row[:n] for row in work] == [[d * int(i == j) for j in range(n)] for i in range(n)]
+        assert [row[n:] for row in work] == expected, rows
+        inverted += 1
+    assert inverted >= 20
 
 
 def test_segre_dicing_first_witness_is_pinned():
@@ -468,6 +478,92 @@ def test_matroid_census_matches_brute_force():
         census = S.matroid.census
         assert census == _brute_force_census(S)
         assert census[S.dim] == len(S.matroid.bases)
+
+
+def _random_systems(rng, count):
+    # 1-5 rows, up to 10 columns, entries outside {-1, 0, 1} and repeated columns
+    systems = []
+    while len(systems) < count:
+        n = rng.randint(1, 5)
+        cols = []
+        for _ in range(rng.randint(n, 10)):
+            if cols and rng.random() < 0.15:
+                cols.append(rng.choice(cols))
+            else:
+                cols.append([rng.choice((-2, -1, 0, 0, 1, 1, 3)) for _ in range(n)])
+        try:
+            S = UnimodularSystem(M([[c[i] for c in cols] for i in range(n)]), allow_repeats=True)
+        except ValueError:
+            continue  # a zero column or rank below n
+        systems.append(S)
+    return systems
+
+
+def test_standard_form_matches_oracles():
+    non_tu_bases = 0
+    for S in _random_systems(seeded_rng(21), 300):
+        n, m = S.dim, S.size
+        cols = [list(S.column(j)) for j in range(m)]
+        greedy = []
+        for j in range(m):
+            if rational_rank([cols[k] for k in greedy] + [cols[j]]) > len(greedy):
+                greedy.append(j)
+        form = S.standard_form
+        assert form.basis == tuple(greedy)
+        T = [[cols[j][i] for j in greedy] for i in range(n)]
+        assert form.det == cofactor_det(T)
+        non_tu_bases += abs(form.det) > 1
+        # T * coordinates = det * M, and T * adjugate = det * I
+        X, adj = form.coordinates.row_list(), form.adjugate.row_list()
+        for i in range(n):
+            assert [sum(T[i][k] * X[k][j] for k in range(n)) for j in range(m)] == [
+                form.det * x for x in S.matrix.row(i)
+            ]
+            assert [sum(T[i][k] * adj[k][j] for k in range(n)) for j in range(n)] == [
+                form.det * int(i == j) for j in range(n)
+            ]
+    assert non_tu_bases >= 30
+
+
+def test_column_matroid_matches_rank_oracle():
+    for S in _random_systems(seeded_rng(21), 300):
+        n, m = S.dim, S.size
+        independent = independent_column_sets([S.column(j) for j in range(m)])
+        census = [0] * (n + 1)
+        profiles = [[0] * n for _ in range(m)]
+        for mask in independent:
+            members = [e for e in range(m) if mask >> e & 1]
+            census[len(members)] += 1
+            for e in members:
+                profiles[e][len(members) - 1] += 1
+        matroid = _ColumnMatroid(S.matrix)
+        assert matroid.independent == independent
+        assert matroid.bases == {mask for mask in independent if mask.bit_count() == n}
+        assert matroid.census == tuple(census)
+        assert matroid.element_profiles == tuple(map(tuple, profiles))
+
+
+def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
+    drawn = []
+    real_minors = unimod.minors
+
+    def counting_minors(*args, **kwargs):
+        for item in real_minors(*args, **kwargs):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(unimod, "minors", counting_minors)
+    # the bases of E5 are the nonzero minors of its 5 x 5 coordinate block:
+    # C(10, 5) - 1 = 251 drawn, against 637 for every minor on trailing rows
+    _ColumnMatroid(e5().matrix)
+    assert len(drawn) == 251
+    T = scramble(seeded_rng(7), e5())
+    assert T.matroid.invariants == e5().matroid.invariants
+    drawn.clear()
+    # with both matroids built, the search reads coordinates from one
+    # elimination per candidate basis and sweeps no minors
+    assert systems_equivalent(e5(), T) is not None
+    assert drawn == []
 
 
 def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
