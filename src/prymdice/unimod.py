@@ -16,7 +16,7 @@ system's standard form: one fraction-free Gauss-Jordan pass
 first basis B, with determinant d, and leaves d times every column's
 coordinates in B.  The nonzero minors of that coordinate block are the
 other bases.  Coordinates in any other chosen basis come from the same
-routine, so no rational elimination and no adjugate sweep is needed.
+routine, so no rational elimination is needed.
 
 Cographic recognition is decided by brute force: candidate multigraphs
 with the right edge count and incidence rank are enumerated exhaustively
@@ -281,8 +281,8 @@ class StandardForm:
     adj(T) M = det * T^{-1} M, which is ``det`` times the identity on the
     basis columns; for a TU system det = +-1, so up to that sign and the
     column order this is the standard representation [I | A].
-    ``adjugate`` is adj(T).  Both come from one ``gauss_jordan`` pass over
-    [M | I].
+    ``adjugate`` is adj(T).  The two blocks come from one ``gauss_jordan``
+    pass over [M | I].
     """
 
     basis: tuple
@@ -292,6 +292,7 @@ class StandardForm:
 
     @classmethod
     def of(cls, M: IntMatrix) -> "StandardForm":
+        """The standard form of a matrix of full row rank."""
         n, m = M.rows, M.cols
         rows = [list(M.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
         basis, d = gauss_jordan(rows, m)
@@ -310,8 +311,8 @@ class _ColumnMatroid:
     basis; for a set R of basis positions and a set K of other columns of
     the same size, (B minus the columns at R) plus K is a basis exactly
     when the minor of the coordinate block at rows R and columns K is
-    nonzero.  So the bases are the nonzero minors of the n x (m - n)
-    coordinate block, C(m, n) - 1 of them drawn, plus B.
+    nonzero.  So B and the nonzero minors of the n x (m - n) coordinate
+    block, over all row sets, give every basis: C(m, n) - 1 minors drawn.
 
     ``invariants`` (rank, basis count, independent-set census by size and
     the sorted per-element profiles) is preserved by any column bijection
@@ -321,7 +322,7 @@ class _ColumnMatroid:
 
     def __init__(self, M: IntMatrix):
         self.m = M.cols
-        self.n = self.rank = M.rows
+        self.rank = M.rows
         self.form = StandardForm.of(M)
         self.bases = self._compute_bases()
         self.independent, self.census, self.element_profiles = self._downward_closure()
@@ -505,9 +506,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
         return None
     form_a = MA.form
     basis_a, det_a, adj_a = form_a.basis, form_a.det, form_a.adjugate
-    coords_a = _scaled_columns(
-        [form_a.coordinates.row(i) for i in range(n)], det_a
-    )
+    coords_a = _scaled_columns([form_a.coordinates.row(i) for i in range(n)], det_a)
     # how many columns of A each prefix of its basis spans
     span_counts_a = []
     prefix = 0
