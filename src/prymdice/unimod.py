@@ -566,7 +566,12 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
                     return result
         return None
 
-    return extend((), 0)
+    try:
+        return extend((), 0)
+    finally:
+        # extend refers to itself through its closure; clearing that cell
+        # frees B's matroid at once instead of at the next cyclic collection
+        del extend
 
 
 def _solve_transform(cols_b, chosen, signs, adj_a: IntMatrix, det_a: int):

@@ -504,10 +504,9 @@ def test_standard_form_matches_oracles():
     for S in _random_systems(seeded_rng(21), 300):
         n, m = S.dim, S.size
         cols = [list(S.column(j)) for j in range(m)]
-        greedy = []
-        for j in range(m):
-            if rational_rank([cols[k] for k in greedy] + [cols[j]]) > len(greedy):
-                greedy.append(j)
+        # the lexicographically first basis: every column that raises the
+        # rank of the columns before it
+        greedy = [j for j in range(m) if rational_rank(cols[: j + 1]) > rational_rank(cols[:j])]
         form = S.standard_form
         assert form.basis == tuple(greedy)
         T = [[cols[j][i] for j in greedy] for i in range(n)]
