@@ -333,21 +333,18 @@ class _ColumnMatroid:
     def _compute_bases(self):
         basis = self.form.basis
         others = [j for j in range(self.m) if j not in basis]
-        first = 0
-        for j in basis:
-            first |= 1 << j
+        row_bits = [1 << j for j in basis]
+        col_bits = [1 << j for j in others]
+        first = sum(row_bits)
         bases = [first]
-        if others:
-            row_bits = [1 << j for j in basis]
-            col_bits = [1 << j for j in others]
-            for rows, cols, d in minors(self.form.coordinates.column_submatrix(others)):
-                if d:
-                    mask = first
-                    for r in rows:
-                        mask ^= row_bits[r]
-                    for c in cols:
-                        mask |= col_bits[c]
-                    bases.append(mask)
+        for rows, cols, d in minors(self.form.coordinates.column_submatrix(others)):
+            if d:
+                mask = first
+                for r in rows:
+                    mask ^= row_bits[r]
+                for c in cols:
+                    mask |= col_bits[c]
+                bases.append(mask)
         return frozenset(bases)
 
     def _downward_closure(self):

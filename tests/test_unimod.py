@@ -552,8 +552,8 @@ def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
             yield item
 
     monkeypatch.setattr(unimod, "minors", counting_minors)
-    # the bases of E5 are the nonzero minors of its 5 x 5 coordinate block:
-    # C(10, 5) - 1 = 251 drawn, against 637 for every minor on trailing rows
+    # the bases of E5 other than the first are the nonzero minors of its
+    # 5 x 5 coordinate block, over all row sets: C(10, 5) - 1 = 251 drawn
     _ColumnMatroid(e5().matrix)
     assert len(drawn) == 251
     T = scramble(seeded_rng(7), e5())
