@@ -48,7 +48,6 @@ from .prym import (
     multipliers,
     pi_minus,
     prym_dicing,
-    prym_dicing_system,
     torus_rank,
     vologodsky_check,
     x_minus,

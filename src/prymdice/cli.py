@@ -344,9 +344,7 @@ def _cmd_segre(args) -> tuple[dict, int]:
     }
     certificate = {
         "equivalence": _equivalence_json(report.equivalence),
-        "reference_cographic": (
-            _cographic_json(report.e5_cographic) if report.e5_cographic else None
-        ),
+        "reference_cographic": _cographic_json(report.e5_cographic),
     }
     return {
         "stage": "segre",

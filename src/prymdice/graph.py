@@ -251,9 +251,6 @@ class CochainVector:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coefficients)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
     def support(self) -> frozenset:
         return frozenset(
             lab for lab, c in zip(self.graph.edge_labels, self.coefficients) if c != 0

@@ -86,10 +86,6 @@ class CycleBasis:
         """The cycles as ``CochainVector``s."""
         return tuple(CochainVector(self.graph, row) for row in self.rows)
 
-    def coefficient_matrix(self) -> IntMatrix:
-        """Rows = basis cycles, columns = edges in graph order."""
-        return IntMatrix.from_rows(self.rows)
-
 
 def _forest_adjacency(G: MultiGraph, tree_edges) -> dict:
     """Per vertex, the forest edges at it as (label, other end, +1 if it is the tail)."""

@@ -393,7 +393,3 @@ def prym_dicing(G: MultiGraph, iota: GraphInvolution) -> PrymDicing:
         column_edges=groups,
         dropped_edges=dropped,
     )
-
-
-def prym_dicing_system(G: MultiGraph, iota: GraphInvolution) -> UnimodularSystem:
-    return prym_dicing(G, iota).system

@@ -1,12 +1,13 @@
 """Pentagon double cover: the degeneration fixture and its full pipeline.
 
-The fixed data here describes the dual graph of the double cover of a
-pentagon of five lines (the degenerate plane quintic obtained by
-projecting the ten-nodal cubic threefold from a line): ten vertices
-a1..a5, b1..b5, twenty edges in involution-paired primed/unprimed pairs,
-the nine-edge spanning tree used to build the cycle basis, and the
-eleven-cycle homology basis together with the five anti-invariant
-generators it projects onto.
+The cover is the dual graph of the double cover of a pentagon of five
+lines (the degenerate plane quintic obtained by projecting the ten-nodal
+cubic threefold from a line): ten vertices a1..a5, b1..b5 and twenty
+edges in involution-paired primed/unprimed pairs.  It is read from the
+shipped graph file ``data/segre_cover.graph``, its one copy.  The fixed
+data here are the nine-edge spanning tree used to build the cycle basis
+and the eleven-cycle homology basis together with the five anti-invariant
+generators it projects onto; ``fixture`` checks them against the cover.
 
 Orientation conventions: every edge is oriented (tail, head) exactly as
 in the recorded endpoint list, and each basis cycle is the fundamental
@@ -47,21 +48,6 @@ from .unimod import (
     verify_equivalence,
 )
 
-# (label, tail, head) for the ten base edges; the primed partner of
-# (x_j, y_k) is (x'_j, y'_k) with a and b exchanged.
-_BASE_EDGES = (
-    ("e1", "b3", "a2"),
-    ("e2", "a4", "b2"),
-    ("e3", "a5", "b3"),
-    ("e4", "a5", "b4"),
-    ("e5", "a5", "b1"),
-    ("e6", "a4", "b3"),
-    ("e7", "b3", "a1"),
-    ("e8", "b2", "a5"),
-    ("e9", "a1", "b4"),
-    ("e10", "b2", "a1"),
-)
-
 TREE_EDGES = frozenset({"e6", "e7", "e8", "e9", "e10", "e10'", "e7'", "e9'", "e8'"})
 
 # Homology basis: (non-tree edge, sign of its coefficient), in basis order.
@@ -99,22 +85,14 @@ _CYCLE_SUPPORTS = {
 PROJECTION_PAIRS = ((1, 2), (3, 4), (8, 10), (7, 9), (5, 6))
 
 
-def _swap_side(v: str) -> str:
-    return ("b" if v.startswith("a") else "a") + v[1:]
-
-
 def build_cover() -> tuple[MultiGraph, GraphInvolution]:
-    vertices = [f"a{j}" for j in range(1, 6)] + [f"b{j}" for j in range(1, 6)]
-    edges = list(_BASE_EDGES) + [
-        (lab + "'", _swap_side(t), _swap_side(h)) for (lab, t, h) in _BASE_EDGES
-    ]
-    graph = MultiGraph(vertices, edges)
-    vmap = {v: _swap_side(v) for v in vertices}
-    emap = {}
-    for lab, _, _ in _BASE_EDGES:
-        emap[lab] = lab + "'"
-        emap[lab + "'"] = lab
-    return graph, GraphInvolution(graph, vmap, emap)
+    """The cover and its involution, parsed from the shipped graph file."""
+    text = (
+        importlib.resources.files("prymdice")
+        .joinpath("data/segre_cover.graph")
+        .read_text(encoding="utf-8")
+    )
+    return parse_graph_text(text)
 
 
 @dataclass(frozen=True)
@@ -211,7 +189,7 @@ def dicing_matrix_in_generator_basis(f: SegreFixture) -> IntMatrix:
     over the ten unprimed edges; a sign-retaining reading of incidence
     between generators and edges.  Equivalent to the HNF-basis system.
     """
-    base_labels = [lab for (lab, _, _) in _BASE_EDGES]
+    base_labels = [lab for lab in f.cover.edge_labels if not lab.endswith("'")]
     lattice = lattice_from_vectors(f.cover, f.anti_invariant_basis)
     mult = edge_multipliers(lattice)
     rows = []
@@ -235,20 +213,15 @@ class DegenerationReport:
     dicing: PrymDicing
     equivalence: Equivalence | None
     equivalence_verified: bool
-    e5_cographic: CographicCertificate | None
+    e5_cographic: CographicCertificate
     conclusion: str
 
 
-def degeneration_report(
-    f: SegreFixture,
-    cographic_search: bool = True,
-    max_graphs: int | None = None,
-) -> DegenerationReport:
+def degeneration_report(f: SegreFixture, max_graphs: int | None = None) -> DegenerationReport:
     """Run the full pipeline: admissibility, lattice, dicing, comparison.
 
-    The cographic search on the reference system is the long stage (it
-    enumerates every candidate multigraph); pass ``cographic_search=False``
-    to stop after the equivalence is established.
+    The last stage is the exhaustive cographic search on the reference
+    system, which enumerates every candidate multigraph (about 0.2 s).
     """
     dicing = prym_dicing(f.cover, f.involution)
     reference = e5()
@@ -256,13 +229,11 @@ def degeneration_report(
     verified = equivalence is not None and verify_equivalence(
         dicing.system, reference, equivalence
     )
-    certificate = None
-    if cographic_search:
-        certificate = is_cographic(reference, max_graphs=max_graphs)
-    if verified and certificate is not None and not certificate.is_cographic:
+    certificate = is_cographic(reference, max_graphs=max_graphs)
+    if verified and not certificate.is_cographic:
         conclusion = "non-cographic dicing obtained"
     elif verified:
-        conclusion = "system matches the reference; cographic search skipped"
+        conclusion = "cographic dicing obtained"
     else:
         conclusion = "system does not match the reference"
     return DegenerationReport(
@@ -275,13 +246,3 @@ def degeneration_report(
         e5_cographic=certificate,
         conclusion=conclusion,
     )
-
-
-def load_fixture_file() -> tuple[MultiGraph, GraphInvolution | None]:
-    """Parse the shipped graph-format copy of the cover (for CLI diffing)."""
-    text = (
-        importlib.resources.files("prymdice")
-        .joinpath("data/segre_cover.graph")
-        .read_text(encoding="utf-8")
-    )
-    return parse_graph_text(text)

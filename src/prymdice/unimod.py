@@ -242,9 +242,7 @@ def spanning_forest_count(G: MultiGraph) -> int:
             for _, t, h in G.edges
             if t in index and t != h
         ))
-        # uncached: the cache is for the search's recurring components,
-        # not for arbitrary graphs
-        total *= _spanning_tree_count.__wrapped__(pairs, len(index))
+        total *= _spanning_tree_count(pairs, len(index))
     return total
 
 
@@ -451,8 +449,16 @@ class Equivalence:
 
 
 def verify_equivalence(A: UnimodularSystem, B: UnimodularSystem, eq: Equivalence) -> bool:
-    """Re-check an equivalence witness by direct multiplication."""
-    if abs(det(eq.U)) != 1:
+    """Re-check an equivalence witness by direct multiplication.
+
+    A witness of the wrong shape is rejected, not an error: U must be
+    dim x dim and the column map must send each column of A to one column
+    of B, with A and B of the same dimension and size.
+    """
+    n = A.dim
+    if (B.dim, B.size, len(eq.column_map)) != (n, A.size, A.size):
+        return False
+    if (eq.U.rows, eq.U.cols) != (n, n) or abs(det(eq.U)) != 1:
         return False
     UA = eq.U @ A.matrix
     targets = [t for t, _ in eq.column_map]

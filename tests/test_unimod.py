@@ -268,6 +268,24 @@ def test_equivalence_symmetry_and_transitivity():
     assert verify_equivalence(A, C, ac)
 
 
+def test_verify_equivalence_rejects_misshapen_witnesses():
+    A = UnimodularSystem(M([[1, 0, 1], [0, 1, 1]]))
+    B = UnimodularSystem(IntMatrix.identity(2))
+    I2, I3 = IntMatrix.identity(2), IntMatrix.identity(3)
+    short = ((0, 1), (1, 1))
+    # a map that skips A's third column must not pass unchecked
+    assert not verify_equivalence(A, B, Equivalence(I2, short))
+    assert not verify_equivalence(B, A, Equivalence(I2, short))
+    full = ((0, 1), (1, 1), (2, 1))
+    assert verify_equivalence(A, A, Equivalence(I2, full))
+    assert not verify_equivalence(A, A, Equivalence(I2, full[:2]))
+    assert not verify_equivalence(A, A, Equivalence(I2, full + ((0, 1),)))
+    # U must be dim x dim: a non-square U has no det, a 3 x 3 one no product
+    assert not verify_equivalence(A, A, Equivalence(M([[1, 0, 0], [0, 1, 0]]), full))
+    assert not verify_equivalence(A, A, Equivalence(I3, full))
+    assert not verify_equivalence(B, B, Equivalence(M([[1], [0]]), short))
+
+
 def test_dimension_mismatch_raises():
     A = e5()
     B = UnimodularSystem(IntMatrix.identity(4))
@@ -613,7 +631,7 @@ def _rank_of_columns(S, cols):
         return 0
     from prymdice.exactmat import rank as mrank
 
-    return mrank(S.matrix.column_submatrix(cols).transpose())
+    return mrank(IntMatrix.from_rows(zip(*S.matrix.column_submatrix(cols).row_list())))
 
 
 def _is_valid_matroid_map(A, B, sigma):
