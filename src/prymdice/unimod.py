@@ -6,17 +6,21 @@ are equivalent when an integer change of basis (GL_n(Z)) plus a signed
 relabeling of the vectors carries one onto the other; this is exactly
 invariance under change of lattice basis and re-orientation of edges.
 
-Every system caches one column matroid (its independent column subsets,
-as bitmasks), and that is the only source of independence data here: its
-invariants gate both equivalence searches, its independent sets drive the
-prefix pruning of the lattice-equivalence search, and its bases feed the
-forest-count filter of cographic recognition.  The matroid is read off the
-system's standard form: one fraction-free Gauss-Jordan pass
-(``exactmat.gauss_jordan``) pivots the system at its lexicographically
-first basis B, with determinant d, and leaves d times every column's
-coordinates in B.  The nonzero minors of that coordinate block are the
-other bases.  Coordinates in any other chosen basis come from the same
-routine, so no rational elimination is needed.
+Every system caches one column matroid, and that is the only source of
+independence data here.  The matroid is read off the system's standard
+form: one fraction-free Gauss-Jordan pass (``exactmat.gauss_jordan``)
+pivots the system at its lexicographically first basis B, with
+determinant d, and leaves d times every column's coordinates in B.  The
+nonzero minors of that coordinate block are the other bases, and the same
+loop records, per column, the bitset of the bases that hold it.  A column
+set is independent exactly when it lies in some basis, so when the AND of
+its columns' bitsets is nonzero; the lattice-equivalence search reads
+independence and spans of its prefixes that way, and the forest-count
+filter of cographic recognition reads the basis count.  The full list of
+independent sets, with its census and per-element profiles, is built only
+for the matroid-equivalence search.  Coordinates in any other chosen
+basis come from the same elimination routine, so no rational elimination
+is needed.
 
 Cographic recognition is decided by brute force: candidate multigraphs
 with the right edge count and incidence rank are enumerated exhaustively
@@ -312,20 +316,30 @@ class _ColumnMatroid:
     nonzero.  So B and the nonzero minors of the n x (m - n) coordinate
     block, over all row sets, give every basis: C(m, n) - 1 minors drawn.
 
-    ``invariants`` (rank, basis count, independent-set census by size and
-    the sorted per-element profiles) is preserved by any column bijection
-    that maps independent sets to independent sets, so a mismatch refutes
-    both matroid and lattice equivalence.
+    Number the bases in that order.  ``holders[e]`` is the bitset of the
+    bases that contain column e, filled in the same loop: R names the
+    columns of B that leave and K the columns that enter.  A column set is
+    independent exactly when the AND of its holders is nonzero, since it
+    then lies in a basis, and the span of an independent set with AND h is
+    the set plus every column j with h & holders[j] zero.
+
+    ``gate`` (rank, basis count and the sorted per-column basis counts)
+    and ``invariants`` (rank, basis count, independent-set census by size
+    and the sorted per-element profiles) are preserved by any column
+    bijection that maps independent sets to independent sets, so a
+    mismatch refutes both matroid and lattice equivalence.  The gate is a
+    function of the invariants, read off ``holders``; the invariants, with
+    ``independent``, ``census`` and ``element_profiles``, come from the
+    downward closure of the bases, built on first use.
     """
 
     def __init__(self, M: IntMatrix):
         self.m = M.cols
         self.rank = M.rows
         self.form = StandardForm.of(M)
-        self.bases = self._compute_bases()
-        self.independent, self.census, self.element_profiles = self._downward_closure()
-        self.invariants = (
-            self.rank, len(self.bases), self.census, tuple(sorted(self.element_profiles))
+        self.bases, self.holders = self._compute_bases()
+        self.gate = (
+            self.rank, len(self.bases), tuple(sorted(h.bit_count() for h in self.holders))
         )
 
     def _compute_bases(self):
@@ -335,15 +349,46 @@ class _ColumnMatroid:
         col_bits = [1 << j for j in others]
         first = sum(row_bits)
         bases = [first]
+        leaving = [0] * len(basis)  # per basis position: the bases without it
+        entering = [0] * len(others)  # per other column: the bases with it
         for rows, cols, d in minors(self.form.coordinates.column_submatrix(others)):
             if d:
+                bit = 1 << len(bases)
                 mask = first
                 for r in rows:
                     mask ^= row_bits[r]
+                    leaving[r] |= bit
                 for c in cols:
                     mask |= col_bits[c]
+                    entering[c] |= bit
                 bases.append(mask)
-        return frozenset(bases)
+        every = (1 << len(bases)) - 1
+        holders = [0] * self.m
+        for j, left in zip(basis, leaving):
+            holders[j] = every ^ left
+        for j, held in zip(others, entering):
+            holders[j] = held
+        return frozenset(bases), tuple(holders)
+
+    @cached_property
+    def _closure(self):
+        return self._downward_closure()
+
+    @property
+    def independent(self) -> set:
+        return self._closure[0]
+
+    @property
+    def census(self) -> tuple:
+        return self._closure[1]
+
+    @property
+    def element_profiles(self) -> tuple:
+        return self._closure[2]
+
+    @cached_property
+    def invariants(self) -> tuple:
+        return self.rank, len(self.bases), self.census, tuple(sorted(self.element_profiles))
 
     def _downward_closure(self):
         """The independent sets, the census by size and the element profiles.
@@ -371,30 +416,27 @@ class _ColumnMatroid:
         census = tuple(len(level) for level in reversed(levels))
         return set().union(*levels), census, tuple(tuple(c) for c in counts)
 
-    def span_size(self, mask: int) -> int:
-        """Number of elements in the span of the independent set ``mask``."""
-        return sum(
-            1 for j in range(self.m) if mask >> j & 1 or mask | 1 << j not in self.independent
-        )
-
 
 def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """Column bijection carrying independent sets to independent sets, or None.
 
-    Pruned by the cached matroids' invariants before a backtracking search
-    that checks independence of every mapped subset incrementally.
+    Pruned by the cached matroids' gate, then by their invariants, before a
+    backtracking search that checks independence of every mapped subset
+    incrementally.
     """
     if A.size != B.size:
         raise ValueError("matroid comparison requires equal ground set sizes")
     MA, MB = A.matroid, B.matroid
-    if MA.invariants != MB.invariants:
+    if MA.gate != MB.gate or MA.invariants != MB.invariants:
         return None
     m = MA.m
+    profiles_a, independent_a = MA.element_profiles, MA.independent
+    profiles_b, independent_b = MB.element_profiles, MB.independent
     by_profile: dict[tuple, list[int]] = {}
     for e in range(m):
-        by_profile.setdefault(MB.element_profiles[e], []).append(e)
+        by_profile.setdefault(profiles_b[e], []).append(e)
     # map rarest profile classes first
-    order = sorted(range(m), key=lambda e: (len(by_profile[MA.element_profiles[e]]), e))
+    order = sorted(range(m), key=lambda e: (len(by_profile[profiles_a[e]]), e))
     image = [-1] * m
     used = [False] * m
 
@@ -415,13 +457,13 @@ def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
         if depth == m:
             return True
         e = order[depth]
-        for candidate in by_profile[MA.element_profiles[e]]:
+        for candidate in by_profile[profiles_a[e]]:
             if used[candidate]:
                 continue
             image[e] = candidate
             used[candidate] = True
             ok = all(
-                (ma in MA.independent) == (mb in MB.independent)
+                (ma in independent_a) == (mb in independent_b)
                 for ma, mb in masks_with_new(depth)
             )
             if ok and extend(depth + 1):
@@ -486,17 +528,20 @@ def _scaled_columns(rows, d: int) -> list:
 def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """Search for U in GL_n(Z) and a signed column bijection with U*A*sigma = B.
 
-    Systems whose cached column matroids differ in their invariants are
-    rejected at once, since such an equivalence is in particular a matroid
-    isomorphism.  Otherwise A's standard form supplies its lexicographically
-    first basis AT, det(AT), adj(AT) and the scaled coordinates of all its
-    columns, and that basis is mapped onto candidate ordered column bases of
-    B.  Each full candidate BT gets det(BT) and adj(BT) times B from one
+    Systems whose cached column matroids differ in their gate (rank, basis
+    count and sorted per-column basis counts) are rejected at once, since
+    such an equivalence is in particular a matroid isomorphism.  Otherwise
+    A's standard form supplies its lexicographically first basis AT,
+    det(AT), adj(AT) and the scaled coordinates of all its columns, and
+    that basis is mapped onto candidate ordered column bases of B.  Each
+    full candidate BT gets det(BT) and adj(BT) times B from one
     ``gauss_jordan`` pass over [BT | B]; matching coordinates determine U,
     which is then verified entrywise.  Prefix candidates are pruned by
-    span-membership counts, read off the cached matroids: column j lies in
-    the span of an independent prefix exactly when j is in the prefix or
-    adding j makes it dependent.  Returns the first witness found
+    span-membership counts, read off the matroids' per-column basis
+    bitsets ``holders``: the search carries the AND h of its prefix's
+    bitsets, the prefix is independent while h is nonzero, and a column j
+    outside it lies in its span exactly when h & holders[j] is zero.  No
+    list of independent sets is built.  Returns the first witness found
     (deterministic order) or None.
     """
     if A.dim != B.dim:
@@ -505,20 +550,21 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
         return None
     n, m = A.dim, A.size
     MA, MB = A.matroid, B.matroid
-    if MA.invariants != MB.invariants:
+    if MA.gate != MB.gate:
         return None
     form_a = MA.form
     basis_a, det_a, adj_a = form_a.basis, form_a.det, form_a.adjugate
     coords_a = _scaled_columns([form_a.coordinates.row(i) for i in range(n)], det_a)
     # how many columns of A each prefix of its basis spans
     span_counts_a = []
-    prefix = 0
-    for j in basis_a:
-        prefix |= 1 << j
-        span_counts_a.append(MA.span_size(prefix))
+    common = -1  # the AND of no bitsets: every basis
+    for size, j in enumerate(basis_a, 1):
+        common &= MA.holders[j]
+        span_counts_a.append(size + sum(1 for h in MA.holders if not common & h))
     abs_multiset_a = Counter(tuple(abs(x) for x in col) for col in coords_a)
     rows_b = [B.matrix.row(i) for i in range(n)]
     cols_b = [B.column(k) for k in range(m)]
+    holders_b = MB.holders
     keys_b = [_sign_normalize(col) for col in cols_b]
 
     def try_full(chosen):
@@ -556,21 +602,22 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
                 return eq
         return None
 
-    def extend(chosen: tuple, mask: int):
-        if len(chosen) == n:
+    def extend(chosen: tuple, common: int):
+        depth = len(chosen)
+        if depth == n:
             return try_full(chosen)
         for j in range(m):
-            grown = mask | 1 << j
-            if grown == mask or grown not in MB.independent:
-                continue  # chosen already, or dependent on the prefix
-            if MB.span_size(grown) == span_counts_a[len(chosen)]:
+            grown = common & holders_b[j]
+            if not grown or j in chosen:
+                continue  # dependent on the prefix, or chosen already
+            if depth + 1 + sum(1 for h in holders_b if not grown & h) == span_counts_a[depth]:
                 result = extend(chosen + (j,), grown)
                 if result is not None:
                     return result
         return None
 
     try:
-        return extend((), 0)
+        return extend((), -1)
     finally:
         # extend refers to itself through its closure; clearing that cell
         # frees B's matroid at once instead of at the next cyclic collection

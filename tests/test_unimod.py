@@ -558,6 +558,19 @@ def test_column_matroid_matches_rank_oracle():
         assert matroid.bases == {mask for mask in independent if mask.bit_count() == n}
         assert matroid.census == tuple(census)
         assert matroid.element_profiles == tuple(map(tuple, profiles))
+        # a column set is independent iff the AND of its holders is nonzero;
+        # the AND over a set is the AND over it minus its top element
+        holders = matroid.holders
+        common = [-1] * (1 << m)
+        for mask in range(1, 1 << m):
+            top = mask.bit_length() - 1
+            common[mask] = common[mask ^ 1 << top] & holders[top]
+            assert bool(common[mask]) == (mask in independent)
+        oracle_bases = [mask for mask in independent if mask.bit_count() == n]
+        for e in range(m):
+            assert holders[e].bit_count() == sum(1 for b in oracle_bases if b >> e & 1)
+        rank, n_bases, _, sorted_profiles = matroid.invariants
+        assert matroid.gate == (rank, n_bases, tuple(sorted(p[-1] for p in sorted_profiles)))
 
 
 def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
@@ -581,6 +594,32 @@ def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
     # elimination per candidate basis and sweeps no minors
     assert systems_equivalent(e5(), T) is not None
     assert drawn == []
+
+
+def test_equivalence_search_builds_no_downward_closure(monkeypatch):
+    closures = []
+    real_closure = unimod._ColumnMatroid._downward_closure
+
+    def counting_closure(self):
+        closures.append(self)
+        return real_closure(self)
+
+    monkeypatch.setattr(unimod._ColumnMatroid, "_downward_closure", counting_closure)
+    A = UnimodularSystem(e5().matrix)
+    T = scramble(seeded_rng(13), e5())
+    assert systems_equivalent(A, T) is not None
+    assert len(closures) == 0
+    # the wheel on a 5-cycle: 6 vertices, 10 edges, rank 5 like E5
+    hub = [(f"s{i}", "h", f"r{i}") for i in range(5)]
+    rim = [(f"t{i}", f"r{i}", f"r{(i + 1) % 5}") for i in range(5)]
+    wheel = MultiGraph(["h"] + [f"r{i}" for i in range(5)], hub + rim)
+    W = bond_system(wheel)
+    assert (W.dim, W.size) == (5, 10)
+    assert systems_equivalent(A, W) is None
+    assert len(closures) == 0
+    # the matroid search still reads the full invariants
+    assert matroid_equivalent(A, T) is not None
+    assert len(closures) == 2
 
 
 def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
