@@ -70,6 +70,8 @@ class HalfLattice:
         )
 
     def contains(self, v: CochainVector) -> bool:
+        if v.graph is not self.graph and v.graph != self.graph:
+            raise GraphError("cochain vector lives on a different graph than the lattice")
         twice = [2 * c for c in v.coefficients]
         if any(x.denominator != 1 for x in twice):
             return False

@@ -197,7 +197,8 @@ def dicing_matrix_in_generator_basis(f: SegreFixture) -> IntMatrix:
         row = []
         for lab in base_labels:
             value = gen[lab] * mult[lab]
-            assert value.denominator == 1
+            if value.denominator != 1:
+                raise GraphError(f"internal error: dicing entry at {lab} is not integral")
             row.append(int(value))
         rows.append(row)
     return IntMatrix.from_rows(rows)

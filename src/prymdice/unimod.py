@@ -14,13 +14,13 @@ determinant d, and leaves d times every column's coordinates in B.  The
 nonzero minors of that coordinate block are the other bases, and the same
 loop records, per column, the bitset of the bases that hold it.  A column
 set is independent exactly when it lies in some basis, so when the AND of
-its columns' bitsets is nonzero; the lattice-equivalence search reads
-independence and spans of its prefixes that way, and the forest-count
-filter of cographic recognition reads the basis count.  The full list of
-independent sets, with its census and per-element profiles, is built only
-for the matroid-equivalence search.  Coordinates in any other chosen
-basis come from the same elimination routine, so no rational elimination
-is needed.
+its columns' bitsets is nonzero.  Both equivalence searches read
+independence only that way, and cographic recognition reads the basis
+count.  The census and element profiles that gate and order the matroid
+search come from a counting pass made on demand.  Coordinates in any
+other chosen basis come from the same elimination routine, and the
+lattice search matches columns by them, so no rational elimination is
+needed.
 
 Cographic recognition is decided by brute force: candidate multigraphs
 with the right edge count and incidence rank are enumerated exhaustively
@@ -329,8 +329,10 @@ class _ColumnMatroid:
     bijection that maps independent sets to independent sets, so a
     mismatch refutes both matroid and lattice equivalence.  The gate is a
     function of the invariants, read off ``holders``; the invariants, with
-    ``independent``, ``census`` and ``element_profiles``, come from the
-    downward closure of the bases, built on first use.
+    ``census`` and ``element_profiles``, come from a counting pass over the
+    downward closure of the bases, made on first use.  Independence itself
+    is only ever read off ``holders``; no collection of independent sets is
+    kept.
     """
 
     def __init__(self, M: IntMatrix):
@@ -375,33 +377,30 @@ class _ColumnMatroid:
         return self._downward_closure()
 
     @property
-    def independent(self) -> set:
+    def census(self) -> tuple:
         return self._closure[0]
 
     @property
-    def census(self) -> tuple:
-        return self._closure[1]
-
-    @property
     def element_profiles(self) -> tuple:
-        return self._closure[2]
+        return self._closure[1]
 
     @cached_property
     def invariants(self) -> tuple:
         return self.rank, len(self.bases), self.census, tuple(sorted(self.element_profiles))
 
     def _downward_closure(self):
-        """The independent sets, the census by size and the element profiles.
+        """The census of independent sets by size and the element profiles.
 
-        The sets are built a level at a time, from the bases down, each level
-        the one-element deletions of the one above.  Every set of a level has
-        that level's size, so the census is the level sizes, and one walk over
-        each set's elements both builds the next level and counts, per
-        element and size, the independent sets that contain it.
+        The sets are counted a level at a time, from the bases down, each
+        level the one-element deletions of the one above; only the current
+        level is kept.  Every set of a level has that level's size, so the
+        census is the level sizes, and one walk over each set's elements
+        both builds the next level and counts, per element and size, the
+        independent sets that contain it.
         """
         counts = [[0] * self.rank for _ in range(self.m)]
         level = self.bases
-        levels = [level]
+        census = [len(level)]
         for size in range(self.rank, 0, -1):
             smaller = set()
             for mask in level:
@@ -412,17 +411,22 @@ class _ColumnMatroid:
                     counts[bit.bit_length() - 1][size - 1] += 1
                     mm ^= bit
             level = smaller
-            levels.append(level)
-        census = tuple(len(level) for level in reversed(levels))
-        return set().union(*levels), census, tuple(tuple(c) for c in counts)
+            census.append(len(level))
+        return tuple(reversed(census)), tuple(tuple(c) for c in counts)
 
 
 def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """Column bijection carrying independent sets to independent sets, or None.
 
     Pruned by the cached matroids' gate, then by their invariants, before a
-    backtracking search that checks independence of every mapped subset
-    incrementally.
+    backtracking search that maps the rarest profile classes first.  The
+    search carries, for every independent subset S of the mapped prefix,
+    the pair of ANDs of ``holders`` over S in A and over its image in B,
+    starting from the empty set's pair (-1, -1).  A candidate image for the
+    next element is accepted when, for every pair, the ANDs with the two
+    elements' holders are both zero or both nonzero: S plus the element is
+    independent in A exactly when its image is in B.  The nonzero ANDs
+    are the pairs of the independent subsets of the longer prefix.
     """
     if A.size != B.size:
         raise ValueError("matroid comparison requires equal ground set sizes")
@@ -430,8 +434,8 @@ def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     if MA.gate != MB.gate or MA.invariants != MB.invariants:
         return None
     m = MA.m
-    profiles_a, independent_a = MA.element_profiles, MA.independent
-    profiles_b, independent_b = MB.element_profiles, MB.independent
+    profiles_a, holders_a = MA.element_profiles, MA.holders
+    profiles_b, holders_b = MB.element_profiles, MB.holders
     by_profile: dict[tuple, list[int]] = {}
     for e in range(m):
         by_profile.setdefault(profiles_b[e], []).append(e)
@@ -440,39 +444,32 @@ def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     image = [-1] * m
     used = [False] * m
 
-    def masks_with_new(depth: int):
-        # subsets larger than the rank are dependent on both sides anyway
-        fixed = order[:depth]
-        new = order[depth]
-        for size in range(min(depth, MA.rank - 1) + 1):
-            for subset in itertools.combinations(fixed, size):
-                mask_a = 1 << new
-                mask_b = 1 << image[new]
-                for e in subset:
-                    mask_a |= 1 << e
-                    mask_b |= 1 << image[e]
-                yield mask_a, mask_b
-
-    def extend(depth: int):
+    def extend(depth: int, pairs: list):
         if depth == m:
             return True
         e = order[depth]
+        held_a = holders_a[e]
         for candidate in by_profile[profiles_a[e]]:
             if used[candidate]:
                 continue
-            image[e] = candidate
-            used[candidate] = True
-            ok = all(
-                (ma in independent_a) == (mb in independent_b)
-                for ma, mb in masks_with_new(depth)
-            )
-            if ok and extend(depth + 1):
-                return True
-            used[candidate] = False
-            image[e] = -1
+            held_b = holders_b[candidate]
+            grown = []
+            for common_a, common_b in pairs:
+                new_a, new_b = common_a & held_a, common_b & held_b
+                if bool(new_a) != bool(new_b):
+                    break
+                if new_a:
+                    grown.append((new_a, new_b))
+            else:
+                image[e] = candidate
+                used[candidate] = True
+                if extend(depth + 1, pairs + grown):
+                    return True
+                used[candidate] = False
+                image[e] = -1
         return False
 
-    if extend(0):
+    if extend(0, [(-1, -1)]):
         return tuple(image)
     return None
 
@@ -535,8 +532,11 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     det(AT), adj(AT) and the scaled coordinates of all its columns, and
     that basis is mapped onto candidate ordered column bases of B.  Each
     full candidate BT gets det(BT) and adj(BT) times B from one
-    ``gauss_jordan`` pass over [BT | B]; matching coordinates determine U,
-    which is then verified entrywise.  Prefix candidates are pruned by
+    ``gauss_jordan`` pass over [BT | B].  For each sign vector s, column j
+    of A goes to the next unused column k of B whose coordinates equal
+    diag(s) times A's up to sign, since U a_j = +-b_k exactly then; only a
+    complete signed bijection goes on to U = BT diag(s) AT^-1, which is
+    then verified entrywise.  Prefix candidates are pruned by
     span-membership counts, read off the matroids' per-column basis
     bitsets ``holders``: the search carries the AND h of its prefix's
     bitsets, the prefix is independent while h is nonzero, and a column j
@@ -565,7 +565,6 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     rows_b = [B.matrix.row(i) for i in range(n)]
     cols_b = [B.column(k) for k in range(m)]
     holders_b = MB.holders
-    keys_b = [_sign_normalize(col) for col in cols_b]
 
     def try_full(chosen):
         rows = [[row[j] for j in chosen] + list(row) for row in rows_b]
@@ -575,31 +574,30 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
         coords_b = _scaled_columns([row[n:] for row in rows], det_b)
         if Counter(tuple(abs(x) for x in col) for col in coords_b) != abs_multiset_a:
             return None
-        norm_b = Counter(_sign_normalize(col) for col in coords_b)
+        # B's columns bucketed by sign-normalized coordinates, in ascending order
+        buckets: dict[tuple, list[int]] = {}
+        for k, col in enumerate(coords_b):
+            buckets.setdefault(_sign_normalize(col), []).append(k)
         for signs in itertools.product((1, -1), repeat=n):
-            norm_a = Counter(
-                _sign_normalize(tuple(s * x for s, x in zip(signs, col)))
-                for col in coords_a
-            )
-            if norm_a != norm_b:
-                continue
-            U = _solve_transform(cols_b, chosen, signs, adj_a, det_a)
-            if U is None:
-                continue
-            # each column of U*A goes to the first free column of B with its
-            # sign-normalized key; the equal coordinate keys above guarantee one
-            UA = U @ A.matrix
-            free = [True] * m
+            # U a_j = +-b_k exactly when diag(signs) coords_a[j] = +-coords_b[k],
+            # so each column of A takes the next unused column of B in its bucket
+            taken = {}
             column_map = []
-            for j in range(m):
-                col = UA.column(j)
-                key = _sign_normalize(col)
-                target = next(k for k in range(m) if free[k] and keys_b[k] == key)
-                free[target] = False
-                column_map.append((target, 1 if cols_b[target] == col else -1))
-            eq = Equivalence(U, tuple(column_map))
-            if verify_equivalence(A, B, eq):
-                return eq
+            for col in coords_a:
+                signed = tuple(s * x for s, x in zip(signs, col))
+                key = _sign_normalize(signed)
+                bucket, i = buckets.get(key, ()), taken.get(key, 0)
+                if i == len(bucket):
+                    break  # no partner left for this column
+                taken[key] = i + 1
+                column_map.append((bucket[i], 1 if signed == coords_b[bucket[i]] else -1))
+            else:
+                U = _solve_transform(cols_b, chosen, signs, adj_a, det_a)
+                if U is None:
+                    continue
+                eq = Equivalence(U, tuple(column_map))
+                if verify_equivalence(A, B, eq):
+                    return eq
         return None
 
     def extend(chosen: tuple, common: int):

@@ -221,6 +221,17 @@ def test_lattice_membership_and_equality():
     assert regen.same_lattice_as(lattice)
 
 
+def test_lattice_membership_rejects_a_vector_on_another_graph():
+    f = fixture()
+    lattice = x_minus(f.cover, f.involution)
+    # twenty parallel edges: same edge count as the cover, different graph
+    banana = MultiGraph(["p", "q"], [(f"b{i}", "p", "q") for i in range(20)])
+    assert banana.num_edges == f.cover.num_edges
+    with pytest.raises(GraphError, match="different graph"):
+        lattice.contains(CochainVector.zero(banana))
+    assert lattice.contains(CochainVector.zero(f.cover))
+
+
 def test_lattice_membership_makes_no_hermite_pass(monkeypatch):
     from prymdice import exactmat, prym
 

@@ -1,8 +1,11 @@
 
 
-from prymdice.graph import apply_involution
+import pytest
+
+from prymdice import segre
+from prymdice.graph import GraphError, apply_involution
 from prymdice.homology import betti_number, is_cycle
-from prymdice.prym import pi_minus, prym_dicing, x_minus
+from prymdice.prym import MultiplierVector, pi_minus, prym_dicing, x_minus
 from prymdice.segre import (
     PROJECTION_PAIRS,
     TREE_EDGES,
@@ -129,3 +132,15 @@ def test_x_minus_has_all_half_coordinates():
     doubled = lattice.basis.doubled()
     for j in range(doubled.cols):
         assert any(doubled.entry(i, j) % 2 for i in range(doubled.rows))
+
+
+def test_non_integral_dicing_entry_raises(monkeypatch):
+    # with every multiplier forced to 1 the half-integral generators give
+    # non-integral entries; the check is an exception, so ``python -O``
+    # cannot strip it and return a zero matrix
+    def all_ones(X):
+        return MultiplierVector(X.ambient_edges, [1] * len(X.ambient_edges))
+
+    monkeypatch.setattr(segre, "edge_multipliers", all_ones)
+    with pytest.raises(GraphError, match="internal error"):
+        dicing_matrix_in_generator_basis(fixture())

@@ -554,7 +554,6 @@ def test_column_matroid_matches_rank_oracle():
             for e in members:
                 profiles[e][len(members) - 1] += 1
         matroid = _ColumnMatroid(S.matrix)
-        assert matroid.independent == independent
         assert matroid.bases == {mask for mask in independent if mask.bit_count() == n}
         assert matroid.census == tuple(census)
         assert matroid.element_profiles == tuple(map(tuple, profiles))
@@ -794,6 +793,90 @@ def test_cographic_search_results_are_pinned():
     assert hashlib.sha256(repr(certificates).encode()).hexdigest() == (
         "fe6f2142b651e9893c4fc113cc56e991d986a49b5723431b9b8b134d60ca75a0"
     )
+
+
+def _signed_permutation(rng, S):
+    # the columns of S shuffled and each multiplied by a random sign
+    perm = list(range(S.size))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in perm]
+    rows = [[s * S.matrix.entry(i, k) for s, k in zip(signs, perm)] for i in range(S.dim)]
+    return UnimodularSystem(M(rows), allow_repeats=S.allow_repeats)
+
+
+def test_seven_edge_certificates_and_matroid_maps_are_pinned():
+    # recorded before the matroid search read independence off holders: the
+    # certificates of every connected loopless multigraph with 7 edges, and
+    # the first bijection found between each bond system with at most 7
+    # edges and a signed column permutation of itself, in both orders
+    certificates = []
+    for g in eg.connected_multigraphs_any_order(7):
+        cert = is_cographic(bond_system(g))
+        w = cert.witness
+        certificates.append((
+            cert.is_cographic,
+            None if w is None else (w.vertices, w.edges),
+            cert.column_to_edge,
+            cert.report,
+        ))
+    assert len(certificates) == 333
+    assert hashlib.sha256(repr(certificates).encode()).hexdigest() == (
+        "6a6ecf73ed637ef98a569066a3399482500d18b8ec3d1f84f21d6c749d57472d"
+    )
+    rng = seeded_rng(14)
+    maps = []
+    for m in range(1, 8):
+        for g in eg.connected_multigraphs_any_order(m):
+            S = bond_system(g)
+            T = _signed_permutation(rng, S)
+            maps += [matroid_equivalent(S, T), matroid_equivalent(T, S)]
+    assert len(maps) == 2 * 489 and None not in maps
+    assert hashlib.sha256(repr(maps).encode()).hexdigest() == (
+        "2108f33be56593a3c3e1d66d810cf39ff650b471f240ca82ff52e896fb939fd1"
+    )
+
+
+def _matroid_equivalent_by_brute_force(A, B):
+    # some column permutation maps A's independent sets onto B's
+    m = A.size
+    indep_a = independent_column_sets([A.column(j) for j in range(m)])
+    indep_b = independent_column_sets([B.column(j) for j in range(m)])
+    if len(indep_a) != len(indep_b):
+        return False
+    for sigma in itertools.permutations(range(m)):
+        if all(
+            sum(1 << sigma[e] for e in range(m) if mask >> e & 1) in indep_b
+            for mask in indep_a
+        ):
+            return True
+    return False
+
+
+def test_matroid_equivalent_matches_permutation_oracle():
+    rng = seeded_rng(15)
+    verdicts = []
+    for A in _random_systems(rng, 400):
+        if A.size > 6:
+            continue
+        if rng.randrange(2):
+            B = _signed_permutation(rng, A)
+        else:
+            # one column replaced: sometimes the same structure, often not
+            rows = A.matrix.row_list()
+            k = rng.randrange(A.size)
+            for row in rows:
+                row[k] = rng.choice((-2, -1, 0, 1, 2))
+            try:
+                B = UnimodularSystem(M(rows), allow_repeats=True)
+            except ValueError:
+                continue
+        sigma = matroid_equivalent(A, B)
+        assert (sigma is not None) == _matroid_equivalent_by_brute_force(A, B)
+        if sigma is not None:
+            assert _is_valid_matroid_map(A, B, sigma)
+        verdicts.append(sigma is not None)
+    assert len(verdicts) >= 150
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
 
 def test_forest_count_is_the_product_over_components():
