@@ -9,7 +9,6 @@ unimodularity, lattice equivalence, cographic recognition).
 from .exactmat import (
     IntMatrix,
     MatrixError,
-    RationalMatrix,
     det,
     format_matrix_text,
     hnf,

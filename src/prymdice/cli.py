@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .exactmat import IntMatrix, MatrixError, RationalMatrix, parse_matrix_text
+from .exactmat import IntMatrix, MatrixError, parse_matrix_text
 from .graph import GraphError, parse_graph_text
 from .homology import betti_number, cographic_dicing, cycle_basis
 from .prym import prym_dicing, vologodsky_check
@@ -53,23 +53,25 @@ def _load_graph(path: str):
 
 def _load_int_matrix(path: str) -> IntMatrix:
     try:
-        matrix = parse_matrix_text(_read_text(path))
+        return parse_matrix_text(_read_text(path))
     except MatrixError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    if isinstance(matrix, RationalMatrix):
-        raise InputError(f"{path}: expected an integer matrix, found denominator 2")
-    return matrix
 
 
-def _matrix_json(M) -> dict:
-    if isinstance(M, RationalMatrix):
-        return {
-            "rows": M.rows,
-            "cols": M.cols,
-            "denominator": M.denominator,
-            "entries": M.numerator.row_list(),
-        }
+def _matrix_json(M: IntMatrix) -> dict:
     return {"rows": M.rows, "cols": M.cols, "entries": M.row_list()}
+
+
+def _half_matrix_json(doubled: IntMatrix) -> dict:
+    """The half-integer matrix held as ``doubled``: denominator 1 and the
+    halved entries when every doubled entry is even, else denominator 2."""
+    den = 1 if all(x % 2 == 0 for x in doubled.entries) else 2
+    return {
+        "rows": doubled.rows,
+        "cols": doubled.cols,
+        "denominator": den,
+        "entries": [[x * den // 2 for x in row] for row in doubled.row_list()],
+    }
 
 
 def _vector_json(v) -> dict:
@@ -180,11 +182,11 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (report dict, exit code)
+# Subcommand handlers: each returns its report dict
 # ---------------------------------------------------------------------------
 
 
-def _cmd_cycles(args) -> tuple[dict, int]:
+def _cmd_cycles(args) -> dict:
     graph, _ = _load_graph(args.graph)
     tree = None
     if args.tree:
@@ -200,10 +202,10 @@ def _cmd_cycles(args) -> tuple[dict, int]:
         "inputs": {"graph": args.graph},
         "result": result,
         "certificate": None,
-    }, 0
+    }
 
 
-def _cmd_jacobian_dice(args) -> tuple[dict, int]:
+def _cmd_jacobian_dice(args) -> dict:
     graph, _ = _load_graph(args.graph)
     try:
         detail = cographic_dicing(graph)
@@ -222,10 +224,10 @@ def _cmd_jacobian_dice(args) -> tuple[dict, int]:
         "inputs": {"graph": args.graph},
         "result": result,
         "certificate": _tu_json(tu),
-    }, 0
+    }
 
 
-def _cmd_prym_dice(args) -> tuple[dict, int]:
+def _cmd_prym_dice(args) -> dict:
     graph, involution = _load_graph(args.graph)
     if involution is None:
         raise InputError(f"{args.graph}: no involution block in graph file")
@@ -235,7 +237,7 @@ def _cmd_prym_dice(args) -> tuple[dict, int]:
         raise InputError(f"{args.graph}: {exc}") from exc
     result = {
         "lattice_rank": dicing.lattice.rank,
-        "lattice_basis": _matrix_json(dicing.lattice.basis),
+        "lattice_basis": _half_matrix_json(dicing.lattice.doubled),
         "multipliers": dicing.multipliers.as_dict(),
         "system": _matrix_json(dicing.system.matrix),
         "column_edges": [list(g) for g in dicing.column_edges],
@@ -248,10 +250,10 @@ def _cmd_prym_dice(args) -> tuple[dict, int]:
         "inputs": {"graph": args.graph},
         "result": result,
         "certificate": None,
-    }, 0
+    }
 
 
-def _cmd_vologodsky(args) -> tuple[dict, int]:
+def _cmd_vologodsky(args) -> dict:
     graph, involution = _load_graph(args.graph)
     if involution is None:
         raise InputError(f"{args.graph}: no involution block in graph file")
@@ -261,10 +263,10 @@ def _cmd_vologodsky(args) -> tuple[dict, int]:
         "inputs": {"graph": args.graph},
         "result": {"passed": res.passed},
         "certificate": _witness_json(res.witness),
-    }, 0
+    }
 
 
-def _cmd_check_tu(args) -> tuple[dict, int]:
+def _cmd_check_tu(args) -> dict:
     matrix = _load_int_matrix(args.matrix)
     cert = is_totally_unimodular(matrix)
     return {
@@ -272,10 +274,10 @@ def _cmd_check_tu(args) -> tuple[dict, int]:
         "inputs": {"matrix": args.matrix},
         "result": {"totally_unimodular": cert.is_tu},
         "certificate": _tu_json(cert),
-    }, 0
+    }
 
 
-def _cmd_check_cographic(args) -> tuple[dict, int]:
+def _cmd_check_cographic(args) -> dict:
     matrix = _load_int_matrix(args.matrix)
     try:
         system = UnimodularSystem(matrix)
@@ -296,10 +298,10 @@ def _cmd_check_cographic(args) -> tuple[dict, int]:
         "inputs": {"matrix": args.matrix},
         "result": {"cographic": cert.is_cographic},
         "certificate": _cographic_json(cert),
-    }, 0
+    }
 
 
-def _cmd_equiv(args) -> tuple[dict, int]:
+def _cmd_equiv(args) -> dict:
     ma = _load_int_matrix(args.matrix_a)
     mb = _load_int_matrix(args.matrix_b)
     try:
@@ -317,10 +319,10 @@ def _cmd_equiv(args) -> tuple[dict, int]:
         "inputs": {"matrix_a": args.matrix_a, "matrix_b": args.matrix_b},
         "result": {"equivalent": eq is not None, "verified": verified},
         "certificate": _equivalence_json(eq),
-    }, 0
+    }
 
 
-def _cmd_segre(args) -> tuple[dict, int]:
+def _cmd_segre(args) -> dict:
     f = fixture()
     basis_report = validate_basis_data(f)
     if args.verbose:
@@ -351,7 +353,7 @@ def _cmd_segre(args) -> tuple[dict, int]:
         "inputs": {"fixture": "builtin"},
         "result": result,
         "certificate": certificate,
-    }, 0
+    }
 
 
 def _global_flags(default) -> argparse.ArgumentParser:
@@ -431,7 +433,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, code = args.handler(args)
+        report = args.handler(args)
     except (InputError, GraphError, MatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -439,7 +441,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     _emit(report, args.json)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

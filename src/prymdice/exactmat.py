@@ -1,8 +1,9 @@
-"""Exact integer and half-integer matrix arithmetic.
+"""Exact integer matrix arithmetic.
 
-Everything here is computed over Z (or (1/2)Z) with Python's arbitrary
-precision integers; there is deliberately no floating point anywhere in
-this module.  The four workhorses are
+Everything here is computed over Z with Python's arbitrary precision
+integers; there is deliberately no floating point anywhere in this module.
+Half-integer matrices are held doubled, as integer rows, by their users.
+The four workhorses are
 
 * ``hnf`` -- row-style Hermite normal form with a unimodular witness,
   read off one Hermite pass over ``[M | I]``; ``hnf_basis`` (the canonical
@@ -92,9 +93,6 @@ class IntMatrix:
             sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in columns
         ))
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
-
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         row_idx = tuple(row_idx)
         col_idx = tuple(col_idx)
@@ -110,51 +108,6 @@ class IntMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"IntMatrix({self.rows}x{self.cols}: {body})"
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Matrix over (1/2)Z: integer numerator with a global denominator of 1 or 2.
-
-    Canonical form: if the denominator is 2 but every numerator entry is
-    even, the matrix is reduced to denominator 1.
-    """
-
-    numerator: IntMatrix
-    denominator: int = 1
-
-    def __post_init__(self):
-        if self.denominator not in (1, 2):
-            raise MatrixError("denominator must be 1 or 2")
-        if self.denominator == 2 and all(x % 2 == 0 for x in self.numerator.entries):
-            reduced = IntMatrix(
-                self.numerator.rows,
-                self.numerator.cols,
-                tuple(x // 2 for x in self.numerator.entries),
-            )
-            object.__setattr__(self, "numerator", reduced)
-            object.__setattr__(self, "denominator", 1)
-
-    @property
-    def rows(self) -> int:
-        return self.numerator.rows
-
-    @property
-    def cols(self) -> int:
-        return self.numerator.cols
-
-    def doubled(self) -> IntMatrix:
-        """The integer matrix 2 * self (exact)."""
-        if self.denominator == 2:
-            return self.numerator
-        return IntMatrix(
-            self.numerator.rows,
-            self.numerator.cols,
-            tuple(2 * x for x in self.numerator.entries),
-        )
-
-    def __repr__(self):
-        return f"RationalMatrix({self.numerator!r} / {self.denominator})"
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -412,11 +365,10 @@ def minors(M: IntMatrix):
 
 # ---------------------------------------------------------------------------
 # Text format: first line "rows cols", then one line of integers per row.
-# A RationalMatrix file carries an optional leading line "denominator 2".
 # ---------------------------------------------------------------------------
 
 
-def parse_matrix_text(text: str) -> IntMatrix | RationalMatrix:
+def parse_matrix_text(text: str) -> IntMatrix:
     """Parse the matrix text format; '#' comments and blank lines are skipped."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -425,24 +377,14 @@ def parse_matrix_text(text: str) -> IntMatrix | RationalMatrix:
             lines.append((lineno, stripped))
     if not lines:
         raise MatrixError("empty matrix file")
-    denominator = 1
-    pos = 0
-    first = lines[0][1].split()
-    if first[0] == "denominator":
-        if len(first) != 2 or first[1] not in ("1", "2"):
-            raise MatrixError(f"line {lines[0][0]}: bad denominator line")
-        denominator = int(first[1])
-        pos = 1
-    if pos >= len(lines):
-        raise MatrixError("missing size line")
-    header = lines[pos][1].split()
+    header = lines[0][1].split()
     if len(header) != 2:
-        raise MatrixError(f"line {lines[pos][0]}: expected 'rows cols'")
+        raise MatrixError(f"line {lines[0][0]}: expected 'rows cols'")
     try:
         nrows, ncols = int(header[0]), int(header[1])
     except ValueError:
-        raise MatrixError(f"line {lines[pos][0]}: expected 'rows cols'") from None
-    body = lines[pos + 1 :]
+        raise MatrixError(f"line {lines[0][0]}: expected 'rows cols'") from None
+    body = lines[1:]
     if len(body) != nrows:
         raise MatrixError(f"expected {nrows} data lines, found {len(body)}")
     rows = []
@@ -454,19 +396,11 @@ def parse_matrix_text(text: str) -> IntMatrix | RationalMatrix:
             rows.append([int(p) for p in parts])
         except ValueError:
             raise MatrixError(f"line {lineno}: non-integer entry") from None
-    matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, ncols, ())
-    if denominator == 1:
-        return matrix
-    return RationalMatrix(matrix, 2)
+    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, ncols, ())
 
 
-def format_matrix_text(M: IntMatrix | RationalMatrix) -> str:
-    lines = []
-    if isinstance(M, RationalMatrix):
-        if M.denominator == 2:
-            lines.append("denominator 2")
-        M = M.numerator
-    lines.append(f"{M.rows} {M.cols}")
+def format_matrix_text(M: IntMatrix) -> str:
+    lines = [f"{M.rows} {M.cols}"]
     for i in range(M.rows):
         lines.append(" ".join(str(x) for x in M.row(i)))
     return "\n".join(lines) + "\n"

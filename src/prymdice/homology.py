@@ -204,7 +204,7 @@ def collapse_columns(rows: list, edge_labels) -> tuple[IntMatrix, tuple, tuple]:
     return matrix, tuple(tuple(g) for g in groups), tuple(dropped)
 
 
-def cographic_dicing(G: MultiGraph, tree=None) -> DicingColumns:
+def cographic_dicing(G: MultiGraph) -> DicingColumns:
     """Edge-coordinate functionals restricted to the cycle lattice.
 
     Columns are expressed in the fundamental cycle basis (the transpose of
@@ -213,9 +213,9 @@ def cographic_dicing(G: MultiGraph, tree=None) -> DicingColumns:
     """
     if betti_number(G) == 0:
         raise GraphError("graph is a forest: cycle space is trivial, no dicing")
-    matrix, groups, dropped = collapse_columns(cycle_basis(G, tree).rows, G.edge_labels)
+    matrix, groups, dropped = collapse_columns(cycle_basis(G).rows, G.edge_labels)
     return DicingColumns(UnimodularSystem(matrix), groups, dropped)
 
 
-def cographic_dicing_system(G: MultiGraph, tree=None) -> UnimodularSystem:
-    return cographic_dicing(G, tree).system
+def cographic_dicing_system(G: MultiGraph) -> UnimodularSystem:
+    return cographic_dicing(G).system

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactmat import IntMatrix, RationalMatrix, hermite_lattice_contains, hnf_basis
+from .exactmat import IntMatrix, hermite_lattice_contains, hnf_basis
 from .graph import (
     CochainVector,
     GraphError,
@@ -37,19 +37,19 @@ def pi_minus(iota: GraphInvolution, h: CochainVector) -> CochainVector:
 
 
 class HalfLattice:
-    """Sublattice of (1/2)Z^E generated by the rows of a half-integer matrix.
+    """Sublattice of (1/2)Z^E, given by twice its generators as integer rows.
 
     The generators may be dependent.  ``doubled`` is the Hermite basis of
     twice the lattice inside Z^E, which is canonical, so two lattices agree
-    exactly when their ``doubled`` bases do; ``basis`` is its half.
+    exactly when their ``doubled`` bases do; its half is a basis of the
+    lattice.
     """
 
-    def __init__(self, graph: MultiGraph, generators: RationalMatrix):
-        if generators.cols != graph.num_edges:
+    def __init__(self, graph: MultiGraph, doubled_generators: IntMatrix):
+        if doubled_generators.cols != graph.num_edges:
             raise GraphError("basis width does not match the graph's edge count")
         self.graph = graph
-        self.doubled = hnf_basis(generators.doubled())
-        self.basis = RationalMatrix(self.doubled, 2)
+        self.doubled = hnf_basis(doubled_generators)
 
     @property
     def ambient_edges(self) -> tuple:
@@ -60,22 +60,15 @@ class HalfLattice:
         return self.doubled.rows
 
     def basis_vectors(self) -> tuple:
-        den = self.basis.denominator
         return tuple(
-            CochainVector(
-                self.graph,
-                [Fraction(x, den) for x in self.basis.numerator.row(i)],
-            )
-            for i in range(self.basis.rows)
+            CochainVector(self.graph, [Fraction(x, 2) for x in self.doubled.row(i)])
+            for i in range(self.rank)
         )
 
     def contains(self, v: CochainVector) -> bool:
         if v.graph is not self.graph and v.graph != self.graph:
             raise GraphError("cochain vector lives on a different graph than the lattice")
-        twice = [2 * c for c in v.coefficients]
-        if any(x.denominator != 1 for x in twice):
-            return False
-        return hermite_lattice_contains(self.doubled, twice)
+        return hermite_lattice_contains(self.doubled, [2 * c for c in v.coefficients])
 
     def same_lattice_as(self, other: "HalfLattice") -> bool:
         return (
@@ -89,14 +82,9 @@ class HalfLattice:
 
 def lattice_from_vectors(G: MultiGraph, vectors) -> HalfLattice:
     """HalfLattice generated by half-integral cochain vectors."""
-    rows = []
-    for v in vectors:
-        doubled = [2 * c for c in v.coefficients]
-        if any(x.denominator != 1 for x in doubled):
-            raise GraphError("generators must have half-integer coefficients")
-        rows.append([int(x) for x in doubled])
+    rows = [[int(2 * c) for c in v.coefficients] for v in vectors]
     generators = IntMatrix(len(rows), G.num_edges, tuple(x for row in rows for x in row))
-    return HalfLattice(G, RationalMatrix(generators, 2))
+    return HalfLattice(G, generators)
 
 
 def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
@@ -106,6 +94,8 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
     are integer rows: iota moves coordinate j to coordinate pj with sign
     sj, listed in ``moves`` as (j, pj, sj).
     """
+    if iota.graph != G:
+        raise GraphError("involution belongs to a different graph")
     moves = [
         (j, G.edge_index(iota.edge_map[lab]), iota.edge_sign[lab])
         for j, lab in enumerate(G.edge_labels)
@@ -118,7 +108,7 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
                 row[pj] -= sj * h[j]
         rows.append(row)
     generators = IntMatrix(len(rows), G.num_edges, tuple(x for row in rows for x in row))
-    lattice = HalfLattice(G, RationalMatrix(generators, 2))
+    lattice = HalfLattice(G, generators)
     for i in range(lattice.rank):
         row = lattice.doubled.row(i)
         if any(row[pj] != -sj * row[j] for j, pj, sj in moves):

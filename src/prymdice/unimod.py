@@ -236,7 +236,8 @@ def spanning_forest_count(G: MultiGraph) -> int:
     """Number of spanning forests with |V| - #components edges (Kirchhoff).
 
     A spanning forest is one spanning tree per component, so the count is
-    the product of the components' spanning-tree counts.
+    the product of the components' spanning-tree counts.  The counts bypass
+    the cache, which holds only the cographic search's components.
     """
     total = 1
     for comp in components(G):
@@ -246,7 +247,7 @@ def spanning_forest_count(G: MultiGraph) -> int:
             for _, t, h in G.edges
             if t in index and t != h
         ))
-        total *= _spanning_tree_count(pairs, len(index))
+        total *= _spanning_tree_count.__wrapped__(pairs, len(index))
     return total
 
 

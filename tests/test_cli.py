@@ -172,6 +172,32 @@ def test_parse_error_reports_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_half_integer_matrix_file_is_input_error(capsys, tmp_path):
+    p = tmp_path / "half.matrix"
+    p.write_text("denominator 2\n1 1\n1\n")
+    code, out, err = run(capsys, "check-tu", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {p}: line 1:")
+
+
+def test_integral_prym_lattice_has_denominator_one(capsys, tmp_path):
+    # the banana cover: iota swaps its two edges and fixes both vertices,
+    # so the anti-invariant lattice is spanned by the integral e - f
+    p = tmp_path / "banana.graph"
+    p.write_text(
+        "vertex u\nvertex v\nedge e u v\nedge f u v\niota_e e f\n"
+    )
+    code, out, _ = run(capsys, "--json", "prym-dice", str(p))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["lattice_basis"] == {
+        "rows": 1, "cols": 2, "denominator": 1, "entries": [[1, -1]],
+    }
+    assert result["multipliers"] == {"e": 1, "f": 1}
+    assert result["system"] == {"rows": 1, "cols": 1, "entries": [[1]]}
+
+
 def test_segre_command_deterministic(capsys):
     code1, out1, _ = run(capsys, "--json", "segre")
     code2, out2, _ = run(capsys, "--json", "segre")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from prymdice.exactmat import (
     IntMatrix,
     MatrixError,
-    RationalMatrix,
     det,
     format_matrix_text,
     hermite_lattice_contains,
@@ -204,16 +203,6 @@ def test_minors_match_cofactor_oracle_in_square_submatrices_order():
             assert d == cofactor_det([[rows[i][j] for j in c] for i in r])
 
 
-def test_rational_matrix_canonical_reduction():
-    even = RationalMatrix(M([[2, 4], [0, -6]]), 2)
-    assert even.denominator == 1
-    assert even.numerator == M([[1, 2], [0, -3]])
-    odd = RationalMatrix(M([[1, 2]]), 2)
-    assert odd.denominator == 2
-    with pytest.raises(MatrixError):
-        RationalMatrix(M([[1]]), 3)
-
-
 def test_hnf_basis_zero_matrix():
     b = hnf_basis(M([[0, 0], [0, 0]]))
     assert b.rows == 0
@@ -244,10 +233,6 @@ def test_hnf_basis_is_canonical_for_the_row_lattice(rows, rnd):
 def test_matrix_text_round_trip():
     m = M([[1, -2, 3], [0, 5, -6]])
     assert parse_matrix_text(format_matrix_text(m)) == m
-    r = RationalMatrix(M([[1, 3], [5, 7]]), 2)
-    again = parse_matrix_text(format_matrix_text(r))
-    assert isinstance(again, RationalMatrix)
-    assert again == r
 
 
 def test_matrix_text_comments_and_errors():

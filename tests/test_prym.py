@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymdice.exactmat import IntMatrix, RationalMatrix
+from prymdice.exactmat import IntMatrix
 from prymdice.graph import (
     CochainVector,
     GraphError,
@@ -95,6 +95,24 @@ def test_x_minus_rank_bounded_by_betti():
         assert x_minus(graph, inv).rank <= betti_number(graph)
 
 
+def test_x_minus_rejects_an_involution_of_another_graph():
+    # K4 with the involution a<->c, b<->d; reversing p gives a second graph
+    # on which that edge map would count rank 3 instead of the true 2
+    edges = [("e", "a", "b"), ("f", "c", "d"), ("g", "a", "c"),
+             ("h", "b", "d"), ("p", "a", "d"), ("q", "c", "b")]
+    g1 = MultiGraph(["a", "b", "c", "d"], edges)
+    iota = GraphInvolution(
+        g1,
+        {"a": "c", "c": "a", "b": "d", "d": "b"},
+        {"e": "f", "f": "e", "p": "q", "q": "p", "g": "g", "h": "h"},
+    )
+    g2 = MultiGraph(["a", "b", "c", "d"], edges[:4] + [("p", "d", "a"), edges[5]])
+    assert torus_rank(g1, iota) == 2
+    for call in (x_minus, torus_rank, prym_dicing):
+        with pytest.raises(GraphError, match="different graph"):
+            call(g2, iota)
+
+
 def test_multipliers_zero_lattice(triangle):
     lattice = x_minus(triangle, GraphInvolution.identity(triangle))
     mult = multipliers(lattice)
@@ -103,14 +121,14 @@ def test_multipliers_zero_lattice(triangle):
 
 def test_multipliers_full_integer_lattice():
     g = MultiGraph(["u", "v"], [("e", "u", "v"), ("f", "u", "v")])
-    lattice = HalfLattice(g, RationalMatrix(IntMatrix.identity(2), 1))
+    lattice = HalfLattice(g, IntMatrix.from_rows([[2, 0], [0, 2]]))
     mult = multipliers(lattice)
     assert mult.values == (1, 1)
 
 
 def test_multipliers_outside_model_rejected():
     g = MultiGraph(["u", "v"], [("e", "u", "v")])
-    lattice = HalfLattice(g, RationalMatrix(IntMatrix.from_rows([[3]]), 2))
+    lattice = HalfLattice(g, IntMatrix.from_rows([[3]]))
     with pytest.raises(GraphError):
         multipliers(lattice)
 
@@ -258,7 +276,7 @@ def test_half_lattice_reduces_dependent_generators():
     lattice = x_minus(g, iota)
     rows = lattice.doubled.row_list()
     generators = [[sum(col) for col in zip(*rows)]] + rows[::-1] + [[0] * g.num_edges]
-    regen = HalfLattice(g, RationalMatrix(IntMatrix.from_rows(generators), 2))
+    regen = HalfLattice(g, IntMatrix.from_rows(generators))
     assert regen.rank == lattice.rank == 5
     assert regen.doubled == lattice.doubled
     assert regen.same_lattice_as(lattice)
@@ -533,7 +551,7 @@ def test_x_minus_matches_projected_cycle_generators():
     for g, iota in covers:
         lattice = x_minus(g, iota)
         projected = [pi_minus(iota, h) for h in cycle_basis(g).basis]
-        assert lattice.basis == lattice_from_vectors(g, projected).basis
+        assert lattice.doubled == lattice_from_vectors(g, projected).doubled
 
 
 def test_prym_pipeline_on_census_covers_is_pinned():
@@ -542,7 +560,7 @@ def test_prym_pipeline_on_census_covers_is_pinned():
     found = []
     for g, iota in _census_covers():
         dicing = prym_dicing(g, iota)
-        doubled = dicing.lattice.basis.doubled()
+        doubled = dicing.lattice.doubled
         found.append((
             doubled.rows, doubled.entries, dicing.multipliers.values,
             dicing.system.matrix, dicing.column_edges, dicing.dropped_edges,

@@ -129,7 +129,7 @@ def test_x_minus_has_all_half_coordinates():
     # every edge coordinate takes half-integer values somewhere on the lattice
     f = fixture()
     lattice = x_minus(f.cover, f.involution)
-    doubled = lattice.basis.doubled()
+    doubled = lattice.doubled
     for j in range(doubled.cols):
         assert any(doubled.entry(i, j) % 2 for i in range(doubled.rows))
 

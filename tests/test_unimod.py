@@ -890,6 +890,17 @@ def test_forest_count_is_the_product_over_components():
     assert spanning_forest_count(banana) == 3 * 3
 
 
+def test_forest_count_leaves_the_tree_count_cache_alone():
+    before = unimod._spanning_tree_count.cache_info().currsize
+    counted = 0
+    for m in range(1, 9):
+        for g in eg.connected_multigraphs_any_order(m):
+            assert spanning_forest_count(g) >= 1
+            counted += 1
+    assert counted == 1672
+    assert unimod._spanning_tree_count.cache_info().currsize == before
+
+
 def test_e5_dual_representation_not_cographic_either():
     # [I | A] and [-A^T | I] represent dual column structures; the reference
     # system fails recognition under both, so the verdict does not depend on
