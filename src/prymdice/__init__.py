@@ -67,7 +67,6 @@ from .unimod import (
     TUCertificate,
     UnimodularSystem,
     bond_system,
-    dicing_is_lattice,
     e5,
     is_cographic,
     is_totally_unimodular,

@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Every subcommand builds one report dictionary and renders it either as
+Every subcommand handler returns a result and a certificate; ``main``
+wraps them in one report dictionary, with the subcommand as its stage
+and the subcommand's input files as its inputs, and renders it either as
 JSON (``--json``) or as an indented human-readable listing of the same
 data.  Mathematical verdicts, positive or negative, exit 0; only
 operational failures are nonzero:
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .exactmat import IntMatrix, MatrixError, parse_matrix_text
 from .graph import GraphError, parse_graph_text
@@ -36,26 +39,48 @@ class InputError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
+@contextmanager
+def _in_file(path: str):
+    """Report a bad input met inside the block as an error in ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        yield
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
+    except (GraphError, MatrixError, NotTotallyUnimodularError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_graph(path: str):
-    try:
-        return parse_graph_text(_read_text(path))
-    except GraphError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    with _in_file(path):
+        return parse_graph_text(_read_text(path))[0]
+
+
+def _load_cover(path: str):
+    """A graph file's graph and the involution it must carry."""
+    with _in_file(path):
+        graph, involution = parse_graph_text(_read_text(path))
+        if involution is None:
+            raise GraphError("no involution block in graph file")
+    return graph, involution
 
 
 def _load_int_matrix(path: str) -> IntMatrix:
-    try:
+    with _in_file(path):
         return parse_matrix_text(_read_text(path))
-    except MatrixError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+
+
+def _load_system(path: str) -> UnimodularSystem:
+    matrix = _load_int_matrix(path)
+    with _in_file(path):
+        try:
+            return UnimodularSystem(matrix)
+        except ValueError as exc:
+            raise MatrixError(f"not a valid system: {exc}") from exc
 
 
 def _matrix_json(M: IntMatrix) -> dict:
@@ -182,12 +207,12 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns its report dict
+# Subcommand handlers: each returns its report's result and certificate
 # ---------------------------------------------------------------------------
 
 
-def _cmd_cycles(args) -> dict:
-    graph, _ = _load_graph(args.graph)
+def _cmd_cycles(args):
+    graph = _load_graph(args.graph)
     tree = None
     if args.tree:
         tree = [t for t in args.tree.split(",") if t]
@@ -197,20 +222,13 @@ def _cmd_cycles(args) -> dict:
         "tree_edges": sorted(cb.tree_edges),
         "basis": [_vector_json(v) for v in cb.basis],
     }
-    return {
-        "stage": "cycles",
-        "inputs": {"graph": args.graph},
-        "result": result,
-        "certificate": None,
-    }
+    return result, None
 
 
-def _cmd_jacobian_dice(args) -> dict:
-    graph, _ = _load_graph(args.graph)
-    try:
+def _cmd_jacobian_dice(args):
+    graph = _load_graph(args.graph)
+    with _in_file(args.graph):
         detail = cographic_dicing(graph)
-    except GraphError as exc:
-        raise InputError(f"{args.graph}: {exc}") from exc
     tu = is_totally_unimodular(detail.system)
     result = {
         "dimension": detail.system.dim,
@@ -219,22 +237,13 @@ def _cmd_jacobian_dice(args) -> dict:
         "column_edges": [list(g) for g in detail.column_edges],
         "dropped_edges": list(detail.dropped_edges),
     }
-    return {
-        "stage": "jacobian-dice",
-        "inputs": {"graph": args.graph},
-        "result": result,
-        "certificate": _tu_json(tu),
-    }
+    return result, _tu_json(tu)
 
 
-def _cmd_prym_dice(args) -> dict:
-    graph, involution = _load_graph(args.graph)
-    if involution is None:
-        raise InputError(f"{args.graph}: no involution block in graph file")
-    try:
+def _cmd_prym_dice(args):
+    graph, involution = _load_cover(args.graph)
+    with _in_file(args.graph):
         dicing = prym_dicing(graph, involution)
-    except GraphError as exc:
-        raise InputError(f"{args.graph}: {exc}") from exc
     result = {
         "lattice_rank": dicing.lattice.rank,
         "lattice_basis": _half_matrix_json(dicing.lattice.doubled),
@@ -245,84 +254,44 @@ def _cmd_prym_dice(args) -> dict:
         "family_independent": dicing.family_independent,
         "vologodsky_witness": _witness_json(dicing.vologodsky_witness),
     }
-    return {
-        "stage": "prym-dice",
-        "inputs": {"graph": args.graph},
-        "result": result,
-        "certificate": None,
-    }
+    return result, None
 
 
-def _cmd_vologodsky(args) -> dict:
-    graph, involution = _load_graph(args.graph)
-    if involution is None:
-        raise InputError(f"{args.graph}: no involution block in graph file")
-    res = vologodsky_check(graph, involution)
-    return {
-        "stage": "vologodsky",
-        "inputs": {"graph": args.graph},
-        "result": {"passed": res.passed},
-        "certificate": _witness_json(res.witness),
-    }
+def _cmd_vologodsky(args):
+    res = vologodsky_check(*_load_cover(args.graph))
+    return {"passed": res.passed}, _witness_json(res.witness)
 
 
-def _cmd_check_tu(args) -> dict:
-    matrix = _load_int_matrix(args.matrix)
-    cert = is_totally_unimodular(matrix)
-    return {
-        "stage": "check-tu",
-        "inputs": {"matrix": args.matrix},
-        "result": {"totally_unimodular": cert.is_tu},
-        "certificate": _tu_json(cert),
-    }
+def _cmd_check_tu(args):
+    cert = is_totally_unimodular(_load_int_matrix(args.matrix))
+    return {"totally_unimodular": cert.is_tu}, _tu_json(cert)
 
 
-def _cmd_check_cographic(args) -> dict:
-    matrix = _load_int_matrix(args.matrix)
-    try:
-        system = UnimodularSystem(matrix)
-    except ValueError as exc:
-        raise InputError(f"{args.matrix}: not a valid system: {exc}") from exc
+def _cmd_check_cographic(args):
+    system = _load_system(args.matrix)
     if args.verbose:
         print(
             f"note: searching multigraphs with {system.size} edges and "
             f"incidence rank {system.dim}",
             file=sys.stderr,
         )
-    try:
+    with _in_file(args.matrix):
         cert = is_cographic(system, max_graphs=args.max_graphs)
-    except NotTotallyUnimodularError as exc:
-        raise InputError(f"{args.matrix}: {exc}") from exc
-    return {
-        "stage": "check-cographic",
-        "inputs": {"matrix": args.matrix},
-        "result": {"cographic": cert.is_cographic},
-        "certificate": _cographic_json(cert),
-    }
+    return {"cographic": cert.is_cographic}, _cographic_json(cert)
 
 
-def _cmd_equiv(args) -> dict:
-    ma = _load_int_matrix(args.matrix_a)
-    mb = _load_int_matrix(args.matrix_b)
-    try:
-        sa = UnimodularSystem(ma)
-        sb = UnimodularSystem(mb)
-    except ValueError as exc:
-        raise InputError(f"invalid system: {exc}") from exc
+def _cmd_equiv(args):
+    sa = _load_system(args.matrix_a)
+    sb = _load_system(args.matrix_b)
     try:
         eq = systems_equivalent(sa, sb)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     verified = eq is not None and verify_equivalence(sa, sb, eq)
-    return {
-        "stage": "equiv",
-        "inputs": {"matrix_a": args.matrix_a, "matrix_b": args.matrix_b},
-        "result": {"equivalent": eq is not None, "verified": verified},
-        "certificate": _equivalence_json(eq),
-    }
+    return {"equivalent": eq is not None, "verified": verified}, _equivalence_json(eq)
 
 
-def _cmd_segre(args) -> dict:
+def _cmd_segre(args):
     f = fixture()
     basis_report = validate_basis_data(f)
     if args.verbose:
@@ -348,12 +317,7 @@ def _cmd_segre(args) -> dict:
         "equivalence": _equivalence_json(report.equivalence),
         "reference_cographic": _cographic_json(report.e5_cographic),
     }
-    return {
-        "stage": "segre",
-        "inputs": {"fixture": "builtin"},
-        "result": result,
-        "certificate": certificate,
-    }
+    return result, certificate
 
 
 def _global_flags(default) -> argparse.ArgumentParser:
@@ -388,43 +352,26 @@ def build_parser() -> argparse.ArgumentParser:
     # default to unset, so a flag given before the subcommand is kept
     after = _global_flags(argparse.SUPPRESS)
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, parents=[after])
+    def command(name: str, handler, help: str, *inputs: str) -> argparse.ArgumentParser:
+        """A subcommand whose positional arguments ``inputs`` name its input files."""
+        p = sub.add_parser(name, help=help, parents=[after])
+        for arg in inputs:
+            p.add_argument(arg)
+        p.set_defaults(handler=handler, inputs=inputs)
+        return p
 
-    p = command("cycles", help="fundamental cycle basis of a graph")
-    p.add_argument("graph")
+    p = command("cycles", _cmd_cycles, "fundamental cycle basis of a graph", "graph")
     p.add_argument("--tree", help="comma-separated spanning forest edge labels")
-    p.set_defaults(handler=_cmd_cycles)
-
-    p = command("jacobian-dice", help="cycle-space dicing system of a graph")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_jacobian_dice)
-
-    p = command("prym-dice", help="anti-invariant dicing of a cover with involution")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_prym_dice)
-
-    p = command("vologodsky", help="family-independence criterion for a cover")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_vologodsky)
-
-    p = command("check-tu", help="total unimodularity of a matrix")
-    p.add_argument("matrix")
-    p.set_defaults(handler=_cmd_check_tu)
-
-    p = command("check-cographic", help="cographic recognition with certificate")
-    p.add_argument("matrix")
+    command("jacobian-dice", _cmd_jacobian_dice, "cycle-space dicing system of a graph", "graph")
+    command("prym-dice", _cmd_prym_dice, "anti-invariant dicing of a cover with involution", "graph")
+    command("vologodsky", _cmd_vologodsky, "family-independence criterion for a cover", "graph")
+    command("check-tu", _cmd_check_tu, "total unimodularity of a matrix", "matrix")
+    p = command("check-cographic", _cmd_check_cographic,
+                "cographic recognition with certificate", "matrix")
     p.add_argument("--max-graphs", type=_graph_cap, default=None)
-    p.set_defaults(handler=_cmd_check_cographic)
-
-    p = command("equiv", help="lattice equivalence of two systems")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.set_defaults(handler=_cmd_equiv)
-
-    p = command("segre", help="full pentagon double cover pipeline")
+    command("equiv", _cmd_equiv, "lattice equivalence of two systems", "matrix_a", "matrix_b")
+    p = command("segre", _cmd_segre, "full pentagon double cover pipeline")
     p.add_argument("--max-graphs", type=_graph_cap, default=None)
-    p.set_defaults(handler=_cmd_segre)
 
     return parser
 
@@ -433,13 +380,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args)
+        result, certificate = args.handler(args)
     except (InputError, GraphError, MatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SearchCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    # segre has no input file: it reads the fixture that ships with the package
+    inputs = {name: getattr(args, name) for name in args.inputs} or {"fixture": "builtin"}
+    report = {"stage": args.command, "inputs": inputs, "result": result, "certificate": certificate}
     _emit(report, args.json)
     return 0
 

@@ -361,7 +361,8 @@ def _disjoint_unions(parts, reps_of):
                 pairs.extend((u + offset, v + offset) for u, v in comp)
                 chosen.append(rep)
                 offset += nverts_comp
-        yield tuple(sorted(pairs)), offset, tuple(chosen)
+        # each component is sorted and the offsets rise, so pairs is sorted
+        yield tuple(pairs), offset, tuple(chosen)
 
 
 def pair_graphs_with_cycle_space_rank(nedges: int, rank: int):

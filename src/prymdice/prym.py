@@ -36,6 +36,13 @@ def pi_minus(iota: GraphInvolution, h: CochainVector) -> CochainVector:
     return (h - apply_involution(iota, h)).scaled(Fraction(1, 2))
 
 
+def _doubled_coefficients(G: MultiGraph, v: CochainVector) -> list:
+    """Twice the coefficients of ``v``, which must be a cochain on ``G``."""
+    if v.graph is not G and v.graph != G:
+        raise GraphError("cochain vector lives on a different graph than the lattice")
+    return [int(2 * c) for c in v.coefficients]
+
+
 class HalfLattice:
     """Sublattice of (1/2)Z^E, given by twice its generators as integer rows.
 
@@ -66,9 +73,7 @@ class HalfLattice:
         )
 
     def contains(self, v: CochainVector) -> bool:
-        if v.graph is not self.graph and v.graph != self.graph:
-            raise GraphError("cochain vector lives on a different graph than the lattice")
-        return hermite_lattice_contains(self.doubled, [2 * c for c in v.coefficients])
+        return hermite_lattice_contains(self.doubled, _doubled_coefficients(self.graph, v))
 
     def same_lattice_as(self, other: "HalfLattice") -> bool:
         return (
@@ -81,8 +86,8 @@ class HalfLattice:
 
 
 def lattice_from_vectors(G: MultiGraph, vectors) -> HalfLattice:
-    """HalfLattice generated by half-integral cochain vectors."""
-    rows = [[int(2 * c) for c in v.coefficients] for v in vectors]
+    """HalfLattice generated by half-integral cochain vectors on ``G``."""
+    rows = [_doubled_coefficients(G, v) for v in vectors]
     generators = IntMatrix(len(rows), G.num_edges, tuple(x for row in rows for x in row))
     return HalfLattice(G, generators)
 

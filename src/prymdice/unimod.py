@@ -90,13 +90,14 @@ class UnimodularSystem:
             raise ValueError("a unimodular system needs at least one row and column")
         if matrix.cols < matrix.rows:
             raise ValueError("a system needs at least as many vectors as its dimension")
-        for j in range(matrix.cols):
-            if all(x == 0 for x in matrix.column(j)):
+        columns = [matrix.column(j) for j in range(matrix.cols)]
+        for j, col in enumerate(columns):
+            if not any(col):
                 raise ValueError(f"zero column at index {j}")
         if not allow_repeats:
             seen = {}
-            for j in range(matrix.cols):
-                key = _sign_normalize(matrix.column(j))
+            for j, col in enumerate(columns):
+                key = _sign_normalize(col)
                 if key in seen:
                     raise ValueError(f"columns {seen[key]} and {j} are equal or opposite")
                 seen[key] = j
@@ -181,15 +182,6 @@ def is_totally_unimodular(S) -> TUCertificate:
         if d < -1 or d > 1:
             return TUCertificate(False, (row_idx, col_idx, d))
     return TUCertificate(True)
-
-
-def dicing_is_lattice(S) -> bool:
-    """Whether the hyperplane family of the system dices space into a lattice.
-
-    The intersection points of the hyperplanes form a lattice exactly when
-    the system is totally unimodular, so this simply renames the TU check.
-    """
-    return is_totally_unimodular(S).is_tu
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,21 @@ TRIANGLE = "vertex u\nvertex v\nvertex w\nedge a u v\nedge b v w\nedge c w u\n"
 
 NOT_TU = "2 2\n1 1\n1 -1\n"
 
+# the banana cover: iota swaps its two edges and fixes both vertices
+BANANA = "vertex u\nvertex v\nedge e u v\nedge f u v\niota_e e f\n"
+
 
 @pytest.fixture
 def triangle_file(tmp_path):
     p = tmp_path / "triangle.graph"
     p.write_text(TRIANGLE)
+    return str(p)
+
+
+@pytest.fixture
+def banana_file(tmp_path):
+    p = tmp_path / "banana.graph"
+    p.write_text(BANANA)
     return str(p)
 
 
@@ -181,14 +191,9 @@ def test_half_integer_matrix_file_is_input_error(capsys, tmp_path):
     assert err.startswith(f"error: {p}: line 1:")
 
 
-def test_integral_prym_lattice_has_denominator_one(capsys, tmp_path):
-    # the banana cover: iota swaps its two edges and fixes both vertices,
-    # so the anti-invariant lattice is spanned by the integral e - f
-    p = tmp_path / "banana.graph"
-    p.write_text(
-        "vertex u\nvertex v\nedge e u v\nedge f u v\niota_e e f\n"
-    )
-    code, out, _ = run(capsys, "--json", "prym-dice", str(p))
+def test_integral_prym_lattice_has_denominator_one(capsys, banana_file):
+    # the banana cover's anti-invariant lattice is spanned by the integral e - f
+    code, out, _ = run(capsys, "--json", "prym-dice", banana_file)
     assert code == 0
     result = json.loads(out)["result"]
     assert result["lattice_basis"] == {
@@ -196,6 +201,34 @@ def test_integral_prym_lattice_has_denominator_one(capsys, tmp_path):
     }
     assert result["multipliers"] == {"e": 1, "f": 1}
     assert result["system"] == {"rows": 1, "cols": 1, "entries": [[1]]}
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("cycles", {"graph": "triangle"}),
+    ("jacobian-dice", {"graph": "triangle"}),
+    ("prym-dice", {"graph": "banana"}),
+    ("vologodsky", {"graph": "banana"}),
+    ("check-tu", {"matrix": "e5"}),
+    ("check-cographic", {"matrix": "e5"}),
+    ("equiv", {"matrix_a": "e5", "matrix_b": "e5"}),
+    ("segre", {"fixture": "builtin"}),
+])
+def test_every_subcommand_prints_one_report_envelope(
+    capsys, triangle_file, banana_file, e5_file, command, inputs
+):
+    files = {"triangle": triangle_file, "banana": banana_file, "e5": e5_file}
+    inputs = {name: files.get(value, value) for name, value in inputs.items()}
+    paths = [path for path in inputs.values() if path in files.values()]
+    code, js, _ = run(capsys, "--json", command, *paths)
+    assert code == 0
+    data = json.loads(js)
+    assert data["stage"] == command
+    assert data["inputs"] == inputs
+    code, human, _ = run(capsys, command, *paths)
+    assert code == 0
+    top_level = [line.split(":")[0] for line in human.splitlines() if not line.startswith(" ")]
+    assert top_level == ["stage", "inputs", "result", "certificate"]
+    assert human.startswith(f"stage: {command}\ninputs:\n")
 
 
 def test_segre_command_deterministic(capsys):

@@ -239,15 +239,26 @@ def test_lattice_membership_and_equality():
     assert regen.same_lattice_as(lattice)
 
 
+def _twenty_edge_banana():
+    """Twenty parallel edges: the Segre cover's edge count on another graph."""
+    return MultiGraph(["p", "q"], [(f"b{i}", "p", "q") for i in range(20)])
+
+
 def test_lattice_membership_rejects_a_vector_on_another_graph():
     f = fixture()
     lattice = x_minus(f.cover, f.involution)
-    # twenty parallel edges: same edge count as the cover, different graph
-    banana = MultiGraph(["p", "q"], [(f"b{i}", "p", "q") for i in range(20)])
+    banana = _twenty_edge_banana()
     assert banana.num_edges == f.cover.num_edges
     with pytest.raises(GraphError, match="different graph"):
         lattice.contains(CochainVector.zero(banana))
     assert lattice.contains(CochainVector.zero(f.cover))
+
+
+def test_lattice_from_vectors_rejects_a_vector_on_another_graph():
+    f = fixture()
+    cycle = CochainVector.from_edge_dict(_twenty_edge_banana(), {"b0": 1, "b1": -1})
+    with pytest.raises(GraphError, match="different graph"):
+        lattice_from_vectors(f.cover, [*f.anti_invariant_basis, cycle])
 
 
 def test_lattice_membership_makes_no_hermite_pass(monkeypatch):

@@ -17,7 +17,6 @@ from prymdice.unimod import (
     _ColumnMatroid,
     bond_system,
     cut_space_matrix,
-    dicing_is_lattice,
     e5,
     is_cographic,
     is_totally_unimodular,
@@ -59,7 +58,6 @@ def test_e5_matrix_entries():
 
 def test_e5_is_totally_unimodular():
     assert is_totally_unimodular(e5()).is_tu
-    assert dicing_is_lattice(e5())
 
 
 def test_e5_matroid_profile():
@@ -89,7 +87,6 @@ def test_not_tu_witness_recomputes():
     submatrix = [[sub[i * k + j] for j in range(k)] for i in range(k)]
     assert cofactor_det(submatrix) == value
     assert abs(value) > 1
-    assert not dicing_is_lattice(M([[1, 1], [1, -1]]))
 
 
 def test_identity_is_tu():
