@@ -6,6 +6,14 @@ are equivalent when an integer change of basis (GL_n(Z)) plus a signed
 relabeling of the vectors carries one onto the other; this is exactly
 invariance under change of lattice basis and re-orientation of edges.
 
+Total unimodularity is decided by Ghouila-Houri's theorem: every subset
+of the rows (or of the columns, when there are fewer) must have a signing
+whose sum lies in {-1, 0, 1}^m.  Each vector is packed into one integer,
+so a signed sum is one addition, and a subset usually extends the stored
+signing of a smaller one.  That draws no minor; the minors are swept, in
+certificate order, only to cite the first violation of a matrix found
+not TU.
+
 Every system caches one column matroid, and that is the only source of
 independence data here.  The matroid is read off the system's standard
 form: one fraction-free Gauss-Jordan pass (``exactmat.gauss_jordan``)
@@ -158,7 +166,7 @@ def e5() -> UnimodularSystem:
 
 @dataclass(frozen=True)
 class TUCertificate:
-    """Verdict of the minor sweep; a violation cites the offending minor."""
+    """Total-unimodularity verdict; a violation cites the first offending minor."""
 
     is_tu: bool
     violating_minor: tuple | None = None  # (row indices, col indices, determinant)
@@ -169,19 +177,88 @@ def _as_matrix(S) -> IntMatrix:
 
 
 def is_totally_unimodular(S) -> TUCertificate:
-    """Exhaustive minor check: every square submatrix determinant in {-1, 0, 1}.
+    """Every square submatrix determinant in {-1, 0, 1}, decided by Ghouila-Houri.
 
-    Every minor is checked, by ascending size and lexicographic index sets
-    (the order of ``square_submatrices``), and the sweep stops at the first
-    violation, which the certificate cites.  The minors come from the
-    level-wise Laplace recurrence of ``exactmat.minors``: each is expanded
-    over smaller minors that already passed, so the integers stay small.
-    A cited minor can be recomputed independently from its index sets.
+    Ghouila-Houri's theorem (1962; Schrijver, Theory of Linear and Integer
+    Programming, Thm 19.3): a matrix is totally unimodular exactly when
+    every subset of its rows has a signing whose signed sum lies in
+    {-1, 0, 1}^m.  ``_equitably_signable`` tests that on the shorter side
+    (total unimodularity is invariant under transposition), so a TU verdict
+    draws no minor.  A not-TU verdict then sweeps the minors in the order of
+    ``square_submatrices`` (ascending size, lexicographic index sets) up to
+    the first violation, which the certificate cites; each minor comes from
+    the level-wise Laplace recurrence of ``exactmat.minors`` and can be
+    recomputed independently from its index sets.
     """
-    for row_idx, col_idx, d in minors(_as_matrix(S)):
+    M = _as_matrix(S)
+    if _equitably_signable(M):
+        return TUCertificate(True)
+    for row_idx, col_idx, d in minors(M):
         if d < -1 or d > 1:
             return TUCertificate(False, (row_idx, col_idx, d))
-    return TUCertificate(True)
+    raise RuntimeError("a subset has no equitable signing, yet every minor is in {-1, 0, 1}")
+
+
+def _equitably_signable(M: IntMatrix) -> bool:
+    """Whether every subset of M's rows, or of its columns if fewer, signs into {-1, 0, 1}.
+
+    A singleton's signing is the vector itself, so every entry must be in
+    {-1, 0, 1}; then each vector is packed into one int with a w-bit field
+    per coordinate, and a signed sum of at most k vectors is one integer
+    sum whose fields stay in (-2^(w-1), 2^(w-1)) without carrying into the
+    next field.  Its range is tested by masking high bits: adding ``high +
+    ones`` sets every field's high bit exactly when each coordinate is
+    >= -1, and adding ``high - 2 * ones`` clears them all exactly when each
+    is <= 1.
+    Subsets are visited in bitmask order.  Each first extends the stored
+    signed sum of the subset without its top vector by plus or minus that
+    vector, and searches all its signings only when both fail.
+    """
+    if any(x < -1 or x > 1 for x in M.entries):
+        return False
+    if M.rows <= M.cols:
+        vectors, m = [M.row(i) for i in range(M.rows)], M.cols
+    else:
+        vectors, m = [M.column(j) for j in range(M.cols)], M.rows
+    k = len(vectors)
+    w = (k + 2).bit_length() + 1  # |coordinate| <= k <= 2^(w-1) - 2
+    ones = sum(1 << w * j for j in range(m))
+    high = ones << (w - 1)
+    up, down = high + ones, high - 2 * ones
+    packed = [sum(x << w * j for j, x in enumerate(v)) for v in vectors]
+    signed = [0] * (1 << k)  # subset bitmask -> a signed sum in {-1, 0, 1}^m
+    for subset in range(1, 1 << k):
+        top = subset.bit_length() - 1
+        rest, v = signed[subset ^ 1 << top], packed[top]
+        for s in (rest + v, rest - v):
+            if (s + up) & ~(s + down) & high == high:
+                break
+        else:
+            s = _signed_sum_in_range(
+                [packed[i] for i in range(top + 1) if subset >> i & 1], up, down, high
+            )
+            if s is None:
+                return False
+        signed[subset] = s
+    return True
+
+
+def _signed_sum_in_range(vectors: list, up: int, down: int, high: int) -> int | None:
+    """A signed sum of the packed ``vectors`` with every field in {-1, 0, 1}, or None.
+
+    The first vector keeps its sign (negating a signing negates its sum);
+    the others flip one at a time in Gray-code order.
+    """
+    s = sum(vectors)
+    flips = [2 * v for v in vectors[1:]]
+    for g in range(1 << len(flips)):
+        if g:
+            b = (g & -g).bit_length() - 1
+            s -= flips[b]
+            flips[b] = -flips[b]
+        if (s + up) & ~(s + down) & high == high:
+            return s
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,16 @@ def test_jacobian_dice(capsys, triangle_file):
     assert data["certificate"]["totally_unimodular"] is True
 
 
+def test_jacobian_dice_on_the_shipped_cover(capsys):
+    # an 11 x 20 system: about 8.5e7 square minors, none of them drawn
+    path = os.path.join(os.path.dirname(prymdice.__file__), "data", "segre_cover.graph")
+    code, out, _ = run(capsys, "--json", "jacobian-dice", path)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["result"]["dimension"], data["result"]["columns"]) == (11, 20)
+    assert data["certificate"] == {"totally_unimodular": True}
+
+
 def test_prym_dice_and_vologodsky(capsys, cover_file):
     code, out, _ = run(capsys, "--json", "prym-dice", cover_file)
     assert code == 0

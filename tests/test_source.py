@@ -1,20 +1,43 @@
 """Checks on the library's source text."""
 
 import ast
+import sys
 from pathlib import Path
 
 import prymdice
 
 
+def _library_nodes():
+    sources = sorted(Path(prymdice.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path, node
+
+
 def test_library_has_no_assert_statements():
     # ``python -O`` strips assert statements, so a runtime check written as
     # one would vanish there; library checks raise exceptions instead
-    sources = sorted(Path(prymdice.__file__).parent.glob("*.py"))
-    assert len(sources) >= 10
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for path, node in _library_nodes()
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_imports_only_itself_and_the_standard_library():
+    # the package declares no runtime dependencies
+    imported = set()
+    for path, node in _library_nodes():
+        if isinstance(node, ast.Import):
+            imported.update((path.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add((path.name, node.module))
+    outside = sorted(
+        (name, module)
+        for name, module in imported
+        if module.split(".")[0] not in sys.stdlib_module_names | {"prymdice"}
+    )
+    assert outside == []
+    assert ("cli.py", "argparse") in imported

@@ -8,7 +8,7 @@ from prymdice.exactmat import IntMatrix, MatrixError, det, gauss_jordan
 from prymdice.graph import GraphError, MultiGraph
 from prymdice.homology import cographic_dicing_system
 from prymdice.prym import prym_dicing
-from prymdice.segre import fixture
+from prymdice.segre import build_cover, fixture
 from prymdice.unimod import (
     Equivalence,
     NotTotallyUnimodularError,
@@ -93,6 +93,20 @@ def test_identity_is_tu():
     assert is_totally_unimodular(IntMatrix.identity(4)).is_tu
 
 
+def _random_rows(rng, nr, nc):
+    density = rng.choice((0.2, 0.35, 0.5))
+    big = rng.choice((0.0, 0.0, 0.03))
+    return [
+        [
+            0 if rng.random() > density
+            else rng.choice((-2, 2)) if rng.random() < big
+            else rng.choice((-1, 1))
+            for _ in range(nc)
+        ]
+        for _ in range(nr)
+    ]
+
+
 def test_tu_agrees_with_definition_oracle():
     rng = seeded_rng(1)
     for _ in range(120):
@@ -100,6 +114,19 @@ def test_tu_agrees_with_definition_oracle():
         nc = rng.randint(1, 5)
         rows = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
         assert is_totally_unimodular(M(rows)).is_tu == tu_by_definition(rows)
+    # tall matrices, up to 7 x 3, are decided on their columns and wide
+    # ones, up to 6 x 9, on their rows
+    tall = [(nr, nc) for nr in range(2, 8) for nc in range(1, min(nr, 4)) if nr > nc]
+    wide = [(nr, nc) for nr in range(1, 7) for nc in range(max(nr, 6), 10)]
+    rng = seeded_rng(3)
+    verdicts = set()
+    for nr, nc in (tall + wide) * 4:
+        rows = _random_rows(rng, nr, nc)
+        cert = is_totally_unimodular(M(rows))
+        assert cert.is_tu == tu_by_definition(rows), rows
+        assert cert.violating_minor == first_violating_minor_by_definition(rows)
+        verdicts.add((nr > nc, cert.is_tu))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_tu_certificate_cites_the_first_violating_minor():
@@ -124,6 +151,54 @@ def test_tu_certificate_cites_the_first_violating_minor():
         assert cert.is_tu == (expected is None)
         verdicts.add((cert.is_tu, expected is not None and len(expected[0]) > 1))
     assert verdicts == {(True, False), (False, False), (False, True)}
+
+
+def test_tu_edge_cases():
+    assert is_totally_unimodular(IntMatrix(0, 3, ())).is_tu == tu_by_definition([]) is True
+    assert is_totally_unimodular(IntMatrix(3, 0, ())).is_tu
+    # an entry as wide as a packed field must not read as a carry
+    for rows in ([[8, -1]], [[1, 0], [-1, 16]], [[0, 1, -64, 1]]):
+        cert = is_totally_unimodular(M(rows))
+        assert cert.violating_minor == first_violating_minor_by_definition(rows) is not None
+    # odd cycles: every proper square submatrix of the incidence matrix is
+    # a forest's and unimodular, so the whole determinant 2 is the only
+    # violation, on both sides
+    for n in (3, 5):
+        cycle = [[int(j in (i, (i + 1) % n)) for j in range(n)] for i in range(n)]
+        for rows in (cycle, [r + [0, 0] for r in cycle]):
+            expected = (tuple(range(n)), tuple(range(n)), 2)
+            assert first_violating_minor_by_definition(rows) == expected
+            assert is_totally_unimodular(M(rows)).violating_minor == expected
+            cols = [list(c) for c in zip(*rows)]
+            assert is_totally_unimodular(M(cols)).violating_minor == expected
+
+
+def test_tu_verdicts_draw_no_minors(monkeypatch, k5):
+    drawn = []
+    real_minors = unimod.minors
+
+    def counting_minors(*args, **kwargs):
+        for item in real_minors(*args, **kwargs):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(unimod, "minors", counting_minors)
+    cover, _ = build_cover()
+    systems = [e5(), cographic_dicing_system(k5), cographic_dicing_system(cover)]
+    assert [(S.dim, S.size) for S in systems] == [(5, 10), (6, 10), (11, 20)]
+    for S in systems:
+        assert is_totally_unimodular(S).is_tu
+    assert drawn == []
+    # a refutation sweeps in certificate order up to the first violation:
+    # the four 1 x 1 minors, then the 2 x 2
+    assert is_totally_unimodular(M([[1, 1], [1, -1]])).violating_minor == ((0, 1), (0, 1), -2)
+    assert len(drawn) == 5
+
+
+def test_refutation_without_a_violating_minor_raises(monkeypatch):
+    monkeypatch.setattr(unimod, "_equitably_signable", lambda matrix: False)
+    with pytest.raises(RuntimeError):
+        is_totally_unimodular(IntMatrix.identity(3))
 
 
 # ---------------------------------------------------------------------------
