@@ -35,7 +35,6 @@ from .homology import (
     cographic_dicing,
     cographic_dicing_system,
     cycle_basis,
-    fundamental_cycle,
     is_cycle,
 )
 from .prym import (

@@ -99,14 +99,6 @@ def _half_matrix_json(doubled: IntMatrix) -> dict:
     }
 
 
-def _vector_json(v) -> dict:
-    out = {}
-    for lab, c in zip(v.graph.edge_labels, v.coefficients):
-        if c != 0:
-            out[lab] = str(c) if c.denominator != 1 else int(c)
-    return out
-
-
 def _witness_json(witness) -> dict | None:
     if witness is None:
         return None
@@ -220,7 +212,7 @@ def _cmd_cycles(args):
     result = {
         "betti_number": betti_number(graph),
         "tree_edges": sorted(cb.tree_edges),
-        "basis": [_vector_json(v) for v in cb.basis],
+        "basis": [{lab: x for lab, x in zip(graph.edge_labels, row) if x} for row in cb.rows],
     }
     return result, None
 

@@ -5,6 +5,9 @@ component, an edge per node, with parallel edges and loops permitted.
 An involution is an order-<=2 automorphism given by a vertex permutation
 and an edge permutation; each edge additionally carries a sign recording
 whether the involution preserves or reverses its chosen orientation.
+A cochain's half-integer coefficients are held doubled, as integers, like
+every other half-integer in the package; Fractions appear only at the
+edges, for input and display.
 """
 
 from __future__ import annotations
@@ -138,7 +141,9 @@ class GraphInvolution:
     the identity and be incidence-compatible.  ``edge_sign[e]`` is +1 when
     the image edge carries (tail, head) to (tail, head) and -1 when the
     orientation is reversed.  For a loop fixed by the involution both
-    readings agree and the sign is taken to be +1.
+    readings agree and the sign is taken to be +1.  ``edge_action[j]`` is
+    the pair (index of the image of edge j, sign of edge j): the one integer
+    form of the action on edge coordinates.
     """
 
     def __init__(self, graph: MultiGraph, vertex_map: dict, edge_map: dict):
@@ -158,7 +163,7 @@ class GraphInvolution:
                 raise GraphError(f"vertex map sends {v!r} outside the graph")
             if self.vertex_map[w] != v:
                 raise GraphError(f"vertex map is not an involution at {v!r}")
-        signs = {}
+        signs, action = {}, []
         for lab in graph.edge_labels:
             img = self.edge_map[lab]
             if img not in graph._edge_index:
@@ -177,7 +182,9 @@ class GraphInvolution:
                     f"edge map incidence mismatch: {lab!r} has image endpoints "
                     f"({it},{ih}) but {img!r} is ({jt},{jh})"
                 )
+            action.append((graph._edge_index[img], signs[lab]))
         self.edge_sign = signs
+        self.edge_action = tuple(action)
         for lab in graph.edge_labels:
             if signs[self.edge_map[lab]] != signs[lab]:
                 raise GraphError(f"orientation signs inconsistent on the orbit of {lab!r}")
@@ -200,75 +207,98 @@ class GraphInvolution:
         return f"GraphInvolution({swaps} vertex swaps on {self.graph!r})"
 
 
+def _doubled(c) -> int:
+    """Twice the half-integer ``c``, given as an int or anything Fraction reads."""
+    if type(c) is int:
+        return 2 * c
+    c = Fraction(c)
+    if c.denominator not in (1, 2):
+        raise GraphError(f"coefficient {c} is not a half-integer")
+    return c.numerator * (2 // c.denominator)
+
+
+def _edge_row(graph: MultiGraph, values) -> tuple:
+    """``values`` as a tuple, which must hold one entry per edge of ``graph``."""
+    row = tuple(values)
+    if len(row) != graph.num_edges:
+        raise GraphError(f"expected {graph.num_edges} coefficients, got {len(row)}")
+    return row
+
+
 class CochainVector:
-    """One half-integer coefficient per edge, in the graph's edge order."""
+    """One half-integer coefficient per edge, in the graph's edge order.
+
+    ``doubled`` holds twice the coefficients as integers; all arithmetic
+    runs on it.  ``coefficients`` and ``v[label]`` are Fraction views.
+    """
 
     def __init__(self, graph: MultiGraph, coefficients):
         self.graph = graph
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
-        if len(coeffs) != graph.num_edges:
-            raise GraphError(
-                f"expected {graph.num_edges} coefficients, got {len(coeffs)}"
-            )
-        for c in coeffs:
-            if c.denominator not in (1, 2):
-                raise GraphError(f"coefficient {c} is not a half-integer")
-        self.coefficients = coeffs
+        self.doubled = _edge_row(graph, (_doubled(c) for c in coefficients))
+
+    @classmethod
+    def from_doubled(cls, graph: MultiGraph, doubled) -> "CochainVector":
+        """The cochain whose coefficients are half the integers ``doubled``."""
+        v = cls.__new__(cls)
+        v.graph, v.doubled = graph, _edge_row(graph, doubled)
+        return v
 
     @classmethod
     def zero(cls, graph: MultiGraph) -> "CochainVector":
-        return cls(graph, (0,) * graph.num_edges)
+        return cls.from_doubled(graph, (0,) * graph.num_edges)
 
     @classmethod
     def from_edge_dict(cls, graph: MultiGraph, values: dict) -> "CochainVector":
-        coeffs = [Fraction(0)] * graph.num_edges
+        doubled = [0] * graph.num_edges
         for lab, c in values.items():
-            coeffs[graph.edge_index(lab)] = Fraction(c)
-        return cls(graph, coeffs)
+            doubled[graph.edge_index(lab)] = _doubled(c)
+        return cls.from_doubled(graph, doubled)
+
+    @property
+    def coefficients(self) -> tuple:
+        return tuple(Fraction(x, 2) for x in self.doubled)
 
     def __getitem__(self, label: str) -> Fraction:
-        return self.coefficients[self.graph.edge_index(label)]
+        return Fraction(self.doubled[self.graph.edge_index(label)], 2)
+
+    def doubled_on(self, graph: MultiGraph) -> tuple:
+        """``doubled``, after checking that the vector lives on ``graph``."""
+        if self.graph is not graph and self.graph != graph:
+            raise GraphError("cochain vector lives on a different graph")
+        return self.doubled
 
     def __add__(self, other: "CochainVector") -> "CochainVector":
-        self._check_compatible(other)
-        return CochainVector(
-            self.graph, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
+        pairs = zip(self.doubled, other.doubled_on(self.graph))
+        return CochainVector.from_doubled(self.graph, (a + b for a, b in pairs))
 
     def __sub__(self, other: "CochainVector") -> "CochainVector":
-        self._check_compatible(other)
-        return CochainVector(
-            self.graph, tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
-        )
+        pairs = zip(self.doubled, other.doubled_on(self.graph))
+        return CochainVector.from_doubled(self.graph, (a - b for a, b in pairs))
 
     def __neg__(self) -> "CochainVector":
-        return CochainVector(self.graph, tuple(-a for a in self.coefficients))
+        return CochainVector.from_doubled(self.graph, (-a for a in self.doubled))
 
-    def scaled(self, factor) -> "CochainVector":
-        f = Fraction(factor)
-        return CochainVector(self.graph, tuple(f * a for a in self.coefficients))
+    def scaled(self, factor: int) -> "CochainVector":
+        """The vector times an integer, which keeps it half-integral."""
+        if type(factor) is not int:
+            raise GraphError(f"scale factor {factor!r} is not an integer")
+        return CochainVector.from_doubled(self.graph, (factor * a for a in self.doubled))
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coefficients)
+        return all(x % 2 == 0 for x in self.doubled)
 
     def support(self) -> frozenset:
-        return frozenset(
-            lab for lab, c in zip(self.graph.edge_labels, self.coefficients) if c != 0
-        )
-
-    def _check_compatible(self, other: "CochainVector"):
-        if self.graph is not other.graph and self.graph != other.graph:
-            raise GraphError("cochain vectors live on different graphs")
+        return frozenset(lab for lab, x in zip(self.graph.edge_labels, self.doubled) if x)
 
     def __eq__(self, other):
         return (
             isinstance(other, CochainVector)
             and self.graph == other.graph
-            and self.coefficients == other.coefficients
+            and self.doubled == other.doubled
         )
 
     def __hash__(self):
-        return hash(self.coefficients)
+        return hash(self.doubled)
 
     def __repr__(self):
         terms = []
@@ -280,13 +310,10 @@ class CochainVector:
 
 def apply_involution(iota: GraphInvolution, v: CochainVector) -> CochainVector:
     """Push a cochain forward: coefficient of iota(e) = sign(e) * coefficient of e."""
-    if v.graph != iota.graph:
-        raise GraphError("cochain vector is indexed by a different graph")
-    G = iota.graph
-    out = [Fraction(0)] * G.num_edges
-    for lab, c in zip(G.edge_labels, v.coefficients):
-        out[G.edge_index(iota.edge_map[lab])] = iota.edge_sign[lab] * c
-    return CochainVector(G, out)
+    out = [0] * iota.graph.num_edges
+    for x, (k, s) in zip(v.doubled_on(iota.graph), iota.edge_action):
+        out[k] = s * x
+    return CochainVector.from_doubled(iota.graph, out)
 
 
 def involution_quotient(G: MultiGraph, iota: GraphInvolution) -> MultiGraph:

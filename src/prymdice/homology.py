@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .exactmat import IntMatrix
@@ -70,7 +69,9 @@ def _validate_spanning_forest(G: MultiGraph, tree_edges) -> frozenset:
 class CycleBasis:
     """Fundamental cycle basis with respect to a spanning forest.
 
-    ``rows`` holds one integer tuple per cycle, in the graph's edge order.
+    ``rows`` holds one integer tuple per cycle, in the graph's edge order;
+    the cycles follow their non-tree edges in that order, and each carries
+    +1 on its own non-tree edge.
     """
 
     graph: MultiGraph
@@ -97,23 +98,13 @@ def _forest_adjacency(G: MultiGraph, tree_edges) -> dict:
     return adj
 
 
-def fundamental_cycle(G: MultiGraph, tree_edges, label: str, sign: int = 1) -> CochainVector:
-    """The unique cycle supported on ``label`` plus forest edges.
-
-    The non-tree edge carries coefficient ``sign`` (+1 by default); forest
-    edges are signed by the direction the closing path traverses them.
-    """
-    if label in tree_edges:
-        raise GraphError(f"{label!r} is a tree edge; fundamental cycles need a non-tree edge")
-    adj = _forest_adjacency(G, tree_edges)
-    return CochainVector(G, _fundamental_cycle(G, adj, label, sign))
-
-
-def _fundamental_cycle(G: MultiGraph, adj: dict, label: str, sign: int) -> tuple:
-    """``fundamental_cycle`` as an integer row in the graph's edge order."""
+def _fundamental_cycle(G: MultiGraph, adj: dict, label: str) -> tuple:
+    """The unique cycle on the non-tree edge ``label`` plus forest edges, as
+    an integer row in the graph's edge order: +1 on ``label``, and each
+    forest edge signed by the direction the closing path traverses it."""
     tail, head = G.endpoints(label)
     row = [0] * G.num_edges
-    row[G.edge_index(label)] = sign
+    row[G.edge_index(label)] = 1
     if tail != head:
         prev = {head: None}
         queue = deque([head])
@@ -130,7 +121,7 @@ def _fundamental_cycle(G: MultiGraph, adj: dict, label: str, sign: int) -> tuple
         x = tail
         while prev[x] is not None:
             _, lab, s = prev[x]
-            row[G.edge_index(lab)] = sign * s
+            row[G.edge_index(lab)] = s
             x = prev[x][0]
     return tuple(row)
 
@@ -143,7 +134,7 @@ def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
         forest = _validate_spanning_forest(G, tree)
     adj = _forest_adjacency(G, forest)
     rows = tuple(
-        _fundamental_cycle(G, adj, lab, 1)
+        _fundamental_cycle(G, adj, lab)
         for lab in G.edge_labels
         if lab not in forest
     )
@@ -151,15 +142,13 @@ def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
 
 
 def is_cycle(G: MultiGraph, v: CochainVector) -> bool:
-    """True iff every signed vertex-incidence sum vanishes."""
-    boundary = {u: Fraction(0) for u in G.vertices}
-    for lab, c in zip(G.edge_labels, v.coefficients):
-        if c == 0:
-            continue
-        t, h = G.endpoints(lab)
-        boundary[h] += c
-        boundary[t] -= c
-    return all(x == 0 for x in boundary.values())
+    """True iff every signed vertex-incidence sum vanishes; ``v`` must live
+    on ``G``."""
+    boundary = dict.fromkeys(G.vertices, 0)
+    for (_, t, h), x in zip(G.edges, v.doubled_on(G)):
+        boundary[h] += x
+        boundary[t] -= x
+    return not any(boundary.values())
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,14 @@ rescaled by per-edge multipliers so they surject onto Z, dice that
 lattice's real span; the resulting unimodular system is the combinatorial
 shadow of the degenerating family.
 
-All half-integer work is done exactly by computing on the doubled lattice
-inside Z^E and dividing at the end.
+All half-integer work is exact integer work on doubled values: a lattice
+is twice itself inside Z^E, a cochain carries its ``doubled`` integers,
+and the involution acts through its integer ``edge_action``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .exactmat import IntMatrix, hermite_lattice_contains, hnf_basis
@@ -30,17 +30,12 @@ from .unimod import UnimodularSystem
 
 
 def pi_minus(iota: GraphInvolution, h: CochainVector) -> CochainVector:
-    """Anti-invariant projection (h - iota(h)) / 2 of an integral cycle."""
+    """Anti-invariant projection (h - iota(h)) / 2 of an integral cycle,
+    made by halving the doubled coefficients of h - iota(h), all even."""
     if not h.is_integral():
         raise GraphError("anti-invariant projection requires integer coefficients")
-    return (h - apply_involution(iota, h)).scaled(Fraction(1, 2))
-
-
-def _doubled_coefficients(G: MultiGraph, v: CochainVector) -> list:
-    """Twice the coefficients of ``v``, which must be a cochain on ``G``."""
-    if v.graph is not G and v.graph != G:
-        raise GraphError("cochain vector lives on a different graph than the lattice")
-    return [int(2 * c) for c in v.coefficients]
+    twice = (h - apply_involution(iota, h)).doubled
+    return CochainVector.from_doubled(h.graph, (x // 2 for x in twice))
 
 
 class HalfLattice:
@@ -68,16 +63,17 @@ class HalfLattice:
 
     def basis_vectors(self) -> tuple:
         return tuple(
-            CochainVector(self.graph, [Fraction(x, 2) for x in self.doubled.row(i)])
+            CochainVector.from_doubled(self.graph, self.doubled.row(i))
             for i in range(self.rank)
         )
 
     def contains(self, v: CochainVector) -> bool:
-        return hermite_lattice_contains(self.doubled, _doubled_coefficients(self.graph, v))
+        return hermite_lattice_contains(self.doubled, v.doubled_on(self.graph))
 
     def same_lattice_as(self, other: "HalfLattice") -> bool:
+        """Equal lattices on the same graph."""
         return (
-            self.graph.edge_labels == other.graph.edge_labels
+            (self.graph is other.graph or self.graph == other.graph)
             and self.doubled == other.doubled
         )
 
@@ -87,7 +83,7 @@ class HalfLattice:
 
 def lattice_from_vectors(G: MultiGraph, vectors) -> HalfLattice:
     """HalfLattice generated by half-integral cochain vectors on ``G``."""
-    rows = [_doubled_coefficients(G, v) for v in vectors]
+    rows = [v.doubled_on(G) for v in vectors]
     generators = IntMatrix(len(rows), G.num_edges, tuple(x for row in rows for x in row))
     return HalfLattice(G, generators)
 
@@ -96,27 +92,24 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
     """Image of the integral cycle lattice under the anti-invariant projection.
 
     Works on the doubled projections 2 * pi_minus(h) = h - iota(h), which
-    are integer rows: iota moves coordinate j to coordinate pj with sign
-    sj, listed in ``moves`` as (j, pj, sj).
+    are integer rows: iota moves coordinate j to coordinate k with sign s,
+    where (k, s) = ``iota.edge_action[j]``.
     """
     if iota.graph != G:
         raise GraphError("involution belongs to a different graph")
-    moves = [
-        (j, G.edge_index(iota.edge_map[lab]), iota.edge_sign[lab])
-        for j, lab in enumerate(G.edge_labels)
-    ]
+    action = iota.edge_action
     rows = []
     for h in cycle_basis(G).rows:
         row = list(h)
-        for j, pj, sj in moves:
-            if h[j]:
-                row[pj] -= sj * h[j]
+        for x, (k, s) in zip(h, action):
+            if x:
+                row[k] -= s * x
         rows.append(row)
     generators = IntMatrix(len(rows), G.num_edges, tuple(x for row in rows for x in row))
     lattice = HalfLattice(G, generators)
     for i in range(lattice.rank):
         row = lattice.doubled.row(i)
-        if any(row[pj] != -sj * row[j] for j, pj, sj in moves):
+        if any(row[k] != -s * x for x, (k, s) in zip(row, action)):
             raise GraphError("internal error: lattice basis vector is not anti-invariant")
     return lattice
 

@@ -30,7 +30,7 @@ from .graph import (
     involution_quotient,
     parse_graph_text,
 )
-from .homology import fundamental_cycle, is_cycle
+from .homology import cycle_basis, is_cycle
 from .prym import (
     PrymDicing,
     lattice_from_vectors,
@@ -116,9 +116,9 @@ def fixture() -> SegreFixture:
     for v in cover.vertices:
         if cover.degree(v) != 4:
             raise GraphError(f"fixture vertex {v} has degree {cover.degree(v)}, expected 4")
-    basis = tuple(
-        fundamental_cycle(cover, TREE_EDGES, lab, sign) for lab, sign in _CYCLE_SPECS
-    )
+    non_tree = [lab for lab in cover.edge_labels if lab not in TREE_EDGES]
+    by_edge = dict(zip(non_tree, cycle_basis(cover, TREE_EDGES).basis))
+    basis = tuple(by_edge[lab].scaled(sign) for lab, sign in _CYCLE_SPECS)
     for (lab, _), vec in zip(_CYCLE_SPECS, basis):
         if not is_cycle(cover, vec):
             raise GraphError(f"fixture cycle at {lab} is not a cycle")
@@ -148,16 +148,10 @@ def validate_basis_data(f: SegreFixture) -> BasisReport:
     """Check every recorded datum exactly; raises naming the offender."""
     for i, vec in enumerate(f.homology_basis):
         if not is_cycle(f.cover, vec):
-            bad = next(
-                lab
-                for lab, c in zip(f.cover.edge_labels, vec.coefficients)
-                if c != 0
-            )
+            bad = next(lab for lab, x in zip(f.cover.edge_labels, vec.doubled) if x)
             raise GraphError(f"basis vector {i} is not a cycle (support starts at {bad})")
-    coeff = IntMatrix.from_rows(
-        [[int(c) for c in v.coefficients] for v in f.homology_basis]
-    )
-    hrank = matrix_rank(coeff)
+    # doubling the rows leaves the rank unchanged
+    hrank = matrix_rank(IntMatrix.from_rows([v.doubled for v in f.homology_basis]))
     if hrank != 11:
         raise GraphError(f"homology basis has rank {hrank}, expected 11")
     identities = []
@@ -189,17 +183,18 @@ def dicing_matrix_in_generator_basis(f: SegreFixture) -> IntMatrix:
     over the ten unprimed edges; a sign-retaining reading of incidence
     between generators and edges.  Equivalent to the HNF-basis system.
     """
-    base_labels = [lab for lab in f.cover.edge_labels if not lab.endswith("'")]
+    labels = f.cover.edge_labels
+    base = [j for j, lab in enumerate(labels) if not lab.endswith("'")]
     lattice = lattice_from_vectors(f.cover, f.anti_invariant_basis)
-    mult = edge_multipliers(lattice)
+    mult = edge_multipliers(lattice).values
     rows = []
     for gen in f.anti_invariant_basis:
         row = []
-        for lab in base_labels:
-            value = gen[lab] * mult[lab]
-            if value.denominator != 1:
-                raise GraphError(f"internal error: dicing entry at {lab} is not integral")
-            row.append(int(value))
+        for j in base:
+            twice = gen.doubled[j] * mult[j]
+            if twice % 2:
+                raise GraphError(f"internal error: dicing entry at {labels[j]} is not integral")
+            row.append(twice // 2)
         rows.append(row)
     return IntMatrix.from_rows(rows)
 

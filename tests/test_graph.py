@@ -148,6 +148,28 @@ def test_cochain_denominator_restriction():
         CochainVector(g, [Fraction(1, 3)])
 
 
+def test_cochain_holds_doubled_integers():
+    g = MultiGraph(["u", "v"], [("e", "u", "v"), ("f", "u", "v")])
+    v = CochainVector(g, [Fraction(-1, 2), 3])
+    assert v.doubled == (-1, 6)
+    assert v == CochainVector.from_doubled(g, (-1, 6))
+    assert v.coefficients == (Fraction(-1, 2), 3)
+    assert v["e"] == Fraction(-1, 2)
+    assert not v.is_integral() and v.scaled(2).is_integral()
+    assert (v - v).support() == frozenset() and (v + v).support() == {"e", "f"}
+    with pytest.raises(GraphError, match="not an integer"):
+        v.scaled(Fraction(1, 2))
+    with pytest.raises(GraphError, match="expected 2 coefficients"):
+        CochainVector.from_doubled(g, (1,))
+
+
+def test_edge_action_pairs_each_edge_with_its_image_and_sign():
+    g, iota = build_cover()
+    assert iota.edge_action == tuple(
+        (g.edge_index(iota.edge_map[lab]), iota.edge_sign[lab]) for lab in g.edge_labels
+    )
+
+
 def test_involution_quotient_of_cover_is_k5():
     g, iota = build_cover()
     q = involution_quotient(g, iota)

@@ -8,7 +8,6 @@ from prymdice.homology import (
     cographic_dicing_system,
     cycle_basis,
     default_spanning_forest,
-    fundamental_cycle,
     is_cycle,
 )
 from prymdice.segre import TREE_EDGES, build_cover
@@ -52,14 +51,16 @@ def test_invalid_tree_rejected(triangle):
 
 
 def test_fundamental_cycle_structure(k5):
-    forest = default_spanning_forest(k5)
-    nontree = [lab for lab in k5.edge_labels if lab not in forest][0]
-    v = fundamental_cycle(k5, forest, nontree)
-    assert v[nontree] == 1
-    assert is_cycle(k5, v)
-    for lab in k5.edge_labels:
-        if lab not in forest and lab != nontree:
-            assert v[lab] == 0
+    cb = cycle_basis(k5)
+    assert cb.tree_edges == default_spanning_forest(k5)
+    nontree = [lab for lab in k5.edge_labels if lab not in cb.tree_edges]
+    assert len(nontree) == cb.rank
+    for own, v in zip(nontree, cb.basis):
+        assert v[own] == 1
+        assert is_cycle(k5, v)
+        for lab in nontree:
+            if lab != own:
+                assert v[lab] == 0
 
 
 def test_basis_coefficient_matrix_rank_formula():
@@ -75,6 +76,14 @@ def test_basis_coefficient_matrix_rank_formula():
 def test_is_cycle_rejects_single_edge(triangle):
     v = CochainVector.from_edge_dict(triangle, {"a": 1})
     assert not is_cycle(triangle, v)
+
+
+def test_is_cycle_rejects_a_vector_on_another_graph(triangle):
+    # on the banana the first two coefficients would read as a cycle
+    banana = MultiGraph(["p", "q"], [("e", "p", "q"), ("f", "p", "q")])
+    v = CochainVector(triangle, [1, -1, 0])
+    with pytest.raises(GraphError, match="different graph"):
+        is_cycle(banana, v)
 
 
 def test_triangle_dicing_collapses_to_unit(triangle):

@@ -261,6 +261,18 @@ def test_lattice_from_vectors_rejects_a_vector_on_another_graph():
         lattice_from_vectors(f.cover, [*f.anti_invariant_basis, cycle])
 
 
+def test_lattices_on_different_graphs_differ():
+    # the same labels e, f and the same generator [1, -1] on two graphs
+    banana = MultiGraph(["u", "v"], [("e", "u", "v"), ("f", "u", "v")])
+    path = MultiGraph(["u", "v", "w"], [("e", "u", "v"), ("f", "v", "w")])
+    on_banana = lattice_from_vectors(banana, [CochainVector(banana, [1, -1])])
+    on_path = lattice_from_vectors(path, [CochainVector(path, [1, -1])])
+    assert on_banana.doubled == on_path.doubled
+    assert not on_banana.same_lattice_as(on_path)
+    twin = MultiGraph(banana.vertices, banana.edges)
+    assert on_banana.same_lattice_as(lattice_from_vectors(twin, [CochainVector(twin, [1, -1])]))
+
+
 def test_lattice_membership_makes_no_hermite_pass(monkeypatch):
     from prymdice import exactmat, prym
 

@@ -1,5 +1,7 @@
 
 
+from fractions import Fraction
+
 import pytest
 
 from prymdice import segre
@@ -144,3 +146,22 @@ def test_non_integral_dicing_entry_raises(monkeypatch):
     monkeypatch.setattr(segre, "edge_multipliers", all_ones)
     with pytest.raises(GraphError, match="internal error"):
         dicing_matrix_in_generator_basis(fixture())
+
+
+def test_segre_path_builds_no_fraction(monkeypatch):
+    # cochains hold doubled integers, so the fixture, its validation and the
+    # report build no Fraction; Fraction cochains built 1,701 here
+    original = vars(Fraction)["__new__"]
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    f = fixture()
+    validate_basis_data(f)
+    degeneration_report(f)
+    assert built == []
+    Fraction(1, 2)
+    assert built == [(1, 2)]

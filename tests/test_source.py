@@ -26,14 +26,20 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_library_imports_only_itself_and_the_standard_library():
-    # the package declares no runtime dependencies
+def _imported_modules():
+    """(file name, module) for every absolute import in the library."""
     imported = set()
     for path, node in _library_nodes():
         if isinstance(node, ast.Import):
             imported.update((path.name, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add((path.name, node.module))
+    return imported
+
+
+def test_library_imports_only_itself_and_the_standard_library():
+    # the package declares no runtime dependencies
+    imported = _imported_modules()
     outside = sorted(
         (name, module)
         for name, module in imported
@@ -41,3 +47,10 @@ def test_library_imports_only_itself_and_the_standard_library():
     )
     assert outside == []
     assert ("cli.py", "argparse") in imported
+
+
+def test_only_graph_imports_fractions():
+    # half-integers are held doubled as integers; Fractions appear only in
+    # graph.py, where cochains read input and show their coefficients
+    importers = {name for name, module in _imported_modules() if module == "fractions"}
+    assert importers == {"graph.py"}
