@@ -311,8 +311,10 @@ def _connected_reps(nedges: int, loops: bool) -> list:
     ]
 
 
-def _component_specs(nedges: int, rank: int):
-    """Multisets of (edges, rank) component shapes with the given totals.
+@lru_cache(maxsize=None)
+def _component_specs(nedges: int, rank: int) -> tuple:
+    """Multisets of (edges, rank) component shapes with the given totals,
+    fewest components first, then in lexicographic order.
 
     Each component is connected and loopless with at least one edge, so its
     rank (vertices - 1) is >= 1 and <= its edge count.
@@ -332,7 +334,7 @@ def _component_specs(nedges: int, rank: int):
                 for rest in rec(e_left - e, r_left - r, shape):
                     yield (shape,) + rest
 
-    yield from rec(nedges, rank, (nedges, rank))
+    return tuple(sorted(rec(nedges, rank, (nedges, rank)), key=lambda s: (len(s), s)))
 
 
 def _disjoint_unions(parts, reps_of):
@@ -379,7 +381,7 @@ def pair_graphs_with_cycle_space_rank(nedges: int, rank: int):
         nedges_comp, rank_comp = shape
         return [(p, rank_comp + 1) for p in connected_multigraphs(nedges_comp, rank_comp + 1)]
 
-    for shape_list in sorted(_component_specs(nedges, rank), key=lambda s: (len(s), s)):
+    for shape_list in _component_specs(nedges, rank):
         yield from _disjoint_unions(shape_list, reps_of)
 
 

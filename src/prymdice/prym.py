@@ -190,7 +190,19 @@ class VologodskyResult:
 
 def _connected_orbit_unions(orbits, orbit_adjacency, adjacency, cuts):
     """Every union of vertex orbits that induces a connected subgraph, as
-    (orbit mask, vertex mask, cut mask) triples in no particular order.
+    (orbit mask, vertex mask, cut mask) triples in no particular order:
+    those of ``_unions_from`` each root in turn."""
+    return [
+        union
+        for root in range(len(orbits))
+        for union in _unions_from(root, orbits, orbit_adjacency, adjacency, cuts)
+    ]
+
+
+def _unions_from(root, orbits, orbit_adjacency, adjacency, cuts):
+    """Yield every union of vertex orbits whose least orbit is ``root`` and
+    that induces a connected subgraph, as (orbit mask, vertex mask, cut
+    mask) triples.
 
     ``orbits[i]`` holds the vertex bits of orbit i, ``orbit_adjacency[i]``
     its neighbours in the orbit quotient, ``adjacency`` maps a vertex bit
@@ -209,37 +221,35 @@ def _connected_orbit_unions(orbits, orbit_adjacency, adjacency, cuts):
     reaches touch the other half.
     """
     orbit_vertices = [sum(bits) for bits in orbits]
-    out = []
-    for root, root_bits in enumerate(orbits):
-        below = (1 << root) - 1
-        comp, reach = _join(root_bits[0], adjacency[root_bits[0]], root_bits, adjacency)
-        stack = [(
-            1 << root, orbit_vertices[root], comp, reach, cuts[root],
-            orbit_adjacency[root] & ~below & ~(1 << root), below,
-        )]
-        while stack:
-            mask, vertices, comp, reach, cut, frontier, barred = stack.pop()
-            connected = comp == vertices
+    below = (1 << root) - 1
+    root_bits = orbits[root]
+    comp, reach = _join(root_bits[0], adjacency[root_bits[0]], root_bits, adjacency)
+    stack = [(
+        1 << root, orbit_vertices[root], comp, reach, cuts[root],
+        orbit_adjacency[root] & ~below & ~(1 << root), below,
+    )]
+    while stack:
+        mask, vertices, comp, reach, cut, frontier, barred = stack.pop()
+        connected = comp == vertices
+        if connected:
+            yield mask, vertices, cut
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            i = bit.bit_length() - 1
+            grown = mask | bit
+            grown_vertices = vertices | orbit_vertices[i]
             if connected:
-                out.append((mask, vertices, cut))
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                i = bit.bit_length() - 1
-                grown = mask | bit
-                grown_vertices = vertices | orbit_vertices[i]
-                if connected:
-                    grown_comp, grown_reach = grown_vertices, 0
-                else:
-                    grown_comp, grown_reach = _join(comp, reach, orbits[i], adjacency)
-                    if grown_reach & vertices & ~comp:
-                        grown_comp = grown_vertices
-                stack.append((
-                    grown, grown_vertices, grown_comp, grown_reach, cut ^ cuts[i],
-                    frontier | (orbit_adjacency[i] & ~grown & ~barred), barred,
-                ))
-                barred |= bit
-    return out
+                grown_comp, grown_reach = grown_vertices, 0
+            else:
+                grown_comp, grown_reach = _join(comp, reach, orbits[i], adjacency)
+                if grown_reach & vertices & ~comp:
+                    grown_comp = grown_vertices
+            stack.append((
+                grown, grown_vertices, grown_comp, grown_reach, cut ^ cuts[i],
+                frontier | (orbit_adjacency[i] & ~grown & ~barred), barred,
+            ))
+            barred |= bit
 
 
 def _join(comp, reach, new_bits, adjacency):
@@ -256,6 +266,18 @@ def _join(comp, reach, new_bits, adjacency):
     return comp, reach
 
 
+def _component(seed, within, adjacency):
+    """The vertices of ``within`` that the vertex bits ``seed`` reach inside it."""
+    comp = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adjacency[low] & within & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
 def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     """Family-independence criterion for the cell decomposition.
 
@@ -263,6 +285,30 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     joined by at least four edges; the witness returned is the first such
     pair in a fixed deterministic order (invariant vertex subsets are
     unions of vertex orbits, scanned in ascending bitmask order).
+
+    The verdict comes from a smaller search.  Call a component K of G
+    invariant when iota(K) = K, and call the edges with exactly one end in
+    a vertex set A (loops not counted) the cut of A.
+
+    Lemma.  G has two disjoint, connected, invariant vertex sets joined by
+    at least 4 edges if and only if some invariant component K is the
+    disjoint union of two vertex sets A and B, both connected and
+    invariant, with at least 4 edges in the cut of A.
+
+    Proof.  Such a split is such a pair: K is a component, so every edge
+    of A's cut joins A to B.  Conversely, start from a valid pair (A, B).
+    Replace B by its component C in G - A.  C is invariant, because iota
+    permutes the components of G - A and fixes B.  Then replace A by its
+    component A' in G - C, invariant in the same way.  Neither step loses
+    a crossing edge.  Every neighbour of C outside C lies in A, which lies
+    in A', and every neighbour of A' outside A' lies in C, so the union of
+    A' and C is connected and closed under adjacency: one component of G.
+    It is invariant, so it is one of the K above, split into A' and C.
+
+    Either part of a split may be taken as A, so the search walks only
+    the connected orbit unions A that hold K's least orbit, and stops at
+    the first with at least 4 cut edges, A != K and K - A connected.  Only
+    a failing graph goes on to the scan of all union pairs for the witness.
 
     Vertex and edge sets are bitmasks over ``G.vertices`` and ``G.edges``.
     The edges joining two disjoint vertex sets are the edges in both cuts.
@@ -298,6 +344,25 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     for _, t, h in G.edges:
         orbit_adjacency[orbit_of[t]] |= 1 << orbit_of[h]
         orbit_adjacency[orbit_of[h]] |= 1 << orbit_of[t]
+    unplaced = (1 << len(G.vertices)) - 1
+    while unplaced:
+        # orbits are numbered by their first vertex, so the orbit of K's
+        # least vertex is K's least orbit when K is invariant
+        v = G.vertices[(unplaced & -unplaced).bit_length() - 1]
+        component = _component(bit[v], unplaced, adjacency)
+        unplaced ^= component
+        if not bit[iota.vertex_map[v]] & component:
+            continue
+        for _, part, cut in _unions_from(orbit_of[v], orbits, orbit_adjacency, adjacency, cuts):
+            rest = component ^ part
+            if cut.bit_count() >= 4 and rest and _component(rest & -rest, rest, adjacency) == rest:
+                return VologodskyResult(False, _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts))
+    return VologodskyResult(True)
+
+
+def _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts) -> VologodskyWitness:
+    """The first pair of disjoint connected orbit unions joined by at least
+    4 edges, unions sorted by orbit mask and the second after the first."""
     unions = sorted(_connected_orbit_unions(orbits, orbit_adjacency, adjacency, cuts))
     # containing[i]: the positions in ``unions`` of the sets holding orbit i
     containing = [0] * len(orbits)
@@ -308,6 +373,9 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
             mask ^= low
     everything = (1 << len(unions)) - 1
     for pos, (mask_a, set_a, cut_a) in enumerate(unions):
+        # every crossing edge is in A's cut
+        if cut_a.bit_count() < 4:
+            continue
         overlapping = (2 << pos) - 1
         while mask_a:
             low = mask_a & -mask_a
@@ -320,15 +388,12 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
             _, set_b, cut_b = unions[low.bit_length() - 1]
             crossing = cut_a & cut_b
             if crossing.bit_count() >= 4:
-                return VologodskyResult(
-                    False,
-                    VologodskyWitness(
-                        _vertex_names(G, set_a),
-                        _vertex_names(G, set_b),
-                        tuple(sorted(lab for k, lab in enumerate(G.edge_labels) if crossing >> k & 1)),
-                    ),
+                return VologodskyWitness(
+                    _vertex_names(G, set_a),
+                    _vertex_names(G, set_b),
+                    tuple(sorted(lab for k, lab in enumerate(G.edge_labels) if crossing >> k & 1)),
                 )
-    return VologodskyResult(True)
+    raise RuntimeError("an invariant component splits, yet no pair of unions is joined by 4 edges")
 
 
 def _vertex_names(G: MultiGraph, vertices: int) -> frozenset:

@@ -7,7 +7,8 @@ lattice equivalence is decided by trying every signed image of one basis.
 Isomorphism-class counting is done by brute-force canonical forms over
 all vertex permutations, and isomorphisms and automorphisms are listed by
 trying every vertex permutation.  The Vologodsky criterion is checked on
-every union of vertex orbits with set-based searches.
+every union of vertex orbits with set-based searches, and again on every
+split of an invariant component into two orbit unions.
 """
 
 from fractions import Fraction
@@ -241,17 +242,9 @@ def brute_force_multigraph_classes(nverts, nedges, loops=False, connected=None, 
     return classes
 
 
-def vologodsky_by_definition(vertices, edges, vertex_map):
-    """The first pair of disjoint connected invariant vertex sets joined by
-    at least four edges, as ``(False, (set_0, set_1, edge_labels))``, or
-    ``(True, None)``.
-
-    ``edges`` holds ``(label, tail, head)`` triples.  Invariant sets are
-    unions of vertex orbits (orbits numbered by their first vertex in
-    ``vertices``), encoded as orbit bitmasks; the connected ones are
-    listed in ascending mask order, and pairs are taken in that order,
-    the second set after the first.  Exponential in the orbit count.
-    """
+def _orbits_and_connectivity(vertices, edges, vertex_map):
+    """The vertex orbits (numbered by their first vertex in ``vertices``),
+    the neighbour sets, and a set-based connectivity test."""
     orbits = []
     for v in vertices:
         if not any(v in orbit for orbit in orbits):
@@ -271,6 +264,28 @@ def vologodsky_by_definition(vertices, edges, vertex_map):
                     stack.append(y)
         return seen == vset
 
+    return orbits, neighbours, connected
+
+
+def _joining_edges(edges, set_a, set_b):
+    return [
+        lab for lab, t, h in edges
+        if (t in set_a and h in set_b) or (t in set_b and h in set_a)
+    ]
+
+
+def vologodsky_by_definition(vertices, edges, vertex_map):
+    """The first pair of disjoint connected invariant vertex sets joined by
+    at least four edges, as ``(False, (set_0, set_1, edge_labels))``, or
+    ``(True, None)``.
+
+    ``edges`` holds ``(label, tail, head)`` triples.  Invariant sets are
+    unions of vertex orbits (orbits numbered by their first vertex in
+    ``vertices``), encoded as orbit bitmasks; the connected ones are
+    listed in ascending mask order, and pairs are taken in that order,
+    the second set after the first.  Exponential in the orbit count.
+    """
+    orbits, _, connected = _orbits_and_connectivity(vertices, edges, vertex_map)
     listed = []
     for mask in range(1, 1 << len(orbits)):
         vset = set().union(*(orbits[i] for i in range(len(orbits)) if mask >> i & 1))
@@ -280,10 +295,37 @@ def vologodsky_by_definition(vertices, edges, vertex_map):
         for mask_b, set_b in listed[idx + 1:]:
             if mask_a & mask_b:
                 continue
-            crossing = [
-                lab for lab, t, h in edges
-                if (t in set_a and h in set_b) or (t in set_b and h in set_a)
-            ]
+            crossing = _joining_edges(edges, set_a, set_b)
             if len(crossing) >= 4:
                 return False, (set_a, set_b, tuple(sorted(crossing)))
     return True, None
+
+
+def vologodsky_by_bipartition(vertices, edges, vertex_map):
+    """Whether no component K with iota(K) = K splits into two connected
+    invariant parts joined by at least four edges.
+
+    By the lemma in ``prymdice.prym.vologodsky_check`` this is the verdict
+    of ``vologodsky_by_definition``.  The components come from set-based
+    searches; every orbit submask of an invariant component is tried as
+    one part, the rest of the component as the other.
+    """
+    orbits, neighbours, connected = _orbits_and_connectivity(vertices, edges, vertex_map)
+    unplaced = set(vertices)
+    while unplaced:
+        start = next(v for v in vertices if v in unplaced)
+        component, stack = {start}, [start]
+        while stack:
+            for y in neighbours[stack.pop()] - component:
+                component.add(y)
+                stack.append(y)
+        unplaced -= component
+        if vertex_map[start] not in component:
+            continue
+        inside = [orbit for orbit in orbits if orbit <= component]
+        for mask in range(1, (1 << len(inside)) - 1):
+            part = set().union(*(inside[i] for i in range(len(inside)) if mask >> i & 1))
+            rest = component - part
+            if connected(part) and connected(rest) and len(_joining_edges(edges, part, rest)) >= 4:
+                return False
+    return True

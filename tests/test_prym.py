@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prymdice import prym
 from prymdice.exactmat import IntMatrix
 from prymdice.graph import (
     CochainVector,
@@ -31,7 +32,7 @@ from prymdice.segre import build_cover, fixture
 from prymdice.unimod import is_totally_unimodular
 
 from conftest import seeded_rng
-from oracles import vologodsky_by_definition
+from oracles import vologodsky_by_bipartition, vologodsky_by_definition
 
 
 def test_pi_minus_kills_invariant_cycles():
@@ -567,6 +568,77 @@ def test_vologodsky_verdicts_on_census_covers_are_pinned():
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
         "43599b099c56cf0b71067170c5e76c006780d805273870010d140812905fc28e"
     )
+
+
+def test_bipartition_lemma_matches_definition_oracle():
+    for g, iota in _small_covers() + list(_census_covers()):
+        passed, _ = vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
+        assert vologodsky_by_bipartition(g.vertices, g.edges, iota.vertex_map) == passed, g.edges
+
+
+def _disjoint_union(*covers):
+    """The disjoint union of graphs with involutions, names prefixed by position."""
+    vertices, edges, vmap, emap = [], [], {}, {}
+    for n, (g, iota) in enumerate(covers):
+        vertices += [f"{n}{v}" for v in g.vertices]
+        edges += [(f"{n}{lab}", f"{n}{t}", f"{n}{h}") for lab, t, h in g.edges]
+        vmap.update({f"{n}{v}": f"{n}{w}" for v, w in iota.vertex_map.items()})
+        emap.update({f"{n}{a}": f"{n}{b}" for a, b in iota.edge_map.items()})
+    g = MultiGraph(vertices, edges)
+    return g, GraphInvolution(g, vmap, emap)
+
+
+def _swapped_copies(g):
+    """Two copies of ``g`` exchanged by the involution."""
+    vertices = [f"{v}.{s}" for s in (0, 1) for v in g.vertices]
+    edges = [(f"{lab}.{s}", f"{t}.{s}", f"{h}.{s}") for s in (0, 1) for lab, t, h in g.edges]
+    double = MultiGraph(vertices, edges)
+    swap = {f"{x}.{s}": f"{x}.{1 - s}" for s in (0, 1) for x in g.vertices + g.edge_labels}
+    return double, GraphInvolution(double, swap, swap)
+
+
+def test_vologodsky_checks_every_invariant_component():
+    splitting = _two_triangles_joined_by_four()
+    # orbit 0 is a fixed vertex with four loops: an invariant component
+    # that cannot split
+    loops = MultiGraph(["x"], [(f"l{k}", "x", "x") for k in range(4)])
+    lonely = (loops, GraphInvolution.identity(loops))
+    # each copy would split if the involution fixed it
+    swapped = _swapped_copies(splitting[0])
+    for (g, iota), passes in (
+        (_disjoint_union(lonely, splitting), False),
+        (_disjoint_union(lonely, swapped, splitting), False),
+        (swapped, True),
+        (_disjoint_union(lonely, swapped), True),
+    ):
+        expected = vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
+        assert expected[0] == passes
+        assert _verdict(vologodsky_check(g, iota)) == expected
+
+
+def test_vologodsky_passes_build_no_pair_list(monkeypatch):
+    # the all-roots union list feeds only the pair scan behind a witness
+    listings = 0
+    real_unions = prym._connected_orbit_unions
+
+    def counting_unions(*args):
+        nonlocal listings
+        listings += 1
+        return real_unions(*args)
+
+    monkeypatch.setattr(prym, "_connected_orbit_unions", counting_unions)
+    assert vologodsky_check(*build_cover()).passed
+    assert listings == 0
+    for g, iota in _census_covers():
+        listings = 0
+        passed = vologodsky_check(g, iota).passed
+        assert listings == (0 if passed else 1)
+
+
+def test_split_without_a_joined_pair_raises(monkeypatch):
+    monkeypatch.setattr(prym, "_connected_orbit_unions", lambda *args: [])
+    with pytest.raises(RuntimeError):
+        vologodsky_check(*_two_triangles_joined_by_four())
 
 
 def test_x_minus_matches_projected_cycle_generators():
