@@ -7,9 +7,9 @@ produced here as a unimodular system.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 
 from .exactmat import IntMatrix
 from .graph import CochainVector, GraphError, MultiGraph, components
@@ -88,57 +88,43 @@ class CycleBasis:
         return tuple(CochainVector(self.graph, row) for row in self.rows)
 
 
-def _forest_adjacency(G: MultiGraph, tree_edges) -> dict:
-    """Per vertex, the forest edges at it as (label, other end, +1 if it is the tail)."""
-    adj: dict[str, list] = {v: [] for v in G.vertices}
-    for lab in tree_edges:
-        t, h = G.endpoints(lab)
-        adj[t].append((lab, h, 1))
-        adj[h].append((lab, t, -1))
-    return adj
-
-
-def _fundamental_cycle(G: MultiGraph, adj: dict, label: str) -> tuple:
-    """The unique cycle on the non-tree edge ``label`` plus forest edges, as
-    an integer row in the graph's edge order: +1 on ``label``, and each
-    forest edge signed by the direction the closing path traverses it."""
-    tail, head = G.endpoints(label)
-    row = [0] * G.num_edges
-    row[G.edge_index(label)] = 1
-    if tail != head:
-        prev = {head: None}
-        queue = deque([head])
-        while queue:
-            x = queue.popleft()
-            if x == tail:
-                break
-            for lab, y, s in adj[x]:
-                if y not in prev:
-                    prev[y] = (x, lab, s)
-                    queue.append(y)
-        if tail not in prev:
-            raise GraphError(f"forest does not connect the endpoints of {label!r}")
-        x = tail
-        while prev[x] is not None:
-            _, lab, s = prev[x]
-            row[G.edge_index(lab)] = s
-            x = prev[x][0]
-    return tuple(row)
-
-
 def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
     """Fundamental cycle basis; a deterministic forest is chosen when none is given."""
     if tree is None:
         forest = default_spanning_forest(G)
     else:
         forest = _validate_spanning_forest(G, tree)
-    adj = _forest_adjacency(G, forest)
-    rows = tuple(
-        _fundamental_cycle(G, adj, lab)
-        for lab in G.edge_labels
-        if lab not in forest
-    )
-    return CycleBasis(G, forest, rows)
+    # per vertex on a forest edge, those edges as (index, other end, sign of
+    # the edge walked from the other end towards this vertex)
+    adj: dict[str, list] = {}
+    for k, (lab, t, h) in enumerate(G.edges):
+        if lab in forest:
+            adj.setdefault(t, []).append((k, h, -1))
+            adj.setdefault(h, []).append((k, t, 1))
+    # paths[v]: the forest path from v to its tree's root, as a signed edge row
+    zero = [0] * G.num_edges
+    paths: dict[str, list] = {}
+    for root in adj:
+        if root in paths:
+            continue
+        paths[root] = zero
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for k, y, s in adj[x]:
+                if y not in paths:
+                    paths[y] = list(paths[x])
+                    paths[y][k] = s
+                    stack.append(y)
+    # the cycle of a non-tree edge runs along it, then back from head to
+    # tail; only loops meet a vertex on no forest edge, which has no path
+    rows = []
+    for k, (lab, t, h) in enumerate(G.edges):
+        if lab not in forest:
+            row = list(zero) if t == h else list(map(sub, paths[h], paths[t]))
+            row[k] = 1
+            rows.append(tuple(row))
+    return CycleBasis(G, forest, tuple(rows))
 
 
 def is_cycle(G: MultiGraph, v: CochainVector) -> bool:

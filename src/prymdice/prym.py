@@ -364,28 +364,13 @@ def _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts) -> Vologodsk
     """The first pair of disjoint connected orbit unions joined by at least
     4 edges, unions sorted by orbit mask and the second after the first."""
     unions = sorted(_connected_orbit_unions(orbits, orbit_adjacency, adjacency, cuts))
-    # containing[i]: the positions in ``unions`` of the sets holding orbit i
-    containing = [0] * len(orbits)
-    for pos, (mask, _, _) in enumerate(unions):
-        while mask:
-            low = mask & -mask
-            containing[low.bit_length() - 1] |= 1 << pos
-            mask ^= low
-    everything = (1 << len(unions)) - 1
     for pos, (mask_a, set_a, cut_a) in enumerate(unions):
         # every crossing edge is in A's cut
         if cut_a.bit_count() < 4:
             continue
-        overlapping = (2 << pos) - 1
-        while mask_a:
-            low = mask_a & -mask_a
-            overlapping |= containing[low.bit_length() - 1]
-            mask_a ^= low
-        later = everything & ~overlapping
-        while later:
-            low = later & -later
-            later ^= low
-            _, set_b, cut_b = unions[low.bit_length() - 1]
+        for mask_b, set_b, cut_b in unions[pos + 1:]:
+            if mask_a & mask_b:
+                continue
             crossing = cut_a & cut_b
             if crossing.bit_count() >= 4:
                 return VologodskyWitness(

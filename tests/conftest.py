@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from prymdice.exactmat import IntMatrix
 from prymdice.graph import GraphInvolution, MultiGraph
+from prymdice.unimod import UnimodularSystem
 
 
 @pytest.fixture
@@ -47,6 +49,33 @@ def twin_loops():
 
 def seeded_rng(salt: int = 0) -> random.Random:
     return random.Random(987654321 + salt)
+
+
+def random_gl(rng, n, steps=12):
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        i, j = rng.sample(range(n), 2)
+        if kind == 0:
+            c = rng.choice([-2, -1, 1, 2])
+            for k in range(n):
+                U[i][k] += c * U[j][k]
+        elif kind == 1:
+            U[i], U[j] = U[j], U[i]
+        else:
+            U[i] = [-x for x in U[i]]
+    return IntMatrix.from_rows(U)
+
+
+def scramble(rng, S):
+    n, m = S.dim, S.size
+    U = random_gl(rng, n)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    signs = [rng.choice([1, -1]) for _ in range(m)]
+    UA = U @ S.matrix
+    rows = [[signs[j] * UA.entry(i, perm[j]) for j in range(m)] for i in range(n)]
+    return UnimodularSystem(IntMatrix.from_rows(rows), allow_repeats=S.allow_repeats)
 
 
 def two_invariant_triangles():

@@ -5,10 +5,12 @@ cofactor expansions, ranks are Fraction Gaussian elimination, and the
 total-unimodularity oracles enumerate submatrices with their own loops, and
 lattice equivalence is decided by trying every signed image of one basis.
 Isomorphism-class counting is done by brute-force canonical forms over
-all vertex permutations, and isomorphisms and automorphisms are listed by
-trying every vertex permutation.  The Vologodsky criterion is checked on
-every union of vertex orbits with set-based searches, and again on every
-split of an invariant component into two orbit unions.
+all vertex permutations, isomorphisms and automorphisms are listed by
+trying every vertex permutation, and isomorphism of two multigraphs is
+decided by trying every permutation within degree classes.  The
+Vologodsky criterion is checked on every union of vertex orbits with
+set-based searches, and again on every split of an invariant component
+into two orbit unions.
 """
 
 from fractions import Fraction
@@ -193,6 +195,38 @@ def isomorphisms_by_brute_force(pairs_a, pairs_b, nverts):
         for perm in permutations(range(nverts))
         if sorted(tuple(sorted((perm[u], perm[v]))) for (u, v) in pairs_a) == target
     ]
+
+
+def isomorphic_by_degree_classes(pairs_a, pairs_b, nverts):
+    """Whether some vertex permutation carries multigraph a onto b.
+
+    Graphs are multisets of ``(u, v)`` pairs on vertices 0..nverts-1.  Only
+    the permutations sending each vertex of a to a vertex of b with the same
+    degree are tried: every bijection within each degree class, combined
+    over the classes.
+    """
+    def degrees(pairs):
+        deg = [0] * nverts
+        for u, v in pairs:
+            deg[u] += 1
+            deg[v] += 1
+        return deg
+
+    deg_a, deg_b = degrees(pairs_a), degrees(pairs_b)
+    if sorted(deg_a) != sorted(deg_b):
+        return False
+    target = sorted(tuple(sorted(p)) for p in pairs_b)
+    classes = sorted(set(deg_a))
+    sources = [[v for v in range(nverts) if deg_a[v] == d] for d in classes]
+    images = [[v for v in range(nverts) if deg_b[v] == d] for d in classes]
+    perm = [0] * nverts
+    for choice in product(*(permutations(img) for img in images)):
+        for src, img in zip(sources, choice):
+            for v, w in zip(src, img):
+                perm[v] = w
+        if sorted(tuple(sorted((perm[u], perm[v]))) for u, v in pairs_a) == target:
+            return True
+    return False
 
 
 def brute_force_multigraph_classes(nverts, nedges, loops=False, connected=None, rank=None):

@@ -23,9 +23,8 @@ from prymdice.unimod import (
 )
 from prymdice import enumerate_graphs as eg
 
-from conftest import seeded_rng, two_invariant_triangles
+from conftest import scramble, seeded_rng, two_invariant_triangles
 from oracles import tu_by_definition
-from test_unimod import scramble
 
 
 def _report(name, detail):

@@ -13,6 +13,7 @@ from oracles import (
     brute_force_multigraph_classes,
     canonical_pair_graph,
     compositions_by_brute_force,
+    isomorphic_by_degree_classes,
     isomorphisms_by_brute_force,
 )
 
@@ -190,19 +191,8 @@ def test_betti_of_rank_family():
 def test_full_scale_family_contains_random_samples():
     # randomized completeness check at the scale the headline search uses:
     # every random labeled multigraph with 10 edges and incidence rank 5
-    # must be isomorphic to some enumerated candidate
-    import networkx as nx
-    from networkx.algorithms.isomorphism import MultiGraphMatcher
-
-    from conftest import seeded_rng
-
-    def to_nx(G):
-        g = nx.MultiGraph()
-        g.add_nodes_from(G.vertices)
-        for _, t, h in G.edges:
-            g.add_edge(t, h)
-        return g
-
+    # must be isomorphic to some enumerated candidate; the isomorphism
+    # oracle tries vertex permutations, not the package's canonical form
     def signature(G):
         degs = tuple(sorted(G.degree(v) for v in G.vertices))
         mult = {}
@@ -213,7 +203,7 @@ def test_full_scale_family_contains_random_samples():
 
     buckets = {}
     for G in eg.multigraphs_with_cycle_space_rank(10, 5):
-        buckets.setdefault(signature(G), []).append(to_nx(G))
+        buckets.setdefault(signature(G), []).append(_as_pairs(G))
 
     rng = seeded_rng(99)
     found = 0
@@ -231,9 +221,9 @@ def test_full_scale_family_contains_random_samples():
             continue
         found += 1
         candidates = buckets.get(signature(G), [])
-        g = to_nx(G)
+        pairs = _as_pairs(G)
         assert any(
-            MultiGraphMatcher(g, rep).is_isomorphic() for rep in candidates
+            isomorphic_by_degree_classes(pairs, rep, nverts) for rep in candidates
         ), f"random graph missing from enumeration: {G.edges}"
 
 

@@ -1,9 +1,9 @@
 import hashlib
+from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from prymdice.exactmat import (
     IntMatrix,
@@ -23,15 +23,50 @@ from prymdice.exactmat import (
 from conftest import seeded_rng
 from oracles import cofactor_det, rational_rank
 
-small_matrices = st.integers(1, 4).flatmap(
-    lambda r: st.integers(1, 4).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-6, 6), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
-        )
-    )
-)
+SHAPES = list(product(range(1, 5), repeat=2))
+SQUARES = [(n, n) for n in range(1, 5)]
+
+
+def small_matrices(salt, count, shapes=SHAPES, bound=6):
+    """Matrices with entries in -bound..bound: for every shape, a zero, a
+    range-ends, a repeated-row and a rank-one matrix, then ``count`` random
+    ones of random shapes."""
+    rng = seeded_rng(salt)
+    cases = []
+    for r, c in shapes:
+        row = [rng.randint(-bound, bound) for _ in range(c)]
+        u = [rng.randint(-2, 2) for _ in range(r)]
+        v = [rng.randint(-2, 2) for _ in range(c)]
+        cases += [
+            [[0] * c for _ in range(r)],
+            [[rng.choice((-bound, bound)) for _ in range(c)] for _ in range(r)],
+            [list(row) for _ in range(r)],
+            [[a * b for b in v] for a in u],
+        ]
+    for _ in range(count):
+        r, c = rng.choice(shapes)
+        cases.append([[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)])
+    return cases
+
+
+def boundaries(rows, bound=6):
+    """The boundary kinds that ``rows`` hits, its shape among them."""
+    r, c = len(rows), len(rows[0])
+    flat = [x for row in rows for x in row]
+    return {(r, c)} | {
+        kind
+        for kind, hit in [
+            ("zero", not any(flat)),
+            ("rank-deficient", min(r, c) > 1 and rational_rank(rows) < min(r, c)),
+            ("repeated row", len({tuple(row) for row in rows}) < r),
+            ("low end", -bound in flat),
+            ("high end", bound in flat),
+        ]
+        if hit
+    }
+
+
+KINDS = {"zero", "rank-deficient", "repeated row", "low end", "high end"}
 
 
 def M(rows):
@@ -71,17 +106,19 @@ def test_hnf_zero_row():
     assert U == IntMatrix.identity(1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_matrices)
-def test_hnf_preserves_row_lattice(rows):
-    m = M(rows)
-    H, U = hnf(m)
-    assert U @ m == H
-    assert abs(det(U)) == 1
-    for row in rows:
-        assert row_lattice_contains(H, row)
-    for i in range(H.rows):
-        assert row_lattice_contains(m, H.row(i))
+def test_hnf_preserves_row_lattice():
+    seen = Counter()
+    for rows in small_matrices(1, 150):
+        seen.update(boundaries(rows))
+        m = M(rows)
+        H, U = hnf(m)
+        assert U @ m == H
+        assert abs(det(U)) == 1
+        for row in rows:
+            assert row_lattice_contains(H, row)
+        for i in range(H.rows):
+            assert row_lattice_contains(m, H.row(i))
+    assert seen.keys() == KINDS | set(SHAPES), seen
 
 
 def test_hermite_outputs_are_pinned():
@@ -109,13 +146,15 @@ def test_rank_identity_and_zero():
     assert rank(IntMatrix.zeros(3, 4)) == 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_matrices)
-def test_rank_matches_rational_elimination_and_transpose(rows):
-    m = M(rows)
-    expected = rational_rank(rows)
-    assert rank(m) == expected
-    assert rank(IntMatrix.from_rows(zip(*rows))) == expected
+def test_rank_matches_rational_elimination_and_transpose():
+    seen = Counter()
+    for rows in small_matrices(2, 150):
+        seen.update(boundaries(rows))
+        m = M(rows)
+        expected = rational_rank(rows)
+        assert rank(m) == expected
+        assert rank(IntMatrix.from_rows(zip(*rows))) == expected
+    assert seen.keys() == KINDS | set(SHAPES), seen
 
 
 def test_det_small_cases():
@@ -126,18 +165,12 @@ def test_det_small_cases():
         det(M([[1, 2, 3], [4, 5, 6]]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
-)
-def test_det_matches_cofactor_expansion(rows):
-    assert det(M(rows)) == cofactor_det(rows)
+def test_det_matches_cofactor_expansion():
+    seen = Counter()
+    for rows in small_matrices(3, 200, SQUARES, bound=5):
+        seen.update(boundaries(rows, bound=5))
+        assert det(M(rows)) == cofactor_det(rows)
+    assert seen.keys() == KINDS | set(SQUARES), seen
 
 
 def test_reference_system_maximal_minors_are_unimodular():
@@ -171,13 +204,14 @@ def test_square_submatrices_lexicographic_order():
     assert seen[0] == ((0,), (0,))
 
 
-@settings(max_examples=80, deadline=None)
-@given(small_matrices, st.integers(1, 4))
-def test_square_submatrices_total_count(rows, k):
-    m = M(rows)
-    if k > min(m.rows, m.cols):
-        return
-    assert len(list(square_submatrices(m, k))) == comb(m.rows, k) * comb(m.cols, k)
+def test_square_submatrices_total_count():
+    seen = Counter()
+    for rows in small_matrices(4, 80):
+        seen.update(boundaries(rows))
+        m = M(rows)
+        for k in range(1, min(m.rows, m.cols) + 1):
+            assert len(list(square_submatrices(m, k))) == comb(m.rows, k) * comb(m.cols, k)
+    assert seen.keys() == KINDS | set(SHAPES), seen
 
 
 def _minor_kernel_cases():
@@ -209,25 +243,28 @@ def test_hnf_basis_zero_matrix():
     assert b.cols == 2
 
 
-@settings(max_examples=120, deadline=None)
-@given(small_matrices, st.randoms(use_true_random=False))
-def test_hnf_basis_is_canonical_for_the_row_lattice(rows, rnd):
+def test_hnf_basis_is_canonical_for_the_row_lattice():
     # two generating sets of the same lattice reduce to the same basis
-    m = M(rows)
-    mixed = [list(r) for r in rows]
-    for _ in range(6):
-        kind = rnd.randrange(3)
-        i = rnd.randrange(len(mixed))
-        j = rnd.randrange(len(mixed))
-        if kind == 0 and i != j:
-            c = rnd.choice([-2, -1, 1, 2])
-            mixed[i] = [x + c * y for x, y in zip(mixed[i], mixed[j])]
-        elif kind == 1:
-            mixed[i], mixed[j] = mixed[j], mixed[i]
-        else:
-            mixed[i] = [-x for x in mixed[i]]
-    stacked = M(mixed + [list(r) for r in rows])  # same lattice, redundant rows
-    assert hnf_basis(stacked) == hnf_basis(m)
+    rnd = seeded_rng(6)
+    seen = Counter()
+    for rows in small_matrices(5, 120):
+        seen.update(boundaries(rows))
+        m = M(rows)
+        mixed = [list(r) for r in rows]
+        for _ in range(6):
+            kind = rnd.randrange(3)
+            i = rnd.randrange(len(mixed))
+            j = rnd.randrange(len(mixed))
+            if kind == 0 and i != j:
+                c = rnd.choice([-2, -1, 1, 2])
+                mixed[i] = [x + c * y for x, y in zip(mixed[i], mixed[j])]
+            elif kind == 1:
+                mixed[i], mixed[j] = mixed[j], mixed[i]
+            else:
+                mixed[i] = [-x for x in mixed[i]]
+        stacked = M(mixed + [list(r) for r in rows])  # same lattice, redundant rows
+        assert hnf_basis(stacked) == hnf_basis(m)
+    assert seen.keys() == KINDS | set(SHAPES), seen
 
 
 def test_matrix_text_round_trip():

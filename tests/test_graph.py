@@ -1,8 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from prymdice.graph import (
     CochainVector,
@@ -17,6 +15,8 @@ from prymdice.graph import (
     parse_graph_text,
 )
 from prymdice.segre import build_cover
+
+from conftest import seeded_rng
 
 
 def test_single_loop_parse():
@@ -82,20 +82,39 @@ def test_round_trip_graph_with_involution():
     assert iota2.edge_map == iota.edge_map
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 5), st.data())
-def test_round_trip_random_graphs(nverts, data):
-    verts = [f"v{i}" for i in range(nverts)]
-    nedges = data.draw(st.integers(1, 6))
-    edges = []
-    for k in range(nedges):
-        t = data.draw(st.sampled_from(verts))
-        h = data.draw(st.sampled_from(verts))
-        edges.append((f"e{k}", t, h))
-    g = MultiGraph(verts, edges)
-    g2, iota2 = parse_graph_text(format_graph_text(g))
-    assert g2 == g
-    assert iota2 is None
+def _random_graphs(count):
+    """(vertex count, edge pairs) with 2-5 vertices and 1-6 edges: at both
+    ends of each range, all loops and all parallels, then ``count`` random
+    graphs."""
+    rng = seeded_rng(22)
+    cases = [
+        (nverts, [pair] * nedges)
+        for nverts in (2, 5)
+        for nedges in (1, 6)
+        for pair in (("v0", "v0"), ("v1", "v0"))
+    ]
+    for _ in range(count):
+        verts = [f"v{i}" for i in range(rng.randint(2, 5))]
+        cases.append((len(verts), [(rng.choice(verts), rng.choice(verts)) for _ in range(rng.randint(1, 6))]))
+    return cases
+
+
+def test_round_trip_random_graphs():
+    seen = dict.fromkeys(["2 vertices", "5 vertices", "1 edge", "6 edges", "loop", "parallel",
+                          "isolated vertex"], 0)
+    for nverts, pairs in _random_graphs(60):
+        g = MultiGraph([f"v{i}" for i in range(nverts)], [(f"e{k}", t, h) for k, (t, h) in enumerate(pairs)])
+        g2, iota2 = parse_graph_text(format_graph_text(g))
+        assert g2 == g
+        assert iota2 is None
+        seen["2 vertices"] += nverts == 2
+        seen["5 vertices"] += nverts == 5
+        seen["1 edge"] += len(pairs) == 1
+        seen["6 edges"] += len(pairs) == 6
+        seen["loop"] += any(t == h for t, h in pairs)
+        seen["parallel"] += len({frozenset(p) for p in pairs}) < len(pairs)
+        seen["isolated vertex"] += any(g.degree(v) == 0 for v in g.vertices)
+    assert min(seen.values()) >= 4, seen
 
 
 def test_components():

@@ -7,12 +7,16 @@ from pathlib import Path
 import prymdice
 
 
-def _library_nodes():
-    sources = sorted(Path(prymdice.__file__).parent.glob("*.py"))
+def _nodes(directory):
+    sources = sorted(directory.glob("*.py"))
     assert len(sources) >= 10
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             yield path, node
+
+
+def _library_nodes():
+    return _nodes(Path(prymdice.__file__).parent)
 
 
 def test_library_has_no_assert_statements():
@@ -26,10 +30,11 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def _imported_modules():
-    """(file name, module) for every absolute import in the library."""
+def _imported_modules(nodes=None):
+    """(file name, module) for every absolute import among ``nodes``, by
+    default the library's."""
     imported = set()
-    for path, node in _library_nodes():
+    for path, node in nodes or _library_nodes():
         if isinstance(node, ast.Import):
             imported.update((path.name, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -47,6 +52,16 @@ def test_library_imports_only_itself_and_the_standard_library():
     )
     assert outside == []
     assert ("cli.py", "argparse") in imported
+
+
+def test_tests_import_only_pytest_the_package_and_the_standard_library():
+    # the test extra is pytest alone: randomized tests draw from seeded_rng
+    # and the reference implementations live in oracles.py
+    allowed = sys.stdlib_module_names | {"pytest", "prymdice", "conftest", "oracles"}
+    imported = _imported_modules(_nodes(Path(__file__).parent))
+    outside = sorted((name, module) for name, module in imported if module.split(".")[0] not in allowed)
+    assert outside == []
+    assert ("test_enumerate.py", "oracles") in imported
 
 
 def test_only_graph_imports_fractions():

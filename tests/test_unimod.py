@@ -27,7 +27,7 @@ from prymdice.unimod import (
 )
 from prymdice import enumerate_graphs as eg
 
-from conftest import seeded_rng
+from conftest import scramble, seeded_rng
 from oracles import (
     cofactor_det,
     first_violating_minor_by_definition,
@@ -274,33 +274,6 @@ def test_systems_equivalent_reflexive_identity():
     assert eq.U == IntMatrix.identity(5)
     assert eq.column_map == tuple((j, 1) for j in range(10))
     assert verify_equivalence(S, S, eq)
-
-
-def random_gl(rng, n, steps=12):
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        kind = rng.randrange(3)
-        i, j = rng.sample(range(n), 2)
-        if kind == 0:
-            c = rng.choice([-2, -1, 1, 2])
-            for k in range(n):
-                U[i][k] += c * U[j][k]
-        elif kind == 1:
-            U[i], U[j] = U[j], U[i]
-        else:
-            U[i] = [-x for x in U[i]]
-    return IntMatrix.from_rows(U)
-
-
-def scramble(rng, S):
-    n, m = S.dim, S.size
-    U = random_gl(rng, n)
-    perm = list(range(m))
-    rng.shuffle(perm)
-    signs = [rng.choice([1, -1]) for _ in range(m)]
-    UA = U @ S.matrix
-    rows = [[signs[j] * UA.entry(i, perm[j]) for j in range(m)] for i in range(n)]
-    return UnimodularSystem(IntMatrix.from_rows(rows), allow_repeats=S.allow_repeats)
 
 
 def test_scrambled_e5_recognized():
