@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from .exactmat import IntMatrix, MatrixError, parse_matrix_text
 from .graph import GraphError, parse_graph_text
@@ -122,18 +123,7 @@ def _tu_json(cert) -> dict:
 
 
 def _cographic_json(cert) -> dict:
-    out = {
-        "cographic": cert.is_cographic,
-        "search": {
-            "graphs_tried": cert.report.graphs_tried,
-            "connected_tried": cert.report.connected_tried,
-            "disconnected_tried": cert.report.disconnected_tried,
-            "forest_count_matches": cert.report.forest_count_matches,
-            "edge_count": cert.report.edge_count,
-            "incidence_rank": cert.report.incidence_rank,
-            "cap": cert.report.cap,
-        },
-    }
+    out = {"cographic": cert.is_cographic, "search": asdict(cert.report)}
     if cert.witness is not None:
         out["witness_graph"] = {
             "vertices": list(cert.witness.vertices),

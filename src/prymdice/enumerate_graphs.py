@@ -10,12 +10,12 @@ set of certificates, so duplicates are impossible and nothing is missed;
 the enumerators are cross-checked against brute-force labeled counts in
 the tests.
 
-Connected simple supports are grown edge by edge and pendant by pendant,
-and each kept support has had exactly one canonical search: the one that
-admitted it, whose leaves give the automorphism group it carries.  A
-parent grows only by the least augmentation of each orbit under that
-group, and a support's multiplicity and loop patterns are reduced under
-the same group.
+Connected simple supports are grown, trees pendant by pendant and all
+others edge by edge, and each kept support has had exactly one canonical
+search: the one that admitted it, whose leaves give the automorphism
+group it carries.  A parent grows only by the least augmentation of each
+orbit under that group, and a support's multiplicity and loop patterns
+are reduced under the same group.
 
 Disconnected graphs are disjoint unions of connected representatives.
 The union generators work on pair-graphs and also report the chosen
@@ -207,14 +207,14 @@ def _least_pair_in_orbit(u: int, v: int, perms) -> bool:
 def _supports(nverts: int, nedges: int) -> tuple:
     """Connected simple graphs with their automorphism groups, as ``(pairs, actions)``.
 
-    Built recursively: every connected graph either has a degree-1 vertex
-    (grown by attaching a pendant) or contains a non-bridge edge (grown by
-    adding an edge to a smaller connected graph on the same vertices).  A
-    parent grows only by the least non-edge, and the least pendant vertex,
-    of each orbit under its group: any other choice gives a graph
-    isomorphic to an earlier candidate of the same parent, so the first
-    candidate of each isomorphism class, the one ``_dedup`` keeps, is
-    still tried.
+    Built recursively, by one rule per kind of graph: a tree has a leaf,
+    so it is a smaller tree grown by a pendant, and any other connected
+    graph has a non-bridge edge, so it is a connected graph on the same
+    vertices grown by that edge.  A parent grows only by the least
+    pendant vertex, or the least non-edge, of each orbit under its group:
+    any other choice gives a graph isomorphic to an earlier candidate of
+    the same parent, so the first candidate of each isomorphism class,
+    the one ``_dedup`` keeps, is still tried.
     """
     if nverts < 1 or nedges < 0:
         return ()
@@ -223,18 +223,20 @@ def _supports(nverts: int, nedges: int) -> tuple:
     if nedges < nverts - 1 or nedges > comb(nverts, 2):
         return ()
     candidates = []
-    for pairs, actions in _supports(nverts, nedges - 1):
-        perms = _vertex_perms(pairs, actions)
-        present = set(pairs)
-        for u in range(nverts):
-            for v in range(u + 1, nverts):
-                if (u, v) not in present and _least_pair_in_orbit(u, v, perms):
-                    candidates.append(tuple(sorted(pairs + ((u, v),))))
-    for pairs, actions in _supports(nverts - 1, nedges - 1):
-        perms = _vertex_perms(pairs, actions)
-        for u in range(nverts - 1):
-            if all(p[u] >= u for p in perms):
-                candidates.append(tuple(sorted(pairs + ((u, nverts - 1),))))
+    if nedges == nverts - 1:
+        for pairs, actions in _supports(nverts - 1, nedges - 1):
+            perms = _vertex_perms(pairs, actions)
+            for u in range(nverts - 1):
+                if all(p[u] >= u for p in perms):
+                    candidates.append(tuple(sorted(pairs + ((u, nverts - 1),))))
+    else:
+        for pairs, actions in _supports(nverts, nedges - 1):
+            perms = _vertex_perms(pairs, actions)
+            present = set(pairs)
+            for u in range(nverts):
+                for v in range(u + 1, nverts):
+                    if (u, v) not in present and _least_pair_in_orbit(u, v, perms):
+                        candidates.append(tuple(sorted(pairs + ((u, v),))))
     return tuple(_dedup(candidates, nverts))
 
 

@@ -24,8 +24,8 @@ The four workhorses are
   the adjugate of the basis).
 
 ``square_submatrices`` enumerates the k x k submatrices themselves in
-that order; the library no longer calls it, and it stays as the order
-reference for ``minors``.
+that order, one ``IntMatrix`` each: the plain definition that ``minors``
+and a cited violating minor can be checked against.
 """
 
 from __future__ import annotations
@@ -235,10 +235,6 @@ def det_of_rows(a: list) -> int:
     n = len(a)
     if n == 0:
         return 1
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     sign = 1
     prev = 1
     for k in range(n - 1):

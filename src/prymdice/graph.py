@@ -317,29 +317,20 @@ def apply_involution(iota: GraphInvolution, v: CochainVector) -> CochainVector:
 
 
 def involution_quotient(G: MultiGraph, iota: GraphInvolution) -> MultiGraph:
-    """Quotient by the involution: vertex orbits, one edge per edge orbit."""
-    vert_orbit = {}
-    names = {}
-    for v in G.vertices:
-        o = frozenset({v, iota.vertex_map[v]})
-        vert_orbit[v] = o
-        names.setdefault(o, min(o))
-    orbits = []
-    seen = set()
-    for v in G.vertices:
-        o = vert_orbit[v]
-        if o not in seen:
-            seen.add(o)
-            orbits.append(o)
+    """Quotient by the involution: vertex orbits, one edge per edge orbit.
+
+    An orbit is named by its least vertex name and listed where its first
+    vertex stands in ``G.vertices``; an edge orbit keeps its first edge,
+    labelled ``"<tail orbit>|<edge label>"``.
+    """
+    name = {v: min(v, iota.vertex_map[v]) for v in G.vertices}
     edges = []
     done = set()
     for lab, t, h in G.edges:
-        if lab in done:
-            continue
-        done.add(lab)
-        done.add(iota.edge_map[lab])
-        edges.append((names[vert_orbit[t]] + "|" + lab, names[vert_orbit[t]], names[vert_orbit[h]]))
-    return MultiGraph([names[o] for o in orbits], edges)
+        if lab not in done:
+            done.update((lab, iota.edge_map[lab]))
+            edges.append((name[t] + "|" + lab, name[t], name[h]))
+    return MultiGraph(dict.fromkeys(name.values()), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
 
-from .exactmat import IntMatrix
 from .graph import CochainVector, GraphError, MultiGraph, components
-from .unimod import UnimodularSystem, _sign_normalize
+from .unimod import UnimodularSystem, collapse_columns
 
 
 def betti_number(G: MultiGraph) -> int:
@@ -150,33 +149,6 @@ class DicingColumns:
     system: UnimodularSystem
     column_edges: tuple
     dropped_edges: tuple
-
-
-def collapse_columns(rows: list, edge_labels) -> tuple[IntMatrix, tuple, tuple]:
-    """Drop zero columns, keep one representative per +-duplicate column set.
-
-    ``rows`` is a list of integer row vectors indexed by ``edge_labels``.
-    Returns (matrix, column_edges, dropped_edges).
-    """
-    ncols = len(edge_labels)
-    kept: list[int] = []
-    groups: list[list[str]] = []
-    dropped: list[str] = []
-    seen: dict[tuple, int] = {}
-    for j in range(ncols):
-        col = tuple(r[j] for r in rows)
-        if all(x == 0 for x in col):
-            dropped.append(edge_labels[j])
-            continue
-        key = _sign_normalize(col)
-        if key in seen:
-            groups[seen[key]].append(edge_labels[j])
-        else:
-            seen[key] = len(kept)
-            kept.append(j)
-            groups.append([edge_labels[j]])
-    matrix = IntMatrix.from_rows([[r[j] for j in kept] for r in rows])
-    return matrix, tuple(tuple(g) for g in groups), tuple(dropped)
 
 
 def cographic_dicing(G: MultiGraph) -> DicingColumns:

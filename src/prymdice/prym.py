@@ -25,8 +25,8 @@ from .graph import (
     MultiGraph,
     apply_involution,
 )
-from .homology import collapse_columns, cycle_basis
-from .unimod import UnimodularSystem
+from .homology import cycle_basis
+from .unimod import UnimodularSystem, collapse_columns
 
 
 def pi_minus(iota: GraphInvolution, h: CochainVector) -> CochainVector:
@@ -315,8 +315,6 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     """
     if iota.graph != G:
         raise GraphError("involution belongs to a different graph")
-    if G.num_edges < 4:
-        return VologodskyResult(True)
     bit = {v: 1 << i for i, v in enumerate(G.vertices)}
     # incidence: a vertex's non-loop edges; the cut of a vertex set is the
     # XOR of its vertices' incidences, since an inner edge appears twice
@@ -374,15 +372,11 @@ def _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts) -> Vologodsk
             crossing = cut_a & cut_b
             if crossing.bit_count() >= 4:
                 return VologodskyWitness(
-                    _vertex_names(G, set_a),
-                    _vertex_names(G, set_b),
+                    *(frozenset(v for i, v in enumerate(G.vertices) if bits >> i & 1)
+                      for bits in (set_a, set_b)),
                     tuple(sorted(lab for k, lab in enumerate(G.edge_labels) if crossing >> k & 1)),
                 )
     raise RuntimeError("an invariant component splits, yet no pair of unions is joined by 4 edges")
-
-
-def _vertex_names(G: MultiGraph, vertices: int) -> frozenset:
-    return frozenset(v for i, v in enumerate(G.vertices) if vertices >> i & 1)
 
 
 @dataclass(frozen=True)

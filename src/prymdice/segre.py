@@ -103,10 +103,6 @@ class SegreFixture:
     homology_basis: tuple  # 11 integral cycles
     anti_invariant_basis: tuple  # 5 half-integral generators
 
-    @property
-    def cycle_pairs(self) -> tuple:
-        return PROJECTION_PAIRS
-
 
 def fixture() -> SegreFixture:
     """Build and validate the fixture; any defect in the fixed data fails loudly."""
@@ -155,7 +151,7 @@ def validate_basis_data(f: SegreFixture) -> BasisReport:
     if hrank != 11:
         raise GraphError(f"homology basis has rank {hrank}, expected 11")
     identities = []
-    for gen_index, (first, second) in enumerate(f.cycle_pairs):
+    for gen_index, (first, second) in enumerate(PROJECTION_PAIRS):
         target = f.anti_invariant_basis[gen_index]
         for member in (first, second):
             proj = pi_minus(f.involution, f.homology_basis[member])

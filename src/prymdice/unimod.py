@@ -82,6 +82,33 @@ def _sign_normalize(col):
     return col
 
 
+def collapse_columns(rows: list, edge_labels) -> tuple[IntMatrix, tuple, tuple]:
+    """Drop zero columns, keep one representative per +-duplicate column set.
+
+    ``rows`` is a list of integer row vectors indexed by ``edge_labels``.
+    Returns (matrix, column_edges, dropped_edges).
+    """
+    ncols = len(edge_labels)
+    kept: list[int] = []
+    groups: list[list[str]] = []
+    dropped: list[str] = []
+    seen: dict[tuple, int] = {}
+    for j in range(ncols):
+        col = tuple(r[j] for r in rows)
+        if all(x == 0 for x in col):
+            dropped.append(edge_labels[j])
+            continue
+        key = _sign_normalize(col)
+        if key in seen:
+            groups[seen[key]].append(edge_labels[j])
+        else:
+            seen[key] = len(kept)
+            kept.append(j)
+            groups.append([edge_labels[j]])
+    matrix = IntMatrix.from_rows([[r[j] for j in kept] for r in rows])
+    return matrix, tuple(tuple(g) for g in groups), tuple(dropped)
+
+
 class UnimodularSystem:
     """A system of m >= n integer vectors spanning R^n (columns of ``matrix``).
 
@@ -172,10 +199,6 @@ class TUCertificate:
     violating_minor: tuple | None = None  # (row indices, col indices, determinant)
 
 
-def _as_matrix(S) -> IntMatrix:
-    return S.matrix if isinstance(S, UnimodularSystem) else S
-
-
 def is_totally_unimodular(S) -> TUCertificate:
     """Every square submatrix determinant in {-1, 0, 1}, decided by Ghouila-Houri.
 
@@ -190,7 +213,7 @@ def is_totally_unimodular(S) -> TUCertificate:
     the level-wise Laplace recurrence of ``exactmat.minors`` and can be
     recomputed independently from its index sets.
     """
-    M = _as_matrix(S)
+    M = S.matrix if isinstance(S, UnimodularSystem) else S
     if _equitably_signable(M):
         return TUCertificate(True)
     for row_idx, col_idx, d in minors(M):
@@ -311,11 +334,7 @@ def spanning_forest_count(G: MultiGraph) -> int:
     total = 1
     for comp in components(G):
         index = {v: i for i, v in enumerate(sorted(comp))}
-        pairs = tuple(sorted(
-            (index[t], index[h]) if index[t] <= index[h] else (index[h], index[t])
-            for _, t, h in G.edges
-            if t in index and t != h
-        ))
+        pairs = [(index[t], index[h]) for _, t, h in G.edges if t in index]
         total *= _spanning_tree_count.__wrapped__(pairs, len(index))
     return total
 
@@ -324,18 +343,16 @@ def spanning_forest_count(G: MultiGraph) -> int:
 def _spanning_tree_count(pairs, nverts: int) -> int:
     """Spanning trees of a connected pair-graph: a reduced Laplacian determinant.
 
-    Loops are ignored.  Cached, since the cographic search meets the same
-    connected components in many disjoint unions.
+    A loop adds to its vertex's diagonal entry what it then takes away, so
+    loops count for nothing.  Cached, since the cographic search meets the
+    same connected components in many disjoint unions.
     """
-    if nverts == 1:
-        return 1
     lap = [[0] * nverts for _ in range(nverts)]
     for u, v in pairs:
-        if u != v:
-            lap[u][u] += 1
-            lap[v][v] += 1
-            lap[u][v] -= 1
-            lap[v][u] -= 1
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
     return det_of_rows([row[:-1] for row in lap[:-1]])
 
 
@@ -747,15 +764,23 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     per-component matrix-tree determinants, and only candidates that pass
     are built as graphs.
 
+    The gate is on the system, not its coordinates: a matrix that fails
+    the signing test may still be T [I | A] with |det T| = 1 and A TU (any
+    GL_n(Z) image of a TU system is), so it is refused only when its
+    standard form has a basis determinant other than +-1 or coordinates
+    that are not TU.  That draws no minor; a refusal cites the first
+    violating minor of the matrix, which then exists.
+
     Raises ``ValueError`` on a negative ``max_graphs``,
-    ``NotTotallyUnimodularError`` on non-TU input and
+    ``NotTotallyUnimodularError`` on a system that is not unimodular and
     ``SearchCapExceeded`` when ``max_graphs`` is hit.
     """
     if max_graphs is not None and max_graphs < 0:
         raise ValueError(f"max_graphs must be 0 or more, got {max_graphs}")
-    tu = is_totally_unimodular(S)
-    if not tu.is_tu:
-        raise NotTotallyUnimodularError(tu)
+    if not _equitably_signable(S.matrix):
+        form = StandardForm.of(S.matrix)
+        if abs(form.det) != 1 or not _equitably_signable(form.coordinates):
+            raise NotTotallyUnimodularError(is_totally_unimodular(S))
     n, m = S.dim, S.size
     n_bases = len(S.matroid.bases)
     tried = connected_tried = disconnected_tried = matches = 0

@@ -14,6 +14,8 @@ from prymdice.graph import format_graph_text
 from prymdice.segre import build_cover
 from prymdice.unimod import e5
 
+from conftest import scramble, seeded_rng
+
 TRIANGLE = "vertex u\nvertex v\nvertex w\nedge a u v\nedge b v w\nedge c w u\n"
 
 NOT_TU = "2 2\n1 1\n1 -1\n"
@@ -140,6 +142,16 @@ def test_check_cographic_non_tu_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "check-cographic", str(p))
     assert code == 1
     assert "not totally unimodular" in err
+
+
+def test_check_cographic_searches_a_unimodular_system_with_a_non_tu_matrix(capsys, tmp_path):
+    p = tmp_path / "scrambled.matrix"
+    p.write_text(format_matrix_text(scramble(seeded_rng(11), e5()).matrix))
+    code, out, _ = run(capsys, "--json", "check-cographic", str(p))
+    assert code == 0
+    data = json.loads(out)
+    assert data["result"]["cographic"] is False
+    assert data["certificate"]["search"]["graphs_tried"] == 3761
 
 
 def test_equiv_command(capsys, tmp_path, e5_file):

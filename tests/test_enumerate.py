@@ -86,7 +86,7 @@ print(calls.get("_canonical_search", 0), calls.get("_automorphism_vertex_perms",
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.split() == ["456", "0", "3761", "2445", "1316", "0"]
+    assert result.stdout.split() == ["400", "0", "3761", "2445", "1316", "0"]
 
 
 def test_compositions_match_brute_force_order():

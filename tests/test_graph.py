@@ -197,6 +197,25 @@ def test_involution_quotient_of_cover_is_k5():
     pairs = {frozenset(q.endpoints(lab)) for lab in q.edge_labels}
     assert len(pairs) == 10
     assert all(len(p) == 2 for p in pairs)
+    assert q.vertices == ("a1", "a2", "a3", "a4", "a5")
+    assert q.edges == (
+        ("a3|e1", "a3", "a2"), ("a4|e2", "a4", "a2"), ("a5|e3", "a5", "a3"),
+        ("a5|e4", "a5", "a4"), ("a5|e5", "a5", "a1"), ("a4|e6", "a4", "a3"),
+        ("a3|e7", "a3", "a1"), ("a2|e8", "a2", "a5"), ("a1|e9", "a1", "a4"),
+        ("a2|e10", "a2", "a1"),
+    )
+
+
+def test_involution_quotient_names_orbits_by_least_vertex_in_first_vertex_order():
+    # y comes before x, so the orbit named x stands first; f, l and m are fixed
+    g, iota = parse_graph_text(
+        "vertex y\nvertex x\nvertex f\n"
+        "edge e y f\nedge e' x f\nedge l x y\nedge m f f\n"
+        "iota_v x y\niota_e e e'\n"
+    )
+    q = involution_quotient(g, iota)
+    assert q.vertices == ("x", "f")
+    assert q.edges == (("x|e", "x", "f"), ("x|l", "x", "x"), ("f|m", "f", "f"))
 
 
 def test_unknown_directive_and_conflicts():

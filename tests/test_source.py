@@ -69,3 +69,17 @@ def test_only_graph_imports_fractions():
     # graph.py, where cochains read input and show their coefficients
     importers = {name for name, module in _imported_modules() if module == "fractions"}
     assert importers == {"graph.py"}
+
+
+def test_no_library_module_imports_another_modules_private_name():
+    # an underscore name belongs to its module; a decision two modules need
+    # lives behind a public name in one of them
+    found = sorted(
+        f"{path.name}: {alias.name}"
+        for path, node in _library_nodes()
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "prymdice")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert found == []

@@ -796,7 +796,28 @@ def test_non_tu_input_rejected_distinctly():
     bad = UnimodularSystem(M([[1, 1, 0], [1, -1, 1]]))
     with pytest.raises(NotTotallyUnimodularError) as err:
         is_cographic(bad)
-    assert err.value.certificate.violating_minor is not None
+    assert err.value.certificate.violating_minor == ((0, 1), (0, 1), -2)
+    assert str(err.value) == (
+        "matrix is not totally unimodular: minor at rows (0, 1), cols (0, 1) has determinant -2"
+    )
+    # the first basis has determinant 1, but the coordinates are not TU
+    with pytest.raises(NotTotallyUnimodularError):
+        is_cographic(UnimodularSystem(M([[1, 0, 1, 1], [0, 1, 1, -1]])))
+
+
+def test_unimodular_system_with_a_non_tu_matrix_is_searched():
+    # unimodularity belongs to the system: U E5 sigma has E5's matroid and
+    # gets E5's verdict and report, though its matrix is not TU
+    T = scramble(seeded_rng(11), e5())
+    assert not is_totally_unimodular(T).is_tu
+    cert = is_cographic(T)
+    assert not cert.is_cographic
+    report = cert.report
+    counters = (
+        report.graphs_tried, report.connected_tried,
+        report.disconnected_tried, report.forest_count_matches,
+    )
+    assert counters == (3761, 2445, 1316, 0)
 
 
 def test_search_cap_exceeded():
@@ -933,6 +954,9 @@ def test_forest_count_is_the_product_over_components():
     )
     assert spanning_forest_count(triangle) == 3
     assert spanning_forest_count(banana) == 3 * 3
+    # a loop on a kept row of the reduced Laplacian counts for nothing
+    looped = MultiGraph(["a", "b"], [("l", "a", "a"), ("x", "a", "b"), ("y", "b", "a")])
+    assert spanning_forest_count(looped) == 2
 
 
 def test_forest_count_leaves_the_tree_count_cache_alone():
