@@ -5,10 +5,13 @@ Graphs are represented internally as sorted tuples of vertex-index pairs
 edges repeat the pair.  Isomorphism is decided by a canonical form: an
 individualization-refinement search labels the vertices, the least
 relabelled pair tuple over its leaves is the graph's certificate, and
-the leaves that reach it give the automorphism group.  Deduplication is a
-set of certificates, so duplicates are impossible and nothing is missed;
-the enumerators are cross-checked against brute-force labeled counts in
-the tests.
+the leaves that reach it give the automorphism group.  Refinement keys a
+vertex by its colour and, for each colour, the number of its neighbours
+with that colour counted with multiplicity; the keys are label-invariant,
+so the certificates are canonical.  Deduplication is a set of
+certificates, so duplicates are impossible and nothing is missed; the
+enumerators are cross-checked against brute-force labeled counts in the
+tests.
 
 Connected simple supports are grown, trees pendant by pendant and all
 others edge by edge, and each kept support has had exactly one canonical
@@ -18,9 +21,13 @@ orbit under that group, and a support's multiplicity and loop patterns
 are reduced under the same group.
 
 Disconnected graphs are disjoint unions of connected representatives.
-The union generators work on pair-graphs and also report the chosen
-components, so a caller can compute per-component invariants once per
-representative; the public ``MultiGraph`` generators are views over them.
+The union generators walk the choices of components and join a choice
+into one pair-graph only on request.  The cographic search's connected
+loopless representatives carry their spanning-tree counts (Kirchhoff,
+computed once per representative), so the search reads a candidate's
+forest count as a product and joins its pair-graph only when that count
+matches; the pair-graph and ``MultiGraph`` generators are views over the
+same walk.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from functools import lru_cache
 from math import comb
 from operator import add, sub
 
+from .exactmat import det_of_rows
 from .graph import MultiGraph
 
 PairGraph = tuple  # sorted tuple of (u, v) pairs, vertices 0..nverts-1
@@ -38,16 +46,19 @@ PairGraph = tuple  # sorted tuple of (u, v) pairs, vertices 0..nverts-1
 def _refine(colour: list, nbrs: list) -> list:
     """Coarsest equitable refinement of a colouring with colours 0..k-1.
 
-    A vertex's new colour ranks (old colour, multiset of (neighbour
-    colour, multiplicity)); ranks are assigned in sorted key order, so the
-    result does not depend on how the vertices are labelled.
+    A vertex's key is its colour followed by, for each colour, the number
+    of its neighbours with that colour, counted with multiplicity; each
+    round builds the keys in one pass and ranks them in sorted order, so
+    the result does not depend on how the vertices are labelled.
     """
     count = len(set(colour))
     while True:
-        keys = [
-            (c, tuple(sorted((colour[w], k) for w, k in adj)))
-            for c, adj in zip(colour, nbrs)
-        ]
+        keys = []
+        for c, adj in zip(colour, nbrs):
+            counts = [0] * count
+            for w, k in adj:
+                counts[colour[w]] += k
+            keys.append((c, *counts))
         ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
         if len(ranks) == count:
             return colour
@@ -339,34 +350,72 @@ def _component_specs(nedges: int, rank: int) -> tuple:
     return tuple(sorted(rec(nedges, rank, (nedges, rank)), key=lambda s: (len(s), s)))
 
 
-def _disjoint_unions(parts, reps_of):
-    """Disjoint unions with one connected component per entry of ``parts``.
+def _component_choices(parts, reps_of):
+    """The component choices of disjoint unions with one connected component
+    per entry of ``parts``.
 
     Equal entries of ``parts`` must be adjacent; ``reps_of(part)`` lists
-    that part's ``(pairs, nverts)`` representatives.  A run of equal parts
-    takes a multiset of representatives, so each union appears once.
-    Yields ``(pairs, nverts, components)`` in a fixed deterministic order,
-    where ``components`` lists the chosen representatives in the order
-    their vertex ranges follow each other.
+    that part's representatives, each starting ``(pairs, nverts, ...)``.
+    A run of equal parts takes a multiset of representatives, so each union
+    appears once.  Yields each choice as a tuple of representatives, in a
+    fixed deterministic order; ``disjoint_union`` joins one into a graph.
     """
-    runs = [(part, len(list(group))) for part, group in itertools.groupby(parts)]
-    rep_lists = [reps_of(part) for part, _ in runs]
-    per_run = [
-        itertools.combinations_with_replacement(range(len(reps)), count)
-        for reps, (_, count) in zip(rep_lists, runs)
+    runs = [
+        itertools.combinations_with_replacement(reps_of(part), len(list(group)))
+        for part, group in itertools.groupby(parts)
     ]
-    for combo in itertools.product(*per_run):
-        pairs = []
-        chosen = []
-        offset = 0
-        for reps, choice in zip(rep_lists, combo):
-            for rep_idx in choice:
-                comp, nverts_comp = rep = reps[rep_idx]
-                pairs.extend((u + offset, v + offset) for u, v in comp)
-                chosen.append(rep)
-                offset += nverts_comp
-        # each component is sorted and the offsets rise, so pairs is sorted
-        yield tuple(pairs), offset, tuple(chosen)
+    for combo in itertools.product(*runs):
+        yield tuple(itertools.chain.from_iterable(combo))
+
+
+def disjoint_union(components) -> tuple:
+    """``(pairs, nverts)`` of the pair-graph with the given components, whose
+    entries start ``(pairs, nverts, ...)``, laid out in order."""
+    pairs = []
+    offset = 0
+    for comp, nverts, *_ in components:
+        pairs.extend((u + offset, v + offset) for u, v in comp)
+        offset += nverts
+    # each component is sorted and the offsets rise, so pairs is sorted
+    return tuple(pairs), offset
+
+
+def spanning_tree_count(pairs, nverts: int) -> int:
+    """Spanning trees of a connected pair-graph: a reduced Laplacian determinant.
+
+    A loop adds to its vertex's diagonal entry what it then takes away, so
+    loops count for nothing.
+    """
+    lap = [[0] * nverts for _ in range(nverts)]
+    for u, v in pairs:
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    return det_of_rows([row[:-1] for row in lap[:-1]])
+
+
+@lru_cache(maxsize=None)
+def _counted_reps(shape: tuple) -> tuple:
+    """Connected loopless representatives of an ``(edges, rank)`` shape, as
+    ``(pairs, nverts, trees)`` with their spanning-tree counts."""
+    nedges, rank = shape
+    return tuple(
+        (pairs, rank + 1, spanning_tree_count(pairs, rank + 1))
+        for pairs in connected_multigraphs(nedges, rank + 1)
+    )
+
+
+def cycle_space_rank_components(nedges: int, rank: int):
+    """The component choices of ``pair_graphs_with_cycle_space_rank``, same order.
+
+    Each choice is a tuple of connected loopless representatives
+    ``(pairs, nverts, trees)``, carrying their spanning-tree counts, so a
+    caller can read a candidate's forest count and join its pair-graph
+    with ``disjoint_union`` only when it needs one.
+    """
+    for shape_list in _component_specs(nedges, rank):
+        yield from _component_choices(shape_list, _counted_reps)
 
 
 def pair_graphs_with_cycle_space_rank(nedges: int, rank: int):
@@ -378,19 +427,14 @@ def pair_graphs_with_cycle_space_rank(nedges: int, rank: int):
     entry of ``components`` is a connected representative
     ``(pairs, nverts)`` from ``connected_multigraphs``.
     """
-
-    def reps_of(shape):
-        nedges_comp, rank_comp = shape
-        return [(p, rank_comp + 1) for p in connected_multigraphs(nedges_comp, rank_comp + 1)]
-
-    for shape_list in _component_specs(nedges, rank):
-        yield from _disjoint_unions(shape_list, reps_of)
+    for chosen in cycle_space_rank_components(nedges, rank):
+        yield (*disjoint_union(chosen), tuple((pairs, nverts) for pairs, nverts, _ in chosen))
 
 
 def multigraphs_with_cycle_space_rank(nedges: int, rank: int):
     """``pair_graphs_with_cycle_space_rank`` as ``MultiGraph`` objects, same order."""
-    for pairs, nverts, _ in pair_graphs_with_cycle_space_rank(nedges, rank):
-        yield pair_graph_to_multigraph(pairs, nverts)
+    for chosen in cycle_space_rank_components(nedges, rank):
+        yield pair_graph_to_multigraph(*disjoint_union(chosen))
 
 
 def all_multigraphs(nedges: int, loops: bool = False):
@@ -406,8 +450,8 @@ def all_multigraphs(nedges: int, loops: bool = False):
                 yield (first,) + rest
 
     for part in partitions(nedges, nedges):
-        for pairs, nverts, _ in _disjoint_unions(part, lambda e: _connected_reps(e, loops)):
-            yield pair_graph_to_multigraph(pairs, nverts)
+        for chosen in _component_choices(part, lambda e: _connected_reps(e, loops)):
+            yield pair_graph_to_multigraph(*disjoint_union(chosen))
 
 
 def connected_multigraphs_any_order(nedges: int, loops: bool = False):

@@ -12,8 +12,6 @@ edges, for input and display.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class GraphError(ValueError):
     """Raised for structurally invalid graphs or involutions."""
@@ -211,6 +209,8 @@ def _doubled(c) -> int:
     """Twice the half-integer ``c``, given as an int or anything Fraction reads."""
     if type(c) is int:
         return 2 * c
+    from fractions import Fraction
+
     c = Fraction(c)
     if c.denominator not in (1, 2):
         raise GraphError(f"coefficient {c} is not a half-integer")
@@ -256,9 +256,13 @@ class CochainVector:
 
     @property
     def coefficients(self) -> tuple:
+        from fractions import Fraction
+
         return tuple(Fraction(x, 2) for x in self.doubled)
 
     def __getitem__(self, label: str) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.doubled[self.graph.edge_index(label)], 2)
 
     def doubled_on(self, graph: MultiGraph) -> tuple:

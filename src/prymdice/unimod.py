@@ -43,9 +43,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
+from math import prod
 
 from . import enumerate_graphs
-from .exactmat import IntMatrix, det, det_of_rows, gauss_jordan, minors, rank
+from .exactmat import IntMatrix, det, gauss_jordan, minors, rank
 from .graph import GraphError, MultiGraph, components
 
 
@@ -328,32 +329,14 @@ def spanning_forest_count(G: MultiGraph) -> int:
     """Number of spanning forests with |V| - #components edges (Kirchhoff).
 
     A spanning forest is one spanning tree per component, so the count is
-    the product of the components' spanning-tree counts.  The counts bypass
-    the cache, which holds only the cographic search's components.
+    the product of the components' spanning-tree counts.
     """
     total = 1
     for comp in components(G):
         index = {v: i for i, v in enumerate(sorted(comp))}
         pairs = [(index[t], index[h]) for _, t, h in G.edges if t in index]
-        total *= _spanning_tree_count.__wrapped__(pairs, len(index))
+        total *= enumerate_graphs.spanning_tree_count(pairs, len(index))
     return total
-
-
-@cache
-def _spanning_tree_count(pairs, nverts: int) -> int:
-    """Spanning trees of a connected pair-graph: a reduced Laplacian determinant.
-
-    A loop adds to its vertex's diagonal entry what it then takes away, so
-    loops count for nothing.  Cached, since the cographic search meets the
-    same connected components in many disjoint unions.
-    """
-    lap = [[0] * nverts for _ in range(nverts)]
-    for u, v in pairs:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    return det_of_rows([row[:-1] for row in lap[:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +742,11 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     then all disconnected component splits); each candidate's cut-space
     system is compared via ``matroid_equivalent``.  A fast necessary
     invariant filters candidates before the full search: the spanning-forest
-    count must equal the basis count.  The enumeration reports each
-    candidate's connected components, so the count is a product of cached
-    per-component matrix-tree determinants, and only candidates that pass
-    are built as graphs.
+    count must equal the basis count.  The enumeration walks each
+    candidate as a choice of connected components that carry their
+    spanning-tree counts, so the forest count is their product, and only
+    a candidate that passes is joined into a pair-graph and built as a
+    graph.
 
     The gate is on the system, not its coordinates: a matrix that fails
     the signing test may still be T [I | A] with |det T| = 1 and A TU (any
@@ -785,7 +769,7 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     n_bases = len(S.matroid.bases)
     tried = connected_tried = disconnected_tried = matches = 0
     witness = None
-    for pairs, nverts, parts in enumerate_graphs.pair_graphs_with_cycle_space_rank(m, n):
+    for parts in enumerate_graphs.cycle_space_rank_components(m, n):
         tried += 1
         if len(parts) == 1:
             connected_tried += 1
@@ -793,13 +777,10 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
             disconnected_tried += 1
         if max_graphs is not None and tried > max_graphs:
             break
-        forests = 1
-        for part in parts:
-            forests *= _spanning_tree_count(*part)
-        if forests != n_bases:
+        if prod(trees for _, _, trees in parts) != n_bases:
             continue
         matches += 1
-        G = enumerate_graphs.pair_graph_to_multigraph(pairs, nverts)
+        G = enumerate_graphs.pair_graph_to_multigraph(*enumerate_graphs.disjoint_union(parts))
         candidate = UnimodularSystem(cut_space_matrix(G), allow_repeats=True)
         bijection = matroid_equivalent(S, candidate)
         if bijection is not None:

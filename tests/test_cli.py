@@ -364,3 +364,22 @@ def test_cli_import_does_not_load_networkx():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_segre_json_does_not_load_fractions():
+    # the Segre path holds half-integers doubled as integers, so a fresh
+    # interpreter running it never imports fractions (nor decimal with it)
+    src = os.path.dirname(os.path.dirname(prymdice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import contextlib, io, sys\n"
+        "from prymdice.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['--json', 'segre'])\n"
+        "print(code, 'fractions' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["0", "False"]

@@ -61,6 +61,48 @@ def test_carried_groups_match_a_fresh_search():
                 assert carried == set(eg._automorphism_vertex_perms(pairs, nverts))
 
 
+def _refinement_input(pairs, nverts):
+    # the start colouring (loop counts, ranked) and neighbour lists that
+    # the canonical search hands to the refinement
+    mult = [[0] * nverts for _ in range(nverts)]
+    for u, v in pairs:
+        mult[u][v] += 1
+        if u != v:
+            mult[v][u] += 1
+    nbrs = [tuple((w, k) for w, k in enumerate(row) if k and w != v) for v, row in enumerate(mult)]
+    ranks = {k: i for i, k in enumerate(sorted({mult[v][v] for v in range(nverts)}))}
+    return [ranks[mult[v][v]] for v in range(nverts)], nbrs
+
+
+def test_refinement_is_equitable_and_commutes_with_relabelling():
+    rng = seeded_rng(22)
+    for _ in range(400):
+        nverts = rng.randint(1, 8)
+        pairs = tuple(sorted(
+            tuple(sorted(rng.choices(range(nverts), k=2))) for _ in range(rng.randint(0, 14))
+        ))
+        colour, nbrs = _refinement_input(pairs, nverts)
+        refined = eg._refine(colour, nbrs)
+        assert sorted(set(refined)) == list(range(len(set(refined))))
+        # counted with multiplicity, the neighbours of a vertex in each cell
+        counts = [[0] * nverts for _ in range(nverts)]
+        for u, v in pairs:
+            if u != v:
+                counts[u][refined[v]] += 1
+                counts[v][refined[u]] += 1
+        for u in range(nverts):
+            for v in range(u):
+                if refined[u] == refined[v]:
+                    assert colour[u] == colour[v]
+                    assert counts[u] == counts[v]
+        # relabelling the graph permutes the colouring the same way
+        sigma = list(range(nverts))
+        rng.shuffle(sigma)
+        moved = tuple(sorted(tuple(sorted((sigma[u], sigma[v]))) for u, v in pairs))
+        moved_refined = eg._refine(*_refinement_input(moved, nverts))
+        assert [moved_refined[sigma[v]] for v in range(nverts)] == refined
+
+
 def test_cold_e5_search_makes_no_second_search_per_support():
     # a fresh interpreter, so the enumerator's caches start cold; a second
     # search per support (the group found again) would raise the count

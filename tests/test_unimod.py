@@ -959,15 +959,52 @@ def test_forest_count_is_the_product_over_components():
     assert spanning_forest_count(looped) == 2
 
 
-def test_forest_count_leaves_the_tree_count_cache_alone():
-    before = unimod._spanning_tree_count.cache_info().currsize
+def test_carried_tree_counts_match_the_forest_count():
+    # the cographic search reads the tree count each connected loopless
+    # representative carries; Kirchhoff on the graph built from it agrees
     counted = 0
     for m in range(1, 9):
-        for g in eg.connected_multigraphs_any_order(m):
-            assert spanning_forest_count(g) >= 1
-            counted += 1
+        for rank in range(1, m + 1):
+            for parts in eg.cycle_space_rank_components(m, rank):
+                if len(parts) == 1:
+                    (pairs, nverts, trees), = parts
+                    G = eg.pair_graph_to_multigraph(pairs, nverts)
+                    assert trees == spanning_forest_count(G) >= 1
+                    counted += 1
     assert counted == 1672
-    assert unimod._spanning_tree_count.cache_info().currsize == before
+
+
+def _counting_joins(monkeypatch):
+    joins = []
+    join = eg.disjoint_union
+
+    def counted(components):
+        joins.append(len(components))
+        return join(components)
+
+    monkeypatch.setattr(eg, "disjoint_union", counted)
+    return joins
+
+
+def test_e5_search_joins_no_pair_graph(monkeypatch):
+    # no candidate's forest count equals E5's basis count, so no candidate
+    # is joined into a pair-graph, let alone built as a graph
+    joins = _counting_joins(monkeypatch)
+    cert = is_cographic(e5())
+    assert cert.report.graphs_tried == 3761 and cert.report.forest_count_matches == 0
+    assert joins == []
+
+
+def test_search_joins_a_pair_graph_only_on_a_forest_count_match(monkeypatch):
+    joins = _counting_joins(monkeypatch)
+    searches = 0
+    for m in range(1, 7):
+        for g in eg.connected_multigraphs_any_order(m):
+            joins.clear()
+            report = is_cographic(bond_system(g)).report
+            assert len(joins) == report.forest_count_matches >= 1
+            searches += 1
+    assert searches == 156
 
 
 def test_e5_dual_representation_not_cographic_either():
