@@ -2,16 +2,18 @@
 
 Graphs are represented internally as sorted tuples of vertex-index pairs
 ``(u, v)`` with ``u <= v`` (a pair with ``u == v`` is a loop); parallel
-edges repeat the pair.  Isomorphism is decided by a canonical form: an
-individualization-refinement search labels the vertices, the least
-relabelled pair tuple over its leaves is the graph's certificate, and
-the leaves that reach it give the automorphism group.  Refinement keys a
-vertex by its colour and, for each colour, the number of its neighbours
-with that colour counted with multiplicity; the keys are label-invariant,
-so the certificates are canonical.  Deduplication is a set of
-certificates, so duplicates are impossible and nothing is missed; the
-enumerators are cross-checked against brute-force labeled counts in the
-tests.
+edges repeat the pair.  Every multigraph is a connected simple support
+plus a weight orbit, so isomorphism is decided only between the
+connected simple graphs that ``_supports`` grows and ``_dedup`` admits,
+by a canonical form: an individualization-refinement search on
+neighbour bitmasks labels the vertices, the least relabelled pair tuple
+over its leaves is the graph's certificate, and the leaves that reach it
+give the automorphism group.  Refinement keys a vertex by its colour
+and, for each colour, the number of its neighbours with that colour; the
+keys are label-invariant, so the certificates are canonical.
+Deduplication is a set of certificates, so duplicates are impossible and
+nothing is missed; the enumerators are cross-checked against brute-force
+labeled counts in the tests.
 
 Connected simple supports are grown, trees pendant by pendant and all
 others edge by edge, and each kept support has had exactly one canonical
@@ -43,22 +45,24 @@ from .graph import MultiGraph
 PairGraph = tuple  # sorted tuple of (u, v) pairs, vertices 0..nverts-1
 
 
-def _refine(colour: list, nbrs: list) -> list:
+def _refine(colour: list, adj: list) -> list:
     """Coarsest equitable refinement of a colouring with colours 0..k-1.
 
-    A vertex's key is its colour followed by, for each colour, the number
-    of its neighbours with that colour, counted with multiplicity; each
-    round builds the keys in one pass and ranks them in sorted order, so
-    the result does not depend on how the vertices are labelled.
+    ``adj[v]`` is the bitmask of v's neighbours in a simple graph.  A
+    vertex's key is its colour followed by, for each colour, the number
+    of its neighbours with that colour; each round builds the keys in one
+    pass and ranks them in sorted order, so the result does not depend on
+    how the vertices are labelled.
     """
     count = len(set(colour))
     while True:
-        keys = []
-        for c, adj in zip(colour, nbrs):
-            counts = [0] * count
-            for w, k in adj:
-                counts[colour[w]] += k
-            keys.append((c, *counts))
+        cells = [0] * count
+        for v, c in enumerate(colour):
+            cells[c] |= 1 << v
+        keys = [
+            (c, *[(mask & cell).bit_count() for cell in cells])
+            for c, mask in zip(colour, adj)
+        ]
         ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
         if len(ranks) == count:
             return colour
@@ -67,46 +71,41 @@ def _refine(colour: list, nbrs: list) -> list:
 
 
 def _canonical_search(pairs, nverts: int):
-    """Canonical certificate of a pair-graph, with the data of its automorphisms.
+    """Canonical certificate of a simple pair-graph, with the data of its automorphisms.
 
-    Colours start from the loop counts and are refined to equitable;
-    every vertex of the first non-singleton cell is individualized in
-    turn, recursively, until the colouring is a labelling.  The least
+    Only the connected simple supports that ``_supports`` grows and
+    ``_dedup`` admits are searched: ``pairs`` has no loop and no repeated
+    pair.  Colours start uniform and are refined to equitable; every
+    vertex of the first non-singleton cell is individualized in turn,
+    recursively, until the colouring is a labelling.  The least
     relabelled pair tuple over the leaves is the certificate: equal for
     two graphs on ``nverts`` vertices exactly when they are isomorphic.
 
-    Twins (vertices whose transposition is an automorphism) would repeat
-    a subtree, so only the first twin of each class in a cell is
-    individualized.  Returns ``(certificate, found, twin_classes)``: two
-    leaves with the same relabelled graph differ by an automorphism, and
-    ``found`` holds those of the leaves reaching the certificate, as
-    vertex permutations ``perm[v]``.  Composed with the permutations of
-    the twin classes they give the whole group.
+    Twins (vertices with the same neighbours apart from each other, so
+    that their transposition is an automorphism) would repeat a subtree,
+    so only the first twin of each class in a cell is individualized.
+    Returns ``(certificate, found, twin_classes)``: two leaves with the
+    same relabelled graph differ by an automorphism, and ``found`` holds
+    those of the leaves reaching the certificate, as vertex permutations
+    ``perm[v]``.  Composed with the permutations of the twin classes they
+    give the whole group.
     """
-    mult = [[0] * nverts for _ in range(nverts)]
+    adj = [0] * nverts
     for u, v in pairs:
-        mult[u][v] += 1
-        if u != v:
-            mult[v][u] += 1
-    nbrs = [
-        tuple((w, k) for w, k in enumerate(row) if k and w != v)
-        for v, row in enumerate(mult)
-    ]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     twin_class = list(range(nverts))
     for v in range(nverts):
         for u in range(v):
-            if twin_class[u] == u and all(
-                mult[u][x] == mult[v][x] for x in range(nverts) if x != u and x != v
-            ) and mult[u][u] == mult[v][v]:
+            if twin_class[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
                 twin_class[v] = u
                 break
-    loop_ranks = {k: i for i, k in enumerate(sorted({mult[v][v] for v in range(nverts)}))}
     best = None
     leaves = []
 
     def search(colour):
         nonlocal best, leaves
-        colour = _refine(colour, nbrs)
+        colour = _refine(colour, adj)
         sizes = [0] * nverts
         for c in colour:
             sizes[c] += 1
@@ -130,7 +129,7 @@ def _canonical_search(pairs, nverts: int):
             # cells after it move up by one
             search([c if c < target or u == v else c + 1 for u, c in enumerate(colour)])
 
-    search([loop_ranks[mult[v][v]] for v in range(nverts)])
+    search([0] * nverts)
     first = leaves[0]
     found = []
     for leaf in leaves:
@@ -400,9 +399,11 @@ def _counted_reps(shape: tuple) -> tuple:
     """Connected loopless representatives of an ``(edges, rank)`` shape, as
     ``(pairs, nverts, trees)`` with their spanning-tree counts."""
     nedges, rank = shape
+    # spelled as ``_connected_reps`` spells it: lru_cache keys a call by its
+    # spelling, so ``(nedges, nverts)`` would build a second entry
     return tuple(
         (pairs, rank + 1, spanning_tree_count(pairs, rank + 1))
-        for pairs in connected_multigraphs(nedges, rank + 1)
+        for pairs in connected_multigraphs(nedges, rank + 1, False)
     )
 
 

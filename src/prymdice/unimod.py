@@ -291,15 +291,16 @@ def _signed_sum_in_range(vectors: list, up: int, down: int, high: int) -> int | 
 
 
 def cut_space_matrix(G: MultiGraph) -> IntMatrix:
-    """Vertex-edge incidence matrix with one row dropped per component."""
+    """Vertex-edge incidence matrix with one row dropped per component.
+
+    A loop's +1 and -1 fall in one row, so its column is zero.
+    """
     comps = components(G)
     drop = {max(sorted(c)) for c in comps}
     kept = [v for v in G.vertices if v not in drop]
     index = {v: i for i, v in enumerate(kept)}
     rows = [[0] * G.num_edges for _ in kept]
     for j, (lab, t, h) in enumerate(G.edges):
-        if t == h:
-            continue
         if h in index:
             rows[index[h]][j] += 1
         if t in index:

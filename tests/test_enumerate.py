@@ -7,6 +7,7 @@ import prymdice
 from prymdice import enumerate_graphs as eg
 from prymdice.graph import MultiGraph, components
 from prymdice.homology import betti_number
+from prymdice.unimod import e5, is_cographic
 
 from conftest import seeded_rng
 from oracles import (
@@ -61,45 +62,51 @@ def test_carried_groups_match_a_fresh_search():
                 assert carried == set(eg._automorphism_vertex_perms(pairs, nverts))
 
 
-def _refinement_input(pairs, nverts):
-    # the start colouring (loop counts, ranked) and neighbour lists that
-    # the canonical search hands to the refinement
-    mult = [[0] * nverts for _ in range(nverts)]
+def _adjacency(pairs, nverts):
+    # the neighbour bitmasks that the canonical search hands to the refinement
+    adj = [0] * nverts
     for u, v in pairs:
-        mult[u][v] += 1
-        if u != v:
-            mult[v][u] += 1
-    nbrs = [tuple((w, k) for w, k in enumerate(row) if k and w != v) for v, row in enumerate(mult)]
-    ranks = {k: i for i, k in enumerate(sorted({mult[v][v] for v in range(nverts)}))}
-    return [ranks[mult[v][v]] for v in range(nverts)], nbrs
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _is_simple(pairs):
+    return all(u < v for u, v in pairs) and len(set(pairs)) == len(pairs)
 
 
 def test_refinement_is_equitable_and_commutes_with_relabelling():
     rng = seeded_rng(22)
     for _ in range(400):
         nverts = rng.randint(1, 8)
-        pairs = tuple(sorted(
-            tuple(sorted(rng.choices(range(nverts), k=2))) for _ in range(rng.randint(0, 14))
-        ))
-        colour, nbrs = _refinement_input(pairs, nverts)
-        refined = eg._refine(colour, nbrs)
+        slots = [(u, v) for u in range(nverts) for v in range(u + 1, nverts)]
+        pairs = tuple(sorted(rng.sample(slots, rng.randint(0, len(slots)))))
+        # a random start colouring, ranked to colours 0..k-1
+        ncolours = rng.randint(1, nverts)
+        drawn = [rng.randrange(ncolours) for _ in range(nverts)]
+        ranks = {c: i for i, c in enumerate(sorted(set(drawn)))}
+        colour = [ranks[c] for c in drawn]
+        refined = eg._refine(colour, _adjacency(pairs, nverts))
         assert sorted(set(refined)) == list(range(len(set(refined))))
-        # counted with multiplicity, the neighbours of a vertex in each cell
+        # the neighbours of a vertex in each cell
         counts = [[0] * nverts for _ in range(nverts)]
         for u, v in pairs:
-            if u != v:
-                counts[u][refined[v]] += 1
-                counts[v][refined[u]] += 1
+            counts[u][refined[v]] += 1
+            counts[v][refined[u]] += 1
         for u in range(nverts):
             for v in range(u):
                 if refined[u] == refined[v]:
                     assert colour[u] == colour[v]
                     assert counts[u] == counts[v]
-        # relabelling the graph permutes the colouring the same way
+        # relabelling the graph and its colouring permutes the refinement
+        # the same way
         sigma = list(range(nverts))
         rng.shuffle(sigma)
         moved = tuple(sorted(tuple(sorted((sigma[u], sigma[v]))) for u, v in pairs))
-        moved_refined = eg._refine(*_refinement_input(moved, nverts))
+        moved_colour = [0] * nverts
+        for v in range(nverts):
+            moved_colour[sigma[v]] = colour[v]
+        moved_refined = eg._refine(moved_colour, _adjacency(moved, nverts))
         assert [moved_refined[sigma[v]] for v in range(nverts)] == refined
 
 
@@ -129,6 +136,36 @@ print(calls.get("_canonical_search", 0), calls.get("_automorphism_vertex_perms",
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.split() == ["400", "0", "3761", "2445", "1316", "0"]
+
+
+def test_canonical_search_sees_only_simple_graphs(monkeypatch):
+    # every multigraph is a simple support plus a weight orbit, and the
+    # canonical search is written for simple graphs alone
+    searched = []
+    original = eg._canonical_search
+
+    def recorded(pairs, nverts):
+        searched.append(pairs)
+        return original(pairs, nverts)
+
+    monkeypatch.setattr(eg, "_canonical_search", recorded)
+    for cached in (eg._supports, eg.connected_multigraphs, eg._counted_reps):
+        cached.cache_clear()
+    for m in range(1, 7):
+        list(eg.all_multigraphs(m, loops=True))
+    is_cographic(e5())
+    assert searched
+    assert all(_is_simple(pairs) for pairs in searched)
+
+
+def test_loopless_enumeration_is_cached_once():
+    # lru_cache keys a call by how its arguments are spelled, so the two
+    # loopless callers must spell it alike to share one entry
+    eg.connected_multigraphs.cache_clear()
+    list(eg.connected_multigraphs_any_order(6))
+    misses = eg.connected_multigraphs.cache_info().misses
+    eg._counted_reps.__wrapped__((6, 3))
+    assert eg.connected_multigraphs.cache_info().misses == misses
 
 
 def test_compositions_match_brute_force_order():
@@ -276,16 +313,18 @@ def _relabelled(rng, pairs, nverts):
 
 
 def test_canonical_form_matches_brute_force_oracle():
-    # every multigraph with at most 5 edges (loops included) on at most 7
-    # vertices, every connected simple graph on 6 vertices (where the cell
-    # to branch on first starts to matter), and the symmetric graphs where
-    # the search branches most, each in two random relabellings
+    # the search sees only simple graphs: every simple graph with at most
+    # 5 edges on at most 7 vertices, every connected simple graph on 6
+    # vertices (where the cell to branch on first starts to matter), and
+    # the symmetric graphs where the search branches most, each in two
+    # random relabellings
     graphs = [
-        (_as_pairs(G), G.num_vertices)
+        (pairs, G.num_vertices)
         for m in range(1, 6)
-        for G in eg.all_multigraphs(m, loops=True)
-        if G.num_vertices <= 7
+        for G in eg.all_multigraphs(m)
+        if G.num_vertices <= 7 and _is_simple(pairs := _as_pairs(G))
     ]
+    assert len(graphs) == 39
     graphs += [(pairs, 6) for k in range(5, 16) for pairs in eg.connected_simple_graphs(6, k)]
     c6 = tuple(sorted([(i, i + 1) for i in range(5)] + [(0, 5)]))
     k4 = tuple((u, v) for u in range(4) for v in range(u + 1, 4))

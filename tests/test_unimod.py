@@ -255,6 +255,16 @@ def test_bond_system_rejects_disconnected_and_loops():
         bond_system(loopy)
 
 
+def test_cut_space_matrix_gives_loops_zero_columns():
+    # c is the component's dropped vertex: l0 loops at a kept vertex, l1 at c
+    plain = [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "a", "c")]
+    edges = plain[:2] + [("l0", "a", "a")] + plain[2:] + [("l1", "c", "c")]
+    M = cut_space_matrix(MultiGraph(["a", "b", "c"], edges))
+    assert M.column(2) == M.column(4) == (0, 0)
+    bare = cut_space_matrix(MultiGraph(["a", "b", "c"], plain))
+    assert [M.column(j) for j in (0, 1, 3)] == [bare.column(j) for j in range(3)]
+
+
 def test_forest_count_equals_basis_count_small():
     for m in range(1, 6):
         for g in eg.connected_multigraphs_any_order(m):
