@@ -42,8 +42,6 @@ from operator import add, sub
 from .exactmat import det_of_rows
 from .graph import MultiGraph
 
-PairGraph = tuple  # sorted tuple of (u, v) pairs, vertices 0..nverts-1
-
 
 def _refine(colour: list, adj: list) -> list:
     """Coarsest equitable refinement of a colouring with colours 0..k-1.
@@ -158,12 +156,6 @@ def _group(found, twin_classes) -> list:
                 extended[tuple(moved.get(x, x) for x in perm)] = None
         group = extended
     return list(group)
-
-
-def _automorphism_vertex_perms(pairs, nverts: int) -> list:
-    """Every automorphism once, as vertex permutations ``perm[v]``."""
-    _, found, twin_classes = _canonical_search(pairs, nverts)
-    return _group(found, twin_classes)
 
 
 def _edge_actions(support, perms) -> tuple:

@@ -16,7 +16,7 @@ The four workhorses are
   certificates use, each computed from the (k-1)-minors by Laplace
   expansion; it finds the minor that a not-TU certificate cites and,
   through the coordinate block of a standard form, the bases of a column
-  matroid,
+  matroid whose bases are not certified to be the odd minors,
 * ``gauss_jordan`` -- fraction-free (Bareiss) Gauss-Jordan elimination
   with greedy column pivoting: the lexicographically first column basis,
   its determinant d and d times the coordinates of every column in it,
@@ -54,7 +54,7 @@ class IntMatrix:
             raise MatrixError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if not all(isinstance(x, int) for x in self.entries):
+        if not all(map(isinstance, self.entries, itertools.repeat(int))):
             raise MatrixError("matrix entries must be integers")
 
     @classmethod
@@ -64,7 +64,7 @@ class IntMatrix:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise MatrixError("ragged rows")
-        return cls(n, m, tuple(int(x) for r in rows for x in r))
+        return cls(n, m, tuple(map(int, itertools.chain.from_iterable(rows))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -19,16 +19,21 @@ independence data here.  The matroid is read off the system's standard
 form: one fraction-free Gauss-Jordan pass (``exactmat.gauss_jordan``)
 pivots the system at its lexicographically first basis B, with
 determinant d, and leaves d times every column's coordinates in B.  The
-nonzero minors of that coordinate block are the other bases, and the same
-loop records, per column, the bitset of the bases that hold it.  A column
-set is independent exactly when it lies in some basis, so when the AND of
-its columns' bitsets is nonzero.  Both equivalence searches read
-independence only that way, and cographic recognition reads the basis
-count.  The census and element profiles that gate and order the matroid
-search come from a counting pass made on demand.  Coordinates in any
-other chosen basis come from the same elimination routine, and the
-lattice search matches columns by them, so no rational elimination is
-needed.
+nonzero minors of that coordinate block are the other bases.  When
+|d| = 1 they are found without drawing a minor: a regular matroid is
+binary (Tutte), so the bases of a unimodular system are the block's odd
+minors, read off mod-2 exterior products packed into integers, and
+Cauchy-Binet certifies that count (det(I + A A^T) is the sum of the
+squared minors).  Any other system, and any whose count that sum
+refutes, draws every minor by Laplace expansion.  The bases are numbered, and each column keeps the bitset of
+the bases that hold it.  A column set is independent exactly when it
+lies in some basis, so when the AND of its columns' bitsets is nonzero.
+Both equivalence searches read independence only that way, and
+cographic recognition reads the basis count.  The census and element
+profiles that gate and order the matroid search come from a counting
+pass made on demand.  Coordinates in any other chosen basis come from
+the same elimination routine, and the lattice search matches columns by
+them, so no rational elimination is needed.
 
 Cographic recognition is decided by brute force: candidate multigraphs
 with the right edge count and incidence rank are enumerated exhaustively
@@ -44,9 +49,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import prod
+from operator import mul
 
 from . import enumerate_graphs
-from .exactmat import IntMatrix, det, gauss_jordan, minors, rank
+from .exactmat import IntMatrix, det, det_of_rows, gauss_jordan, minors, rank
 from .graph import GraphError, MultiGraph, components
 
 
@@ -385,14 +391,28 @@ class _ColumnMatroid:
     the same size, (B minus the columns at R) plus K is a basis exactly
     when the minor of the coordinate block at rows R and columns K is
     nonzero.  So B and the nonzero minors of the n x (m - n) coordinate
-    block, over all row sets, give every basis: C(m, n) - 1 minors drawn.
+    block, over all row sets, give every basis.
 
-    Number the bases in that order.  ``holders[e]`` is the bitset of the
-    bases that contain column e, filled in the same loop: R names the
-    columns of B that leave and K the columns that enter.  A column set is
-    independent exactly when the AND of its holders is nonzero, since it
-    then lies in a basis, and the span of an independent set with AND h is
-    the set plus every column j with h & holders[j] zero.
+    Two routes find those minors.  When |det B| = 1 the parity route runs
+    first (``_parity_bases``): the block's nonzero minors are its odd
+    ones whenever every nonzero minor is +-1, as in a unimodular system,
+    and odd minors come from mod-2 exterior products, packed XOR
+    arithmetic that draws no minor.  It is taken only when certified: by
+    Cauchy-Binet, det(I + A A^T) is the sum of the squared minors of the
+    block A, computed on its shorter side, and it equals the parity count
+    exactly when every nonzero minor is +-1.  Otherwise the Laplace route
+    (``_laplace_bases``) draws all C(m, n) - 1 minors with
+    ``exactmat.minors``.  Both give the same bases.
+
+    Each route lists the bases as column masks, and basis b is the b-th
+    in its list: the parity route numbers them in blocks, one block per
+    set of columns that enter or of positions that leave.  ``holders[e]``
+    is the bitset of the bases that contain column e, the transpose of
+    that list.  A column set is independent exactly when the AND of its
+    holders is nonzero, since it then lies in a basis, and the span of an
+    independent set with AND h is the set plus every column j with
+    h & holders[j] zero.  The numbering differs between the routes; the
+    bases, the holders' bit counts and every AND's verdict do not.
 
     ``gate`` (rank, basis count and the sorted per-column basis counts)
     and ``invariants`` (rank, basis count, independent-set census by size
@@ -410,37 +430,87 @@ class _ColumnMatroid:
         self.m = M.cols
         self.rank = M.rows
         self.form = StandardForm.of(M)
-        self.bases, self.holders = self._compute_bases()
+        found = self._parity_bases() if abs(self.form.det) == 1 else None
+        self.bases, self.holders = self._numbered(found or self._laplace_bases())
         self.gate = (
             self.rank, len(self.bases), tuple(sorted(h.bit_count() for h in self.holders))
         )
 
-    def _compute_bases(self):
+    def _others(self) -> list:
         basis = self.form.basis
-        others = [j for j in range(self.m) if j not in basis]
-        row_bits = [1 << j for j in basis]
-        col_bits = [1 << j for j in others]
-        first = sum(row_bits)
-        bases = [first]
-        leaving = [0] * len(basis)  # per basis position: the bases without it
-        entering = [0] * len(others)  # per other column: the bases with it
+        return [j for j in range(self.m) if j not in basis]
+
+    def _parity_bases(self):
+        """The bases, as masks, read off the odd minors of the coordinate block.
+
+        Returns None unless the parity count is certified.  The side of the
+        block with fewer lines is packed and the other is walked: each set
+        W of walked lines with a nonzero mod-2 exterior product, a 2^w-bit
+        integer over the sets P of the w packed lines, gives one basis per
+        set bit P, the one whose minor is at W and P.  The count equals
+        the sum of the squared minors, det(I + G) with G the Gram matrix of
+        the packed lines (Cauchy-Binet, Sylvester), exactly when every
+        nonzero minor is +-1.
+        """
+        basis, others = self.form.basis, self._others()
+        columns = list(map(self.form.coordinates.column, others))
+        # with no other columns this is [], not n empty rows: those join no product
+        rows = list(zip(*columns))
+        if len(others) < self.rank:
+            walked, packed, lines, crossing = basis, others, rows, columns
+        else:
+            walked, packed, lines, crossing = others, basis, columns, rows
+        w = len(packed)
+        weight = det_of_rows([
+            [sum(map(mul, x, y)) + (a == b) for b, y in enumerate(crossing)]
+            for a, x in enumerate(crossing)
+        ])
+        spread = [0]  # per set P of packed lines: the bits of their columns
+        for j in packed:
+            spread += [bits | 1 << j for bits in spread]
+        first = sum(1 << j for j in basis)
+        bases = []
+        vectors = [
+            (1 << j, sum((x & 1) << a for a, x in enumerate(v))) for j, v in zip(walked, lines)
+        ]
+        for members, omega in _odd_exterior_products(vectors, w):
+            mask = first ^ members
+            while omega:
+                low = omega & -omega
+                omega ^= low
+                bases.append(mask ^ spread[low.bit_length() - 1])
+        return bases if len(bases) == weight else None
+
+    def _laplace_bases(self):
+        """The bases, as masks, read off the nonzero minors of the coordinate block."""
+        basis, others = self.form.basis, self._others()
+        bases = [sum(1 << j for j in basis)]
         for rows, cols, d in minors(self.form.coordinates.column_submatrix(others)):
             if d:
-                bit = 1 << len(bases)
-                mask = first
+                mask = bases[0]
                 for r in rows:
-                    mask ^= row_bits[r]
-                    leaving[r] |= bit
+                    mask ^= 1 << basis[r]
                 for c in cols:
-                    mask |= col_bits[c]
-                    entering[c] |= bit
+                    mask ^= 1 << others[c]
                 bases.append(mask)
-        every = (1 << len(bases)) - 1
-        holders = [0] * self.m
-        for j, left in zip(basis, leaving):
-            holders[j] = every ^ left
-        for j, held in zip(others, entering):
-            holders[j] = held
+        return bases
+
+    def _numbered(self, bases: list):
+        """``bases`` and ``holders``, basis b being the b-th mask of ``bases``.
+
+        ``holders`` transposes the masks.  The masks are laid out as bytes,
+        last basis first; every byte position gives a plane of one byte per
+        basis, and the digits of a column's bit in that plane, read in
+        binary, are its bitset.
+        """
+        width = (self.m + 7) // 8
+        layout = itertools.repeat(width), itertools.repeat("little")
+        data = b"".join(map(int.to_bytes, reversed(bases), *layout))
+        holders = []
+        for low in range(width):
+            plane = data[low::width]
+            tables = _BIT_DIGITS[:self.m - 8 * low]
+            holders += [int(plane.translate(table), 2) for table in tables]
         return frozenset(bases), tuple(holders)
 
     @cached_property
@@ -484,6 +554,49 @@ class _ColumnMatroid:
             level = smaller
             census.append(len(level))
         return tuple(reversed(census)), tuple(tuple(c) for c in counts)
+
+
+# per bit position b < 8: the byte values mapped to the digit of bit b
+_BIT_DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
+
+
+@cache
+def _wedge_moves(width: int) -> list:
+    """Per coordinate r < ``width``: the mask of the coordinate sets without r,
+    runs of 2^r set bits 2^r apart, and the shift 2^r that adds r to them."""
+    full = (1 << (1 << width)) - 1
+    return [
+        (full // ((1 << (2 << r)) - 1) * ((1 << (1 << r)) - 1), 1 << r) for r in range(width)
+    ]
+
+
+def _odd_exterior_products(vectors: list, width: int):
+    """Every set of ``vectors`` whose mod-2 exterior product is nonzero, with that product.
+
+    Each vector is a pair: a label bitmask, and a bitmask of its odd
+    coordinates among ``width``.  A product is a 2^width-bit integer whose
+    bit R is the mod-2 minor of the set's vectors at the coordinate set R.
+    Wedging with a vector XORs, over its odd coordinates r, the product's
+    bits at the sets without r, moved up to the same sets with r.  The
+    sets are walked depth first from the empty set, whose product is 1,
+    and a set whose product is 0 is not extended, since every superset's
+    is 0 too.  Yields ``(labels, product)``, the labels of a set OR-ed.
+    """
+    moves = _wedge_moves(width)
+    odd = [
+        (label, [moves[r] for r in range(width) if bits >> r & 1]) for label, bits in vectors
+    ]
+    stack = [(0, 1, 0)]
+    while stack:
+        labels, product, start = stack.pop()
+        yield labels, product
+        for k in range(start, len(odd)):
+            grown = 0
+            label, wedge = odd[k]
+            for lacks, shift in wedge:
+                grown ^= (product & lacks) << shift
+            if grown:
+                stack.append((labels | label, grown, k + 1))
 
 
 def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
@@ -767,7 +880,7 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
         if abs(form.det) != 1 or not _equitably_signable(form.coordinates):
             raise NotTotallyUnimodularError(is_totally_unimodular(S))
     n, m = S.dim, S.size
-    n_bases = len(S.matroid.bases)
+    n_bases = S.matroid.gate[1]
     tried = connected_tried = disconnected_tried = matches = 0
     witness = None
     for parts in enumerate_graphs.cycle_space_rank_components(m, n):

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 
@@ -95,3 +96,56 @@ def two_invariant_triangles():
         "c1": "c2", "c2": "c1", "c3": "c4", "c4": "c3",
     }
     return g, GraphInvolution(g, vmap, emap)
+
+
+def shuffled_graph(rng, vertices, edges, vertex_map, edge_map):
+    """The graph and involution with vertex and edge order shuffled."""
+    vertices, edges = list(vertices), list(edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    g = MultiGraph(vertices, edges)
+    return g, GraphInvolution(g, vertex_map, edge_map)
+
+
+def double_cover(rng, base_vertices, base_edges, cocycle):
+    """The free double cover of a base graph given by a Z/2 cocycle.
+
+    Base edge k = (t, h) lifts to x_k, y_k: (t.0, h.0), (t.1, h.1) when
+    the cocycle is 0 and (t.0, h.1), (t.1, h.0) when it is 1; the
+    involution swaps the sheets.  A zero cocycle gives the trivial,
+    disconnected cover.
+    """
+    vertices = [f"{v}.{s}" for v in base_vertices for s in (0, 1)]
+    vmap = {f"{v}.{s}": f"{v}.{1 - s}" for v in base_vertices for s in (0, 1)}
+    edges, emap = [], {}
+    for k, ((t, h), twist) in enumerate(zip(base_edges, cocycle)):
+        edges.append((f"x{k}", f"{t}.0", f"{h}.{twist}"))
+        edges.append((f"y{k}", f"{t}.1", f"{h}.{1 - twist}"))
+        emap[f"x{k}"], emap[f"y{k}"] = f"y{k}", f"x{k}"
+    return shuffled_graph(rng, vertices, edges, vmap, emap)
+
+
+@cache
+def census_covers():
+    """100 sparse covers (10-12 base vertices, b1 = 4, no parallel base
+    edges) and 100 covers of K5, seeded."""
+    rng = seeded_rng(71)
+    out = []
+    for _ in range(100):
+        n = rng.randint(10, 12)
+        base = [f"p{i}" for i in range(n)]
+        edges = [(base[rng.randrange(k)], base[k]) for k in range(1, n)]
+        present = {frozenset(e) for e in edges}
+        while len(edges) < n + 3:
+            u, v = rng.sample(base, 2)
+            if frozenset((u, v)) not in present:
+                present.add(frozenset((u, v)))
+                edges.append((u, v))
+        out.append(double_cover(rng, base, edges, [rng.randrange(2) for _ in edges]))
+    k5 = [f"p{i}" for i in range(5)]
+    for _ in range(100):
+        edges = [(k5[i], k5[j]) for i in range(5) for j in range(i + 1, 5)]
+        rng.shuffle(edges)
+        edges = [(h, t) if rng.random() < 0.5 else (t, h) for t, h in edges]
+        out.append(double_cover(rng, k5, edges, [rng.randrange(2) for _ in edges]))
+    return tuple(out)

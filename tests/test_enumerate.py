@@ -19,6 +19,11 @@ from oracles import (
 )
 
 
+def _automorphisms(pairs, nverts):
+    # every automorphism once, as vertex permutations perm[v]
+    return eg._group(*eg._canonical_search(pairs, nverts)[1:])
+
+
 def _as_pairs(G):
     index = {v: i for i, v in enumerate(G.vertices)}
     return tuple(sorted(tuple(sorted((index[t], index[h]))) for (_, t, h) in G.edges))
@@ -59,7 +64,7 @@ def test_carried_groups_match_a_fresh_search():
                 assert perms[0] == list(range(nverts))
                 carried = {tuple(p) for p in perms}
                 assert len(carried) == len(actions)
-                assert carried == set(eg._automorphism_vertex_perms(pairs, nverts))
+                assert carried == set(_automorphisms(pairs, nverts))
 
 
 def _adjacency(pairs, nverts):
@@ -112,24 +117,25 @@ def test_refinement_is_equitable_and_commutes_with_relabelling():
 
 def test_cold_e5_search_makes_no_second_search_per_support():
     # a fresh interpreter, so the enumerator's caches start cold; a second
-    # search per support (the group found again) would raise the count
+    # search per support (the group found again) would raise the count, and
+    # would come from outside the deduplication that admits the support
     src = os.path.dirname(os.path.dirname(prymdice.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     probe = """
 from prymdice import enumerate_graphs as eg
 from prymdice.unimod import e5, is_cographic
-calls = {}
-def counted(name):
-    original = getattr(eg, name)
-    def wrapper(*args):
-        calls[name] = calls.get(name, 0) + 1
-        return original(*args)
-    setattr(eg, name, wrapper)
-counted("_canonical_search")
-counted("_automorphism_vertex_perms")
+import sys
+calls = {"searches": 0, "outside _dedup": 0}
+original = eg._canonical_search
+def counted(*args):
+    calls["searches"] += 1
+    if sys._getframe(1).f_code.co_name != "_dedup":
+        calls["outside _dedup"] += 1
+    return original(*args)
+eg._canonical_search = counted
 r = is_cographic(e5()).report
-print(calls.get("_canonical_search", 0), calls.get("_automorphism_vertex_perms", 0),
+print(calls["searches"], calls["outside _dedup"],
       r.graphs_tried, r.connected_tried, r.disconnected_tried, r.forest_count_matches)
 """
     result = subprocess.run(
@@ -333,7 +339,7 @@ def test_canonical_form_matches_brute_force_oracle():
     named = [(c6, 6, 12), (k4, 4, 24), (k15, 6, 120), (k33, 6, 72)]
     graphs += [(pairs, nverts) for pairs, nverts, _ in named]
     for pairs, nverts, order in named:
-        assert len(eg._automorphism_vertex_perms(pairs, nverts)) == order
+        assert len(_automorphisms(pairs, nverts)) == order
 
     rng = seeded_rng(5)
     by_certificate, by_oracle = {}, {}
@@ -341,7 +347,7 @@ def test_canonical_form_matches_brute_force_oracle():
     for pairs, nverts in graphs:
         for copy in (pairs, _relabelled(rng, pairs, nverts), _relabelled(rng, pairs, nverts)):
             certificate = eg._canonical_search(copy, nverts)[0]
-            automorphisms = eg._automorphism_vertex_perms(copy, nverts)
+            automorphisms = _automorphisms(copy, nverts)
             assert len(set(automorphisms)) == len(automorphisms)
             assert set(automorphisms) == set(isomorphisms_by_brute_force(copy, copy, nverts))
             by_certificate.setdefault((nverts, certificate), set()).add(copy_id)

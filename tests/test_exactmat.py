@@ -80,6 +80,16 @@ def test_intmatrix_validation():
         IntMatrix.from_rows([[1, 2], [3]])
 
 
+def test_non_integer_entries_are_refused_with_the_same_error():
+    for bad in (1.0, "1", None, 2.5):
+        with pytest.raises(MatrixError, match="^matrix entries must be integers$"):
+            IntMatrix(2, 2, (1, 0, bad, 1))
+    # from_rows converts with int(), so integral floats and numeric strings pass
+    assert IntMatrix.from_rows([[1.0, "2"], [3, True]]).entries == (1, 2, 3, 1)
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, "x"]])
+
+
 def test_hnf_identity():
     I3 = IntMatrix.identity(3)
     H, U = hnf(I3)

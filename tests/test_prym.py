@@ -1,6 +1,5 @@
 import hashlib
 from fractions import Fraction
-from functools import cache
 
 import pytest
 
@@ -29,7 +28,7 @@ from prymdice.prym import (
 from prymdice.segre import build_cover, fixture
 from prymdice.unimod import is_totally_unimodular
 
-from conftest import seeded_rng
+from conftest import census_covers, double_cover, seeded_rng, shuffled_graph
 from oracles import vologodsky_by_bipartition, vologodsky_by_definition
 
 
@@ -427,33 +426,6 @@ def test_family_independent_dicings_are_tu_over_small_corpus():
 
 # --- seeded covers: the Vologodsky oracle and the pinned Prym pipeline -------
 
-def _shuffled_graph(rng, vertices, edges, vertex_map, edge_map):
-    """The graph and involution with vertex and edge order shuffled."""
-    vertices, edges = list(vertices), list(edges)
-    rng.shuffle(vertices)
-    rng.shuffle(edges)
-    g = MultiGraph(vertices, edges)
-    return g, GraphInvolution(g, vertex_map, edge_map)
-
-
-def _double_cover(rng, base_vertices, base_edges, cocycle):
-    """The free double cover of a base graph given by a Z/2 cocycle.
-
-    Base edge k = (t, h) lifts to x_k, y_k: (t.0, h.0), (t.1, h.1) when
-    the cocycle is 0 and (t.0, h.1), (t.1, h.0) when it is 1; the
-    involution swaps the sheets.  A zero cocycle gives the trivial,
-    disconnected cover.
-    """
-    vertices = [f"{v}.{s}" for v in base_vertices for s in (0, 1)]
-    vmap = {f"{v}.{s}": f"{v}.{1 - s}" for v in base_vertices for s in (0, 1)}
-    edges, emap = [], {}
-    for k, ((t, h), twist) in enumerate(zip(base_edges, cocycle)):
-        edges.append((f"x{k}", f"{t}.0", f"{h}.{twist}"))
-        edges.append((f"y{k}", f"{t}.1", f"{h}.{1 - twist}"))
-        emap[f"x{k}"], emap[f"y{k}"] = f"y{k}", f"x{k}"
-    return _shuffled_graph(rng, vertices, edges, vmap, emap)
-
-
 def _random_base(rng, nverts, extra, loops=False):
     """A connected base graph: a random tree plus ``extra`` edges, which may
     be parallel to others (and loops when asked)."""
@@ -495,7 +467,7 @@ def _random_involution_graph(rng):
             image = (vmap[t], vmap[h]) if rng.random() < 0.5 else (vmap[h], vmap[t])
             edges += [(f"e{k}", t, h), (f"e{k}'", *image)]
             emap[f"e{k}"], emap[f"e{k}'"] = f"e{k}'", f"e{k}"
-    return _shuffled_graph(rng, vertices, edges, vmap, emap)
+    return shuffled_graph(rng, vertices, edges, vmap, emap)
 
 
 def _small_covers():
@@ -505,37 +477,11 @@ def _small_covers():
     for _ in range(60):
         base, edges = _random_base(rng, rng.randint(1, 5), rng.randint(0, 4), loops=True)
         cocycle = [0] * len(edges) if rng.random() < 0.3 else [rng.randrange(2) for _ in edges]
-        out.append(_double_cover(rng, base, edges, cocycle))
+        out.append(double_cover(rng, base, edges, cocycle))
     for _ in range(40):
         base, edges = _random_base(rng, rng.randint(5, 7), rng.randint(2, 4))
-        out.append(_double_cover(rng, base, edges, [rng.randrange(2) for _ in edges]))
+        out.append(double_cover(rng, base, edges, [rng.randrange(2) for _ in edges]))
     return out
-
-
-@cache
-def _census_covers():
-    """100 sparse covers (10-12 base vertices, b1 = 4, no parallel base
-    edges) and 100 covers of K5, seeded."""
-    rng = seeded_rng(71)
-    out = []
-    for _ in range(100):
-        n = rng.randint(10, 12)
-        base = [f"p{i}" for i in range(n)]
-        edges = [(base[rng.randrange(k)], base[k]) for k in range(1, n)]
-        present = {frozenset(e) for e in edges}
-        while len(edges) < n + 3:
-            u, v = rng.sample(base, 2)
-            if frozenset((u, v)) not in present:
-                present.add(frozenset((u, v)))
-                edges.append((u, v))
-        out.append(_double_cover(rng, base, edges, [rng.randrange(2) for _ in edges]))
-    k5 = [f"p{i}" for i in range(5)]
-    for _ in range(100):
-        edges = [(k5[i], k5[j]) for i in range(5) for j in range(i + 1, 5)]
-        rng.shuffle(edges)
-        edges = [(h, t) if rng.random() < 0.5 else (t, h) for t, h in edges]
-        out.append(_double_cover(rng, k5, edges, [rng.randrange(2) for _ in edges]))
-    return tuple(out)
 
 
 def _verdict(result):
@@ -566,7 +512,7 @@ def test_vologodsky_verdicts_on_census_covers_are_pinned():
     # recorded with the earlier scan, which tested every orbit mask for
     # connectivity with set-based searches
     verdicts = []
-    for g, iota in _census_covers():
+    for g, iota in census_covers():
         passed, w = _verdict(vologodsky_check(g, iota))
         # sorted: the repr of a frozenset of names depends on string hashing
         verdicts.append((passed, w and (tuple(sorted(w[0])), tuple(sorted(w[1])), w[2])))
@@ -577,7 +523,7 @@ def test_vologodsky_verdicts_on_census_covers_are_pinned():
 
 
 def test_bipartition_lemma_matches_definition_oracle():
-    for g, iota in _small_covers() + list(_census_covers()):
+    for g, iota in _small_covers() + list(census_covers()):
         passed, _ = vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
         assert vologodsky_by_bipartition(g.vertices, g.edges, iota.vertex_map) == passed, g.edges
 
@@ -635,7 +581,7 @@ def test_vologodsky_passes_build_no_pair_list(monkeypatch):
     monkeypatch.setattr(prym, "_connected_orbit_unions", counting_unions)
     assert vologodsky_check(*build_cover()).passed
     assert listings == 0
-    for g, iota in _census_covers():
+    for g, iota in census_covers():
         listings = 0
         passed = vologodsky_check(g, iota).passed
         assert listings == (0 if passed else 1)
@@ -648,7 +594,7 @@ def test_split_without_a_joined_pair_raises(monkeypatch):
 
 
 def test_x_minus_matches_projected_cycle_generators():
-    covers = _census_covers() + tuple(_small_covers()[::4])
+    covers = census_covers() + tuple(_small_covers()[::4])
     for g, iota in covers:
         lattice = x_minus(g, iota)
         projected = [pi_minus(iota, h) for h in cycle_basis(g).basis]
@@ -659,7 +605,7 @@ def test_prym_pipeline_on_census_covers_is_pinned():
     # recorded with the earlier x_minus, which projected every cycle through
     # Fraction arithmetic
     found = []
-    for g, iota in _census_covers():
+    for g, iota in census_covers():
         dicing = prym_dicing(g, iota)
         doubled = dicing.lattice.doubled
         found.append((

@@ -27,7 +27,7 @@ from prymdice.unimod import (
 )
 from prymdice import enumerate_graphs as eg
 
-from conftest import scramble, seeded_rng
+from conftest import census_covers, random_gl, scramble, seeded_rng
 from oracles import (
     cofactor_det,
     first_violating_minor_by_definition,
@@ -627,6 +627,88 @@ def test_column_matroid_matches_rank_oracle():
         assert matroid.gate == (rank, n_bases, tuple(sorted(p[-1] for p in sorted_profiles)))
 
 
+def _same_independence(holders_a, holders_b):
+    # every column set gets the same verdict from the AND of either holders;
+    # a set dependent under both has only dependent supersets, so the walk
+    # does not extend it
+    stack = [(0, -1, -1)]
+    while stack:
+        start, common_a, common_b = stack.pop()
+        for e in range(start, len(holders_a)):
+            grown_a, grown_b = common_a & holders_a[e], common_b & holders_b[e]
+            if bool(grown_a) != bool(grown_b):
+                return False
+            if grown_a:
+                stack.append((e + 1, grown_a, grown_b))
+    return True
+
+
+def _routes_agree(matrix):
+    """Build the matroid both ways; whether the parity route was certified."""
+    matroid = _ColumnMatroid(matrix)
+    laplace_bases, laplace_holders = matroid._numbered(matroid._laplace_bases())
+    assert matroid.bases == laplace_bases
+    found = matroid._parity_bases()
+    if found is None:
+        return False
+    bases, holders = matroid._numbered(found)
+    assert bases == laplace_bases
+    assert len(found) == len(bases)  # each basis numbered once
+    assert [h.bit_count() for h in holders] == [h.bit_count() for h in laplace_holders]
+    assert _same_independence(holders, laplace_holders)
+    return True
+
+
+def _complete_bond_system(k, multiplicity=1):
+    vertices = [f"v{i}" for i in range(k)]
+    edges = [
+        (f"e{i}.{j}.{r}", vertices[i], vertices[j])
+        for i in range(k) for j in range(i + 1, k) for r in range(multiplicity)
+    ]
+    return bond_system(MultiGraph(vertices, edges))
+
+
+def test_parity_and_laplace_routes_agree():
+    rng = seeded_rng(24)
+    assert _routes_agree(e5().matrix)
+    for _ in range(50):
+        assert _routes_agree(scramble(rng, e5()).matrix)
+    graphs = [G for k in range(1, 8) for G in eg.connected_multigraphs_any_order(k)]
+    assert len(graphs) == 489
+    for G in graphs:
+        assert _routes_agree(bond_system(G).matrix)
+    # a dicing takes the parity route exactly when it is a unimodular
+    # system: |det T| = 1 and a TU coordinate block
+    routes = []
+    for g, iota in census_covers():
+        S = prym_dicing(g, iota).system
+        form = S.matroid.form
+        unimodular = abs(form.det) == 1 and is_totally_unimodular(form.coordinates).is_tu
+        assert _routes_agree(S.matrix) == unimodular
+        routes.append(unimodular)
+    assert 0 < routes.count(False) < len(routes)
+    # square systems have one basis, drawn by neither route
+    assert _routes_agree(IntMatrix.identity(1))
+    for n in range(2, 7):
+        assert _routes_agree(random_gl(rng, n))
+    assert _routes_agree(M([[2, 1], [0, 1]]))
+    # spanning-tree counts by Cayley's formula, and with every edge doubled
+    for S, trees in (
+        (_complete_bond_system(6), 6 ** 4),
+        (_complete_bond_system(5, 2), 5 ** 3 * 2 ** 4),
+        (_complete_bond_system(7), 7 ** 5),
+    ):
+        assert _routes_agree(S.matrix)
+        assert len(S.matroid.bases) == trees
+    # |det T| = 1, but the minor at both rows and the last two columns is
+    # -2: it is even, so the parity count is 5, while the squared minors
+    # sum to det(I + A A^T) = 9
+    refusal = M([[1, 0, 1, 1], [0, 1, 1, -1]])
+    assert abs(_ColumnMatroid(refusal).form.det) == 1
+    assert not _routes_agree(refusal)
+    assert len(_ColumnMatroid(refusal).bases) == 6
+
+
 def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
     drawn = []
     real_minors = unimod.minors
@@ -637,10 +719,14 @@ def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
             yield item
 
     monkeypatch.setattr(unimod, "minors", counting_minors)
-    # the bases of E5 other than the first are the nonzero minors of its
-    # 5 x 5 coordinate block, over all row sets: C(10, 5) - 1 = 251 drawn
+    # E5's parity count is certified, so its bases come from exterior
+    # products and no minor is drawn (the Laplace route drew C(10, 5) - 1)
     _ColumnMatroid(e5().matrix)
-    assert len(drawn) == 251
+    assert drawn == []
+    # an uncertified count falls back to drawing the coordinate block's
+    # minors: 2 + 2 one-by-one and 1 two-by-two
+    _ColumnMatroid(M([[1, 0, 1, 1], [0, 1, 1, -1]]))
+    assert len(drawn) == 5
     T = scramble(seeded_rng(7), e5())
     assert T.matroid.invariants == e5().matroid.invariants
     drawn.clear()
