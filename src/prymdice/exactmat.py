@@ -91,7 +91,7 @@ class IntMatrix:
             raise MatrixError("incompatible shapes for multiplication")
         columns = [other.column(j) for j in range(other.cols)]
         return IntMatrix(self.rows, other.cols, tuple(
-            sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in columns
+            sum(map(mul, row, col)) for row in map(self.row, range(self.rows)) for col in columns
         ))
 
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":

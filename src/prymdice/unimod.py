@@ -25,15 +25,14 @@ binary (Tutte), so the bases of a unimodular system are the block's odd
 minors, read off mod-2 exterior products packed into integers, and
 Cauchy-Binet certifies that count (det(I + A A^T) is the sum of the
 squared minors).  Any other system, and any whose count that sum
-refutes, draws every minor by Laplace expansion.  The bases are numbered, and each column keeps the bitset of
-the bases that hold it.  A column set is independent exactly when it
-lies in some basis, so when the AND of its columns' bitsets is nonzero.
-Both equivalence searches read independence only that way, and
-cographic recognition reads the basis count.  The census and element
-profiles that gate and order the matroid search come from a counting
-pass made on demand.  Coordinates in any other chosen basis come from
-the same elimination routine, and the lattice search matches columns by
-them, so no rational elimination is needed.
+refutes, draws every minor by Laplace expansion.  The bases are
+numbered, and each column keeps the bitset of the bases that hold it.
+A column set is independent exactly when it lies in some basis, so when
+the AND of its columns' bitsets is nonzero.  Both equivalence searches
+read independence only that way, and cographic recognition reads the
+basis count.  Coordinates in any other chosen basis come from the same
+elimination routine, and the lattice search matches columns by them, so
+no rational elimination is needed.
 
 Cographic recognition is decided by brute force: candidate multigraphs
 with the right edge count and incidence rank are enumerated exhaustively
@@ -414,16 +413,11 @@ class _ColumnMatroid:
     h & holders[j] zero.  The numbering differs between the routes; the
     bases, the holders' bit counts and every AND's verdict do not.
 
-    ``gate`` (rank, basis count and the sorted per-column basis counts)
-    and ``invariants`` (rank, basis count, independent-set census by size
-    and the sorted per-element profiles) are preserved by any column
-    bijection that maps independent sets to independent sets, so a
-    mismatch refutes both matroid and lattice equivalence.  The gate is a
-    function of the invariants, read off ``holders``; the invariants, with
-    ``census`` and ``element_profiles``, come from a counting pass over the
-    downward closure of the bases, made on first use.  Independence itself
-    is only ever read off ``holders``; no collection of independent sets is
-    kept.
+    ``gate`` (rank, basis count and the sorted per-column basis counts) is
+    preserved by any column bijection that maps independent sets to
+    independent sets, so a mismatch refutes both matroid and lattice
+    equivalence.  It is read off ``holders``, like independence itself; no
+    collection of independent sets is kept.
     """
 
     def __init__(self, M: IntMatrix):
@@ -513,48 +507,6 @@ class _ColumnMatroid:
             holders += [int(plane.translate(table), 2) for table in tables]
         return frozenset(bases), tuple(holders)
 
-    @cached_property
-    def _closure(self):
-        return self._downward_closure()
-
-    @property
-    def census(self) -> tuple:
-        return self._closure[0]
-
-    @property
-    def element_profiles(self) -> tuple:
-        return self._closure[1]
-
-    @cached_property
-    def invariants(self) -> tuple:
-        return self.rank, len(self.bases), self.census, tuple(sorted(self.element_profiles))
-
-    def _downward_closure(self):
-        """The census of independent sets by size and the element profiles.
-
-        The sets are counted a level at a time, from the bases down, each
-        level the one-element deletions of the one above; only the current
-        level is kept.  Every set of a level has that level's size, so the
-        census is the level sizes, and one walk over each set's elements
-        both builds the next level and counts, per element and size, the
-        independent sets that contain it.
-        """
-        counts = [[0] * self.rank for _ in range(self.m)]
-        level = self.bases
-        census = [len(level)]
-        for size in range(self.rank, 0, -1):
-            smaller = set()
-            for mask in level:
-                mm = mask
-                while mm:
-                    bit = mm & -mm
-                    smaller.add(mask ^ bit)
-                    counts[bit.bit_length() - 1][size - 1] += 1
-                    mm ^= bit
-            level = smaller
-            census.append(len(level))
-        return tuple(reversed(census)), tuple(tuple(c) for c in counts)
-
 
 # per bit position b < 8: the byte values mapped to the digit of bit b
 _BIT_DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
@@ -602,29 +554,31 @@ def _odd_exterior_products(vectors: list, width: int):
 def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """Column bijection carrying independent sets to independent sets, or None.
 
-    Pruned by the cached matroids' gate, then by their invariants, before a
-    backtracking search that maps the rarest profile classes first.  The
-    search carries, for every independent subset S of the mapped prefix,
-    the pair of ANDs of ``holders`` over S in A and over its image in B,
-    starting from the empty set's pair (-1, -1).  A candidate image for the
-    next element is accepted when, for every pair, the ANDs with the two
-    elements' holders are both zero or both nonzero: S plus the element is
-    independent in A exactly when its image is in B.  The nonzero ANDs
-    are the pairs of the independent subsets of the longer prefix.
+    Pruned by the cached matroids' gate before a backtracking search that
+    maps the rarest classes first, a column's class being its basis count,
+    and maps it only into its class.  Independence is read only off
+    ``holders``: the search carries, for every independent subset S of the
+    mapped prefix, the pair of ANDs of ``holders`` over S in A and over its
+    image in B, starting from the empty set's pair (-1, -1).  A candidate
+    image for the next element is accepted when, for every pair, the ANDs
+    with the two elements' holders are both zero or both nonzero: S plus
+    the element is independent in A exactly when its image is in B.  The
+    nonzero ANDs are the pairs of the independent subsets of the longer
+    prefix.
     """
     if A.size != B.size:
         raise ValueError("matroid comparison requires equal ground set sizes")
     MA, MB = A.matroid, B.matroid
-    if MA.gate != MB.gate or MA.invariants != MB.invariants:
+    if MA.gate != MB.gate:
         return None
     m = MA.m
-    profiles_a, holders_a = MA.element_profiles, MA.holders
-    profiles_b, holders_b = MB.element_profiles, MB.holders
-    by_profile: dict[tuple, list[int]] = {}
-    for e in range(m):
-        by_profile.setdefault(profiles_b[e], []).append(e)
-    # map rarest profile classes first
-    order = sorted(range(m), key=lambda e: (len(by_profile[profiles_a[e]]), e))
+    holders_a, holders_b = MA.holders, MB.holders
+    counts_a = [h.bit_count() for h in holders_a]
+    by_count: dict[int, list[int]] = {}
+    for e, h in enumerate(holders_b):
+        by_count.setdefault(h.bit_count(), []).append(e)
+    # map rarest classes first
+    order = sorted(range(m), key=lambda e: (len(by_count[counts_a[e]]), e))
     image = [-1] * m
     used = [False] * m
 
@@ -633,7 +587,7 @@ def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
             return True
         e = order[depth]
         held_a = holders_a[e]
-        for candidate in by_profile[profiles_a[e]]:
+        for candidate in by_count[counts_a[e]]:
             if used[candidate]:
                 continue
             held_b = holders_b[candidate]

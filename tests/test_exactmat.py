@@ -90,6 +90,23 @@ def test_non_integer_entries_are_refused_with_the_same_error():
         IntMatrix.from_rows([[1, "x"]])
 
 
+def test_gotmatches_the_entrywise_definition():
+    rng = seeded_rng(25)
+    # every shape up to 3 x 3 by 3 x 3, 0-row, 0-column and 0-inner factors included
+    shapes = [(r, k, c) for r in range(4) for k in range(4) for c in range(4)]
+    for r, k, c in shapes + [rng.choice(shapes) for _ in range(50)]:
+        a = [rng.randint(-6, 6) for _ in range(r * k)]
+        b = [rng.randint(-6, 6) for _ in range(k * c)]
+        got = IntMatrix(r, k, tuple(a)) @ IntMatrix(k, c, tuple(b))
+        assert (got.rows, got.cols) == (r, c)
+        assert got.entries == tuple(
+            sum(a[i * k + t] * b[t * c + j] for t in range(k)) for i in range(r) for j in range(c)
+        )
+    for left, right in (((2, 3), (2, 3)), ((0, 1), (2, 0)), ((3, 0), (1, 3))):
+        with pytest.raises(MatrixError, match="incompatible shapes"):
+            IntMatrix.zeros(*left) @ IntMatrix.zeros(*right)
+
+
 def test_hnf_identity():
     I3 = IntMatrix.identity(3)
     H, U = hnf(I3)

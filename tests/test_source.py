@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -83,3 +84,31 @@ def test_no_library_module_imports_another_modules_private_name():
         if alias.name.startswith("_")
     )
     assert found == []
+
+
+def _traced_names():
+    """The ``module.name`` entries that perfbench's tracer looks up, read from
+    its source without importing it."""
+    source = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    names = []
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            target, value = node.targets[0].id, node.value
+            if target in ("SPANNED", "COUNTED", "CONSTRUCTED"):
+                names += ast.literal_eval(value)
+            elif target == "OBSERVED":
+                names += [ast.literal_eval(key) for key in value.keys]
+    return names
+
+
+def test_every_name_the_benchmark_traces_exists():
+    # the tracer records a missing name as absent instead of failing, so a
+    # library name that is renamed or deleted would silently drop a layer
+    names = _traced_names()
+    assert len(names) == 24
+    missing = []
+    for name in names:
+        module, attribute = name.split(".")
+        if not hasattr(importlib.import_module(f"prymdice.{module}"), attribute):
+            missing.append(name)
+    assert missing == []

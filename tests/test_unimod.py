@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+from operator import and_
 
 import pytest
 
@@ -64,13 +66,15 @@ def test_e5_matroid_profile():
     # 162 bases, fifteen 4-element circuits, fifteen 6-element circuits
     prof = _ColumnMatroid(e5().matrix)
     assert len(prof.bases) == 162
-    # no small circuits: every set of <= 3 columns is independent
+    # no small circuits: every set of <= 3 columns is independent; a set is
+    # independent when the AND of its columns' holders is nonzero
     from math import comb
 
-    assert prof.census[1] == 10
-    assert prof.census[2] == comb(10, 2)
-    assert prof.census[3] == comb(10, 3)
-    assert prof.census[4] == comb(10, 4) - 15
+    census = [
+        sum(1 for sub in itertools.combinations(prof.holders, k) if functools.reduce(and_, sub))
+        for k in range(1, 5)
+    ]
+    assert census == [10, comb(10, 2), comb(10, 3), comb(10, 4) - 15]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +526,7 @@ def test_systems_equivalent_matches_definition_oracle_on_non_tu_systems():
             if expected:
                 assert verify_equivalence(A, B, eq)
                 accepted += 1
-            elif A.matroid.invariants == B.matroid.invariants:
+            elif A.matroid.gate == B.matroid.gate:
                 rejected_past_gate += 1
     # both verdicts occur, and rejections also come from the search itself
     assert accepted >= 10 and rejected_past_gate >= 10
@@ -531,26 +535,6 @@ def test_systems_equivalent_matches_definition_oracle_on_non_tu_systems():
 # ---------------------------------------------------------------------------
 # the cached column matroid
 # ---------------------------------------------------------------------------
-
-
-def _brute_force_census(S):
-    # number of k-subsets of columns of rank k, for k = 0 .. dim
-    cols = [list(S.column(j)) for j in range(S.size)]
-    return tuple(
-        sum(1 for sub in itertools.combinations(cols, k) if rational_rank(list(sub)) == k)
-        for k in range(S.dim + 1)
-    )
-
-
-def test_matroid_census_matches_brute_force():
-    systems = [e5(), scramble(seeded_rng(5), e5())]
-    for m in range(1, 6):
-        systems.extend(bond_system(g) for g in eg.connected_multigraphs_any_order(m))
-    assert len(systems) > 20
-    for S in systems:
-        census = S.matroid.census
-        assert census == _brute_force_census(S)
-        assert census[S.dim] == len(S.matroid.bases)
 
 
 def _random_systems(rng, count):
@@ -598,20 +582,18 @@ def test_standard_form_matches_oracles():
 
 
 def test_column_matroid_matches_rank_oracle():
-    for S in _random_systems(seeded_rng(21), 300):
+    systems = _random_systems(seeded_rng(21), 300) + [e5(), scramble(seeded_rng(5), e5())]
+    for m in range(1, 6):
+        systems.extend(bond_system(g) for g in eg.connected_multigraphs_any_order(m))
+    assert len(systems) > 320
+    for S in systems:
         n, m = S.dim, S.size
         independent = independent_column_sets([S.column(j) for j in range(m)])
-        census = [0] * (n + 1)
-        profiles = [[0] * n for _ in range(m)]
-        for mask in independent:
-            members = [e for e in range(m) if mask >> e & 1]
-            census[len(members)] += 1
-            for e in members:
-                profiles[e][len(members) - 1] += 1
         matroid = _ColumnMatroid(S.matrix)
-        assert matroid.bases == {mask for mask in independent if mask.bit_count() == n}
-        assert matroid.census == tuple(census)
-        assert matroid.element_profiles == tuple(map(tuple, profiles))
+        oracle_bases = [mask for mask in independent if mask.bit_count() == n]
+        assert matroid.bases == set(oracle_bases)
+        per_column = [sum(1 for b in oracle_bases if b >> e & 1) for e in range(m)]
+        assert matroid.gate == (n, len(oracle_bases), tuple(sorted(per_column)))
         # a column set is independent iff the AND of its holders is nonzero;
         # the AND over a set is the AND over it minus its top element
         holders = matroid.holders
@@ -620,11 +602,7 @@ def test_column_matroid_matches_rank_oracle():
             top = mask.bit_length() - 1
             common[mask] = common[mask ^ 1 << top] & holders[top]
             assert bool(common[mask]) == (mask in independent)
-        oracle_bases = [mask for mask in independent if mask.bit_count() == n]
-        for e in range(m):
-            assert holders[e].bit_count() == sum(1 for b in oracle_bases if b >> e & 1)
-        rank, n_bases, _, sorted_profiles = matroid.invariants
-        assert matroid.gate == (rank, n_bases, tuple(sorted(p[-1] for p in sorted_profiles)))
+        assert [h.bit_count() for h in holders] == per_column
 
 
 def _same_independence(holders_a, holders_b):
@@ -728,7 +706,7 @@ def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
     _ColumnMatroid(M([[1, 0, 1, 1], [0, 1, 1, -1]]))
     assert len(drawn) == 5
     T = scramble(seeded_rng(7), e5())
-    assert T.matroid.invariants == e5().matroid.invariants
+    assert T.matroid.gate == e5().matroid.gate
     drawn.clear()
     # with both matroids built, the search reads coordinates from one
     # elimination per candidate basis and sweeps no minors
@@ -736,19 +714,12 @@ def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
     assert drawn == []
 
 
-def test_equivalence_search_builds_no_downward_closure(monkeypatch):
-    closures = []
-    real_closure = unimod._ColumnMatroid._downward_closure
-
-    def counting_closure(self):
-        closures.append(self)
-        return real_closure(self)
-
-    monkeypatch.setattr(unimod._ColumnMatroid, "_downward_closure", counting_closure)
+def test_equivalence_search_builds_no_downward_closure():
+    # both searches read independence off holders alone: the matroid keeps
+    # no collection of independent sets to count
     A = UnimodularSystem(e5().matrix)
     T = scramble(seeded_rng(13), e5())
     assert systems_equivalent(A, T) is not None
-    assert len(closures) == 0
     # the wheel on a 5-cycle: 6 vertices, 10 edges, rank 5 like E5
     hub = [(f"s{i}", "h", f"r{i}") for i in range(5)]
     rim = [(f"t{i}", f"r{i}", f"r{(i + 1) % 5}") for i in range(5)]
@@ -756,10 +727,7 @@ def test_equivalence_search_builds_no_downward_closure(monkeypatch):
     W = bond_system(wheel)
     assert (W.dim, W.size) == (5, 10)
     assert systems_equivalent(A, W) is None
-    assert len(closures) == 0
-    # the matroid search still reads the full invariants
     assert matroid_equivalent(A, T) is not None
-    assert len(closures) == 2
 
 
 def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
@@ -805,26 +773,20 @@ def test_e5_is_shared_and_its_matroid_built_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _rank_of_columns(S, cols):
-    if not cols:
-        return 0
-    from prymdice.exactmat import rank as mrank
-
-    return mrank(IntMatrix.from_rows(zip(*S.matrix.column_submatrix(cols).row_list())))
+def _independent_sets(S):
+    return independent_column_sets([S.column(j) for j in range(S.size)])
 
 
 def _is_valid_matroid_map(A, B, sigma):
-    import itertools
-
-    m = A.size
-    if sorted(sigma) != list(range(m)):
+    # sigma is a column bijection carrying A's bases onto B's: a set of dim
+    # columns is a basis in A exactly when its image is one in B
+    if sorted(sigma) != list(range(A.size)) or A.dim != B.dim:
         return False
-    for k in range(1, min(A.dim, m) + 1 + 1):
-        for cols in itertools.combinations(range(m), min(k, m)):
-            mapped = tuple(sorted(sigma[c] for c in cols))
-            if _rank_of_columns(A, cols) != _rank_of_columns(B, mapped):
-                return False
-    return True
+    return all(
+        bool(det(A.matrix.column_submatrix(cols)))
+        == bool(det(B.matrix.column_submatrix(sorted(sigma[c] for c in cols))))
+        for cols in itertools.combinations(range(A.size), A.dim)
+    )
 
 
 def test_matroid_equivalent_identity():
@@ -1001,8 +963,7 @@ def test_seven_edge_certificates_and_matroid_maps_are_pinned():
 def _matroid_equivalent_by_brute_force(A, B):
     # some column permutation maps A's independent sets onto B's
     m = A.size
-    indep_a = independent_column_sets([A.column(j) for j in range(m)])
-    indep_b = independent_column_sets([B.column(j) for j in range(m)])
+    indep_a, indep_b = _independent_sets(A), _independent_sets(B)
     if len(indep_a) != len(indep_b):
         return False
     for sigma in itertools.permutations(range(m)):
@@ -1039,6 +1000,68 @@ def test_matroid_equivalent_matches_permutation_oracle():
         verdicts.append(sigma is not None)
     assert len(verdicts) >= 150
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+
+def test_matroid_search_on_the_cographic_search_pairs(monkeypatch):
+    # every pair the cographic search hands to the matroid search, for the
+    # bond systems with at most 7 edges: each refutation is checked by the
+    # permutation oracle and each bijection by its bases.  Every refutation
+    # here comes from the gate; the grid pairs below pass it
+    pairs = []
+    real_search = unimod.matroid_equivalent
+
+    def recording_search(A, B):
+        sigma = real_search(A, B)
+        pairs.append((A, B, sigma))
+        return sigma
+
+    monkeypatch.setattr(unimod, "matroid_equivalent", recording_search)
+    for m in range(1, 8):
+        for g in eg.connected_multigraphs_any_order(m):
+            assert is_cographic(bond_system(g)).is_cographic
+    refuted = [(A, B) for A, B, sigma in pairs if sigma is None]
+    assert (len(pairs), len(refuted)) == (570, 81)
+    for A, B in refuted:
+        assert not _matroid_equivalent_by_brute_force(A, B)
+    for A, B, sigma in pairs:
+        if sigma is not None:
+            assert _is_valid_matroid_map(A, B, sigma)
+
+
+def _plane_points(points):
+    # the columns (x, y, 1): three are dependent when the points are collinear
+    return UnimodularSystem(M([[x for x, _ in points], [y for _, y in points], [1] * len(points)]))
+
+
+def _triangle_meetings(S):
+    # per dependent triple, how many other dependent triples it meets, sorted:
+    # a column bijection that maps independent sets onto independent sets
+    # keeps it
+    independent = _independent_sets(S)
+    masks = (sum(1 << e for e in t) for t in itertools.combinations(range(S.size), 3))
+    triples = [mask for mask in masks if mask not in independent]
+    return sorted(sum(1 for u in triples if u != t and u & t) for t in triples)
+
+
+def test_matroid_search_refutes_pairs_that_pass_the_gate():
+    # pairs of eight points of the 4 x 4 grid with the same basis count and
+    # per-column basis counts but different lines: the gate passes them, so
+    # the backtracking on holders alone must refute them
+    grids = [
+        ("00 01 02 10 11 12 20 21", "00 01 02 10 11 13 22 31"),
+        ("00 01 02 10 11 12 23 30", "00 01 02 10 11 13 21 32"),
+        ("00 01 02 11 12 13 22 31", "00 01 02 11 12 21 22 23"),
+    ]
+    rng = seeded_rng(25)
+    for a, b in grids:
+        A, B = (_plane_points([tuple(map(int, p)) for p in s.split()]) for s in (a, b))
+        assert A.matroid.gate == B.matroid.gate
+        assert _triangle_meetings(A) != _triangle_meetings(B)
+        assert matroid_equivalent(A, B) is None and matroid_equivalent(B, A) is None
+        # each is still matched to a relabeling of itself
+        for S in (A, B):
+            T = _signed_permutation(rng, S)
+            assert _is_valid_matroid_map(S, T, matroid_equivalent(S, T))
 
 
 def test_forest_count_is_the_product_over_components():
