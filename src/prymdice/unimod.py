@@ -14,12 +14,13 @@ signing of a smaller one.  That draws no minor; the minors are swept, in
 certificate order, only to cite the first violation of a matrix found
 not TU.
 
-Every system caches one column matroid, and that is the only source of
-independence data here.  The matroid is read off the system's standard
-form: one fraction-free Gauss-Jordan pass (``exactmat.gauss_jordan``)
-pivots the system at its lexicographically first basis B, with
-determinant d, and leaves d times every column's coordinates in B.  The
-nonzero minors of that coordinate block are the other bases.  When
+Each system is eliminated once, at construction: one fraction-free
+Gauss-Jordan pass (``exactmat.gauss_jordan``) checks its rank and leaves
+its standard form, the system pivoted at its lexicographically first
+basis B with determinant d, every column's coordinates in B times d.
+``is_unimodular`` (|d| = 1 and a TU coordinate block) and the one cached
+column matroid, the only source of independence data here, are read off
+that form; the block's nonzero minors are the other bases.  When
 |d| = 1 they are found without drawing a minor: a regular matroid is
 binary (Tutte), so the bases of a unimodular system are the block's odd
 minors, read off mod-2 exterior products packed into integers, and
@@ -51,7 +52,7 @@ from math import prod
 from operator import mul
 
 from . import enumerate_graphs
-from .exactmat import IntMatrix, det, det_of_rows, gauss_jordan, minors, rank
+from .exactmat import IntMatrix, MatrixError, det, det_of_rows, gauss_jordan, minors
 from .graph import GraphError, MultiGraph, components
 
 
@@ -120,10 +121,10 @@ class UnimodularSystem:
 
     Invariants: full row rank, no zero columns, and (unless constructed
     with ``allow_repeats=True``, as incidence matrices of graphs with
-    parallel edges require) no two columns equal or opposite.  A system is
-    never mutated after construction, so its column matroid is computed on
-    first use and cached as ``matroid``, together with the standard form
-    it is read from.
+    parallel edges require) no two columns equal or opposite.  The pass
+    that checks the rank leaves ``standard_form``; a system is never
+    mutated, so ``is_unimodular`` and the column matroid ``matroid`` are
+    read off it on first use and cached.
     """
 
     def __init__(self, matrix: IntMatrix, allow_repeats: bool = False):
@@ -142,19 +143,27 @@ class UnimodularSystem:
                 if key in seen:
                     raise ValueError(f"columns {seen[key]} and {j} are equal or opposite")
                 seen[key] = j
-        if rank(matrix) != matrix.rows:
-            raise ValueError("columns do not span: row rank is deficient")
-        self.matrix = matrix
-        self.allow_repeats = allow_repeats
+        rows = matrix.row_list()
+        try:
+            basis, d = gauss_jordan(rows, matrix.cols)
+        except MatrixError:
+            raise ValueError("columns do not span: row rank is deficient") from None
+        self.matrix, self.allow_repeats = matrix, allow_repeats
+        self.standard_form = StandardForm(matrix, basis, d, rows)
 
     @cached_property
     def matroid(self) -> "_ColumnMatroid":
-        return _ColumnMatroid(self.matrix)
+        return _ColumnMatroid(self.standard_form)
 
-    @property
-    def standard_form(self) -> "StandardForm":
-        """The system pivoted at its first basis; built once, with ``matroid``."""
-        return self.matroid.form
+    @cached_property
+    def is_unimodular(self) -> bool:
+        """Whether every maximal minor is in {-1, 0, 1}: |det T| = 1 and adj(T) M is TU.
+
+        Unlike the matrix being TU, this is invariant under GL_n(Z).  The
+        signing test is exponential in the shorter side, so it runs on first use.
+        """
+        form = self.standard_form
+        return abs(form.det) == 1 and _equitably_signable(form.coordinates)
 
     @property
     def dim(self) -> int:
@@ -350,7 +359,6 @@ def spanning_forest_count(G: MultiGraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StandardForm:
     """A system M pivoted at its lexicographically first basis.
 
@@ -358,39 +366,38 @@ class StandardForm:
     determinant of the basis matrix T = M[:, basis].  ``coordinates`` is
     adj(T) M = det * T^{-1} M, which is ``det`` times the identity on the
     basis columns; for a TU system det = +-1, so up to that sign and the
-    column order this is the standard representation [I | A].
-    ``adjugate`` is adj(T).  The two blocks come from one ``gauss_jordan``
-    pass over [M | I].
+    column order this is the standard representation [I | A].  All three
+    come from the system's one ``gauss_jordan`` pass over M.  ``adjugate``
+    is adj(T), from a pass over [T | I]; both matrices are built on first
+    use, and only the equivalence search reads the adjugate.
     """
 
-    basis: tuple
-    det: int
-    coordinates: IntMatrix
-    adjugate: IntMatrix
+    def __init__(self, matrix: IntMatrix, basis: tuple, det: int, rows: list):
+        self.basis, self.det, self._matrix, self._rows = basis, det, matrix, rows
 
-    @classmethod
-    def of(cls, M: IntMatrix) -> "StandardForm":
-        """The standard form of a matrix of full row rank."""
-        n, m = M.rows, M.cols
-        rows = [list(M.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-        basis, d = gauss_jordan(rows, m)
-        return cls(
-            basis,
-            d,
-            IntMatrix.from_rows([row[:m] for row in rows]),
-            IntMatrix.from_rows([row[m:] for row in rows]),
-        )
+    @cached_property
+    def coordinates(self) -> IntMatrix:
+        return IntMatrix.from_rows(self._rows)
+
+    @cached_property
+    def adjugate(self) -> IntMatrix:
+        n = len(self.basis)
+        T, I = self._matrix.column_submatrix(self.basis), IntMatrix.identity(n)
+        rows = [list(T.row(i) + I.row(i)) for i in range(n)]
+        gauss_jordan(rows, n)
+        return IntMatrix.from_rows([row[n:] for row in rows])
 
 
 class _ColumnMatroid:
-    """Bases and independence data of a full-row-rank matrix's columns, as bitmasks.
+    """Bases and independence data of a system's columns, as bitmasks.
 
-    Everything is read off the standard form ``form``.  Its basis B is one
-    basis; for a set R of basis positions and a set K of other columns of
-    the same size, (B minus the columns at R) plus K is a basis exactly
-    when the minor of the coordinate block at rows R and columns K is
-    nonzero.  So B and the nonzero minors of the n x (m - n) coordinate
-    block, over all row sets, give every basis.
+    Everything is read off the system's standard form ``form``; nothing
+    is eliminated here.  Its basis B is one basis; for a set R of basis
+    positions and a set K of other columns of the same size, (B minus the
+    columns at R) plus K is a basis exactly when the minor of the
+    coordinate block at rows R and columns K is nonzero.  So B and the
+    nonzero minors of the n x (m - n) coordinate block, over all row
+    sets, give every basis.
 
     Two routes find those minors.  When |det B| = 1 the parity route runs
     first (``_parity_bases``): the block's nonzero minors are its odd
@@ -420,19 +427,15 @@ class _ColumnMatroid:
     collection of independent sets is kept.
     """
 
-    def __init__(self, M: IntMatrix):
-        self.m = M.cols
-        self.rank = M.rows
-        self.form = StandardForm.of(M)
+    def __init__(self, form: StandardForm):
+        self.form = form
+        self.rank, self.m = form.coordinates.rows, form.coordinates.cols
+        self.others = [j for j in range(self.m) if j not in form.basis]  # columns outside B
         found = self._parity_bases() if abs(self.form.det) == 1 else None
         self.bases, self.holders = self._numbered(found or self._laplace_bases())
         self.gate = (
             self.rank, len(self.bases), tuple(sorted(h.bit_count() for h in self.holders))
         )
-
-    def _others(self) -> list:
-        basis = self.form.basis
-        return [j for j in range(self.m) if j not in basis]
 
     def _parity_bases(self):
         """The bases, as masks, read off the odd minors of the coordinate block.
@@ -446,7 +449,7 @@ class _ColumnMatroid:
         the packed lines (Cauchy-Binet, Sylvester), exactly when every
         nonzero minor is +-1.
         """
-        basis, others = self.form.basis, self._others()
+        basis, others = self.form.basis, self.others
         columns = list(map(self.form.coordinates.column, others))
         # with no other columns this is [], not n empty rows: those join no product
         rows = list(zip(*columns))
@@ -477,7 +480,7 @@ class _ColumnMatroid:
 
     def _laplace_bases(self):
         """The bases, as masks, read off the nonzero minors of the coordinate block."""
-        basis, others = self.form.basis, self._others()
+        basis, others = self.form.basis, self.others
         bases = [sum(1 << j for j in basis)]
         for rows, cols, d in minors(self.form.coordinates.column_submatrix(others)):
             if d:
@@ -816,11 +819,10 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     a candidate that passes is joined into a pair-graph and built as a
     graph.
 
-    The gate is on the system, not its coordinates: a matrix that fails
-    the signing test may still be T [I | A] with |det T| = 1 and A TU (any
-    GL_n(Z) image of a TU system is), so it is refused only when its
-    standard form has a basis determinant other than +-1 or coordinates
-    that are not TU.  That draws no minor; a refusal cites the first
+    The gate is on the system, not its matrix: a matrix that is not TU
+    may still be T [I | A] with |det T| = 1 and A TU (any GL_n(Z) image
+    of a TU system is), so a system is refused only when it is not
+    ``is_unimodular``.  That draws no minor; a refusal cites the first
     violating minor of the matrix, which then exists.
 
     Raises ``ValueError`` on a negative ``max_graphs``,
@@ -829,10 +831,8 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     """
     if max_graphs is not None and max_graphs < 0:
         raise ValueError(f"max_graphs must be 0 or more, got {max_graphs}")
-    if not _equitably_signable(S.matrix):
-        form = StandardForm.of(S.matrix)
-        if abs(form.det) != 1 or not _equitably_signable(form.coordinates):
-            raise NotTotallyUnimodularError(is_totally_unimodular(S))
+    if not S.is_unimodular:
+        raise NotTotallyUnimodularError(is_totally_unimodular(S))
     n, m = S.dim, S.size
     n_bases = S.matroid.gate[1]
     tried = connected_tried = disconnected_tried = matches = 0

@@ -144,6 +144,16 @@ def test_check_cographic_non_tu_is_input_error(capsys, tmp_path):
     assert "not totally unimodular" in err
 
 
+def test_check_cographic_rank_deficient_is_input_error(capsys, tmp_path):
+    p = tmp_path / "deficient.matrix"
+    p.write_text(format_matrix_text(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])))
+    code, _, err = run(capsys, "check-cographic", str(p))
+    assert code == 1
+    assert err.strip() == (
+        f"error: {p}: not a valid system: columns do not span: row rank is deficient"
+    )
+
+
 def test_check_cographic_searches_a_unimodular_system_with_a_non_tu_matrix(capsys, tmp_path):
     p = tmp_path / "scrambled.matrix"
     p.write_text(format_matrix_text(scramble(seeded_rng(11), e5()).matrix))

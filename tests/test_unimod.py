@@ -1,11 +1,12 @@
 import functools
 import hashlib
 import itertools
+import sys
 from operator import and_
 
 import pytest
 
-from prymdice import unimod
+from prymdice import exactmat, unimod
 from prymdice.exactmat import IntMatrix, MatrixError, det, gauss_jordan
 from prymdice.graph import GraphError, MultiGraph
 from prymdice.homology import cographic_dicing_system
@@ -16,7 +17,6 @@ from prymdice.unimod import (
     NotTotallyUnimodularError,
     SearchCapExceeded,
     UnimodularSystem,
-    _ColumnMatroid,
     bond_system,
     cut_space_matrix,
     e5,
@@ -64,7 +64,7 @@ def test_e5_is_totally_unimodular():
 
 def test_e5_matroid_profile():
     # 162 bases, fifteen 4-element circuits, fifteen 6-element circuits
-    prof = _ColumnMatroid(e5().matrix)
+    prof = UnimodularSystem(e5().matrix, allow_repeats=True).matroid
     assert len(prof.bases) == 162
     # no small circuits: every set of <= 3 columns is independent; a set is
     # independent when the AND of its columns' holders is nonzero
@@ -219,6 +219,11 @@ def test_system_invariants_enforced():
         UnimodularSystem(M([[1, 1], [1, 1]]))  # equal columns (and rank 1)
     # relaxed constructor admits repeats
     UnimodularSystem(M([[1, 1, 0], [0, 0, 1]]), allow_repeats=True)
+    # columns that pass every column check but span one dimension of two
+    for matrix, allow_repeats in ([[1, 2, 3], [2, 4, 6]], False), ([[1, 1], [1, 1]], True):
+        with pytest.raises(ValueError) as raised:
+            UnimodularSystem(M(matrix), allow_repeats=allow_repeats)
+        assert str(raised.value) == "columns do not span: row rank is deficient"
 
 
 def test_bond_system_triangle(triangle):
@@ -273,7 +278,7 @@ def test_forest_count_equals_basis_count_small():
     for m in range(1, 6):
         for g in eg.connected_multigraphs_any_order(m):
             S = UnimodularSystem(cut_space_matrix(g), allow_repeats=True)
-            assert spanning_forest_count(g) == len(_ColumnMatroid(S.matrix).bases)
+            assert spanning_forest_count(g) == len(S.matroid.bases)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +594,7 @@ def test_column_matroid_matches_rank_oracle():
     for S in systems:
         n, m = S.dim, S.size
         independent = independent_column_sets([S.column(j) for j in range(m)])
-        matroid = _ColumnMatroid(S.matrix)
+        matroid = UnimodularSystem(S.matrix, allow_repeats=True).matroid
         oracle_bases = [mask for mask in independent if mask.bit_count() == n]
         assert matroid.bases == set(oracle_bases)
         per_column = [sum(1 for b in oracle_bases if b >> e & 1) for e in range(m)]
@@ -603,6 +608,79 @@ def test_column_matroid_matches_rank_oracle():
             common[mask] = common[mask ^ 1 << top] & holders[top]
             assert bool(common[mask]) == (mask in independent)
         assert [h.bit_count() for h in holders] == per_column
+
+
+def test_is_unimodular_matches_maximal_minors():
+    # full row rank M is unimodular exactly when every maximal minor is
+    # in {-1, 0, 1}; E5's scrambles are, though their matrices are not TU
+    rng = seeded_rng(26)
+    refusal = UnimodularSystem(M([[1, 0, 1, 1], [0, 1, 1, -1]]))
+    scrambles = [scramble(rng, e5()) for _ in range(20)]
+    dicings = [prym_dicing(g, iota).system for g, iota in census_covers()]
+    systems = _random_systems(seeded_rng(21), 300) + [e5(), refusal] + scrambles + dicings
+    for S in systems:
+        n, m = S.dim, S.size
+        maximal = (
+            cofactor_det([[S.matrix.entry(i, j) for j in cols] for i in range(n)])
+            for cols in itertools.combinations(range(m), n)
+        )
+        assert S.is_unimodular == all(-1 <= d <= 1 for d in maximal)
+    assert abs(refusal.standard_form.det) == 1 and not refusal.is_unimodular
+    assert all(S.is_unimodular and not is_totally_unimodular(S).is_tu for S in scrambles)
+    assert {S.is_unimodular for S in dicings} == {True, False}
+    assert any(abs(S.standard_form.det) > 1 for S in systems)
+    # is_cographic refuses exactly the systems that are not unimodular
+    refused = 0
+    for S in systems:
+        if S.size > 6:
+            continue
+        try:
+            is_cographic(S)
+        except NotTotallyUnimodularError:
+            refused += 1
+            assert not S.is_unimodular
+        else:
+            assert S.is_unimodular
+    assert refused >= 10
+
+
+def test_each_system_is_eliminated_once(monkeypatch):
+    # K4 with its vertices listed so that no candidate the search builds
+    # has the same cut-space matrix
+    k4 = MultiGraph(
+        ["d", "c", "b", "a"],
+        [("ab", "a", "b"), ("ac", "a", "c"), ("ad", "a", "d"),
+         ("bc", "b", "c"), ("bd", "b", "d"), ("cd", "c", "d")],
+    )
+    inputs = [(scramble(seeded_rng(9), e5()).matrix, False), (cut_space_matrix(k4), True)]
+    # count the rank and gauss_jordan calls, wherever prymdice binds them,
+    # whose rows begin with the system's own matrix
+    own = None
+    eliminated = []
+
+    def counting(fn):
+        def wrapper(rows, *args):
+            block = rows.row_list() if isinstance(rows, IntMatrix) else rows
+            eliminated.append([row[:len(own[0])] for row in block] == own)
+            return fn(rows, *args)
+
+        return wrapper
+
+    originals = exactmat.rank, exactmat.gauss_jordan
+    for module in [mod for name, mod in sys.modules.items() if name.startswith("prymdice")]:
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in originals):
+                monkeypatch.setattr(module, name, counting(value))
+    for matrix, cographic in inputs:
+        own = matrix.row_list()
+        eliminated.clear()
+        S = UnimodularSystem(matrix, allow_repeats=True)
+        assert S.standard_form.det and S.is_unimodular and S.matroid.gate[0] == S.dim
+        cert = is_cographic(S)
+        assert cert.is_cographic is cographic
+        if cographic:
+            assert cut_space_matrix(cert.witness) != matrix
+        assert eliminated.count(True) == 1
 
 
 def _same_independence(holders_a, holders_b):
@@ -623,7 +701,7 @@ def _same_independence(holders_a, holders_b):
 
 def _routes_agree(matrix):
     """Build the matroid both ways; whether the parity route was certified."""
-    matroid = _ColumnMatroid(matrix)
+    matroid = UnimodularSystem(matrix, allow_repeats=True).matroid
     laplace_bases, laplace_holders = matroid._numbered(matroid._laplace_bases())
     assert matroid.bases == laplace_bases
     found = matroid._parity_bases()
@@ -660,10 +738,8 @@ def test_parity_and_laplace_routes_agree():
     routes = []
     for g, iota in census_covers():
         S = prym_dicing(g, iota).system
-        form = S.matroid.form
-        unimodular = abs(form.det) == 1 and is_totally_unimodular(form.coordinates).is_tu
-        assert _routes_agree(S.matrix) == unimodular
-        routes.append(unimodular)
+        assert _routes_agree(S.matrix) == S.is_unimodular
+        routes.append(S.is_unimodular)
     assert 0 < routes.count(False) < len(routes)
     # square systems have one basis, drawn by neither route
     assert _routes_agree(IntMatrix.identity(1))
@@ -682,9 +758,9 @@ def test_parity_and_laplace_routes_agree():
     # -2: it is even, so the parity count is 5, while the squared minors
     # sum to det(I + A A^T) = 9
     refusal = M([[1, 0, 1, 1], [0, 1, 1, -1]])
-    assert abs(_ColumnMatroid(refusal).form.det) == 1
+    assert abs(UnimodularSystem(refusal, allow_repeats=True).standard_form.det) == 1
     assert not _routes_agree(refusal)
-    assert len(_ColumnMatroid(refusal).bases) == 6
+    assert len(UnimodularSystem(refusal, allow_repeats=True).matroid.bases) == 6
 
 
 def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
@@ -699,11 +775,11 @@ def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
     monkeypatch.setattr(unimod, "minors", counting_minors)
     # E5's parity count is certified, so its bases come from exterior
     # products and no minor is drawn (the Laplace route drew C(10, 5) - 1)
-    _ColumnMatroid(e5().matrix)
+    UnimodularSystem(e5().matrix, allow_repeats=True).matroid
     assert drawn == []
     # an uncertified count falls back to drawing the coordinate block's
     # minors: 2 + 2 one-by-one and 1 two-by-two
-    _ColumnMatroid(M([[1, 0, 1, 1], [0, 1, 1, -1]]))
+    UnimodularSystem(M([[1, 0, 1, 1], [0, 1, 1, -1]]), allow_repeats=True).matroid
     assert len(drawn) == 5
     T = scramble(seeded_rng(7), e5())
     assert T.matroid.gate == e5().matroid.gate
@@ -734,16 +810,16 @@ def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
     built = []
 
     class CountingMatroid(unimod._ColumnMatroid):
-        def __init__(self, matrix):
-            built.append(matrix)
-            super().__init__(matrix)
+        def __init__(self, form):
+            built.append(form)
+            super().__init__(form)
 
     monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
     S = UnimodularSystem(M([[1, 0, 1], [0, 1, 1]]))
     assert S.matroid is S.matroid
     assert is_cographic(S).is_cographic
     assert matroid_equivalent(S, bond_system(triangle)) is not None
-    assert sum(1 for matrix in built if matrix is S.matrix) == 1
+    assert sum(1 for form in built if form is S.standard_form) == 1
     assert len(built) > 1  # the candidate systems were counted too
 
 
@@ -752,9 +828,9 @@ def test_e5_is_shared_and_its_matroid_built_once(monkeypatch):
     built = []
 
     class CountingMatroid(unimod._ColumnMatroid):
-        def __init__(self, matrix):
-            built.append(matrix)
-            super().__init__(matrix)
+        def __init__(self, form):
+            built.append(form)
+            super().__init__(form)
 
     monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
     unimod.e5.cache_clear()  # E5's matroid may already be cached by another test
@@ -763,7 +839,7 @@ def test_e5_is_shared_and_its_matroid_built_once(monkeypatch):
         assert X.matrix != e5().matrix
         assert systems_equivalent(X, e5()) is not None
         assert systems_equivalent(X, e5()) is not None
-        assert sum(1 for matrix in built if matrix == e5().matrix) == 1
+        assert sum(1 for form in built if form is e5().standard_form) == 1
     finally:
         unimod.e5.cache_clear()
 
