@@ -284,8 +284,10 @@ def gauss_jordan(rows: list, ncols: int) -> tuple[tuple[int, ...], int]:
         k = len(pivots)
         if k == n:
             break
-        i = next((i for i in range(k, n) if rows[i][c]), None)
-        if i is None:
+        for i in range(k, n):
+            if rows[i][c]:
+                break
+        else:
             continue
         if i != k:
             rows[k], rows[i] = rows[i], rows[k]

@@ -428,14 +428,12 @@ class _ColumnMatroid:
     """
 
     def __init__(self, form: StandardForm):
-        self.form = form
-        self.rank, self.m = form.coordinates.rows, form.coordinates.cols
+        self.form, self.rank, self.m = form, form.coordinates.rows, form.coordinates.cols
         self.others = [j for j in range(self.m) if j not in form.basis]  # columns outside B
         found = self._parity_bases() if abs(self.form.det) == 1 else None
         self.bases, self.holders = self._numbered(found or self._laplace_bases())
-        self.gate = (
-            self.rank, len(self.bases), tuple(sorted(h.bit_count() for h in self.holders))
-        )
+        counts = tuple(sorted(h.bit_count() for h in self.holders))
+        self.gate = (self.rank, len(self.bases), counts)
 
     def _parity_bases(self):
         """The bases, as masks, read off the odd minors of the coordinate block.
@@ -693,7 +691,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     MA, MB = A.matroid, B.matroid
     if MA.gate != MB.gate:
         return None
-    form_a = MA.form
+    form_a = A.standard_form
     basis_a, det_a, adj_a = form_a.basis, form_a.det, form_a.adjugate
     coords_a = _scaled_columns([form_a.coordinates.row(i) for i in range(n)], det_a)
     # how many columns of A each prefix of its basis spans
