@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 from .exactmat import IntMatrix, MatrixError, parse_matrix_text
 from .graph import GraphError, parse_graph_text
-from .homology import betti_number, cographic_dicing, cycle_basis
+from .homology import cographic_dicing, cycle_basis
 from .prym import prym_dicing, vologodsky_check
 from .segre import degeneration_report, fixture, validate_basis_data
 from .unimod import (
@@ -200,7 +200,7 @@ def _cmd_cycles(args):
         tree = [t for t in args.tree.split(",") if t]
     cb = cycle_basis(graph, tree)
     result = {
-        "betti_number": betti_number(graph),
+        "betti_number": cb.rank,
         "tree_edges": sorted(cb.tree_edges),
         "basis": [{lab: x for lab, x in zip(graph.edge_labels, row) if x} for row in cb.rows],
     }

@@ -135,10 +135,11 @@ def components(G: MultiGraph) -> list[frozenset]:
 class GraphInvolution:
     """Order-<=2 automorphism of a MultiGraph.
 
-    ``vertex_map`` and ``edge_map`` are total dicts; both must square to
-    the identity and be incidence-compatible.  ``edge_sign[e]`` is +1 when
-    the image edge carries (tail, head) to (tail, head) and -1 when the
-    orientation is reversed.  For a loop fixed by the involution both
+    ``vertex_map`` and ``edge_map`` are total dicts that name nothing
+    outside the graph; both must square to the identity and be
+    incidence-compatible.  ``edge_sign[e]`` is +1 when the image edge
+    carries (tail, head) to (tail, head) and -1 when the orientation is
+    reversed.  For a loop fixed by the involution both
     readings agree and the sign is taken to be +1.  ``edge_action[j]`` is
     the pair (index of the image of edge j, sign of edge j): the one integer
     form of the action on edge coordinates.
@@ -155,6 +156,12 @@ class GraphInvolution:
             if lab not in self.edge_map:
                 raise GraphError(f"edge map does not cover {lab!r}")
         vset = set(graph.vertices)
+        for v in self.vertex_map:
+            if v not in vset:
+                raise GraphError(f"unknown vertex {v!r} in vertex map")
+        for lab in self.edge_map:
+            if lab not in graph._edge_index:
+                raise GraphError(f"unknown edge {lab!r} in edge map")
         for v in graph.vertices:
             w = self.vertex_map[v]
             if w not in vset:

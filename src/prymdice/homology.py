@@ -158,9 +158,10 @@ def cographic_dicing(G: MultiGraph) -> DicingColumns:
     the cycle coefficient matrix); zero columns (bridges) are dropped and
     +-duplicate columns are collapsed to one representative each.
     """
-    if betti_number(G) == 0:
+    rows = cycle_basis(G).rows  # one per cycle: b1 rows
+    if not rows:
         raise GraphError("graph is a forest: cycle space is trivial, no dicing")
-    matrix, groups, dropped = collapse_columns(cycle_basis(G).rows, G.edge_labels)
+    matrix, groups, dropped = collapse_columns(rows, G.edge_labels)
     return DicingColumns(UnimodularSystem(matrix), groups, dropped)
 
 

@@ -200,25 +200,29 @@ def _connected_orbit_unions(orbits, orbit_adjacency, adjacency, cuts):
 
 
 def _unions_from(root, orbits, orbit_adjacency, adjacency, cuts):
-    """Yield every union of vertex orbits whose least orbit is ``root`` and
-    that induces a connected subgraph, as (orbit mask, vertex mask, cut
-    mask) triples.
+    """Yield every union of units whose least unit is ``root`` and that
+    induces a connected subgraph, as (unit mask, vertex mask, cut mask)
+    triples.
 
-    ``orbits[i]`` holds the vertex bits of orbit i, ``orbit_adjacency[i]``
-    its neighbours in the orbit quotient, ``adjacency`` maps a vertex bit
-    to its neighbours' bits and ``cuts[i]`` is the edge mask of orbit i's
-    cut.  A union connected in the graph is connected in the quotient, so
-    each set is grown along quotient edges from its least orbit: a branch
-    adds one orbit of the frontier, and the orbits tried before it at the
-    same node are barred below the later branches, so no set repeats.
+    A unit is a union of vertex orbits that is connected in the orbit
+    quotient: a single orbit, or orbits merged by ``vologodsky_check``.
+    ``orbits[i]`` holds the vertex bits of unit i (none for a unit merged
+    away), ``orbit_adjacency[i]`` its neighbouring units, ``adjacency``
+    maps a vertex bit to its neighbours' bits and ``cuts[i]`` is the edge
+    mask of unit i's cut.  A union connected in the graph is connected in
+    the quotient, so each set is grown along quotient edges from its least
+    unit: a branch adds one unit of the frontier, and the units tried
+    before it at the same node are barred below the later branches, so no
+    set repeats.
 
     Connectivity is carried down the tree.  Paths in the quotient lift
     through the involution, so every component of a quotient-connected
     union meets each of its orbits: the union is connected, or it is
     ``comp`` (the component of the root's first vertex) and the image of
-    ``comp``.  Adding an adjacent orbit keeps a connected union connected,
-    and joins the two halves exactly when the new vertices that ``comp``
-    reaches touch the other half.
+    ``comp``.  Adding an adjacent unit keeps a connected union connected,
+    since its orbits can be added one at a time, each adjacent to the
+    union so far; and it joins the two halves exactly when the new
+    vertices that ``comp`` reaches touch the other half.
     """
     orbit_vertices = [sum(bits) for bits in orbits]
     below = (1 << root) - 1
@@ -305,10 +309,30 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     A' and C is connected and closed under adjacency: one component of G.
     It is invariant, so it is one of the K above, split into A' and C.
 
-    Either part of a split may be taken as A, so the search walks only
-    the connected orbit unions A that hold K's least orbit, and stops at
-    the first with at least 4 cut edges, A != K and K - A connected.  Only
-    a failing graph goes on to the scan of all union pairs for the witness.
+    The search works on units: unions of K's orbits that every split of
+    K not yet ruled out keeps on one side, the orbits themselves at first.
+
+    Pendant lemma.  If a unit U has exactly one neighbouring unit W in
+    the orbit quotient, every split of K has U alone as one part or keeps
+    U and W on one side.
+
+    Proof.  Let A be the part that holds U and suppose W lies in the
+    other part.  An edge leaving U ends in an orbit outside U next to one
+    of U's, which lies in a unit next to U: in W.  A is connected, so if
+    A != U some edge joins U to the rest of A; it would end in W, outside
+    A.  So A = U.
+
+    So each pendant unit (one neighbouring unit) is first tried alone as a
+    part: connected, with at least 4 cut edges and K - U connected.  If it
+    is no part, it is merged into its neighbour, and the merged unit keeps
+    the lower index, so the unit of K's least orbit keeps that orbit's
+    index, the least in K; the merged unit may be pendant in turn.  Either
+    part of a remaining split may be taken as A, so the search then walks
+    only the connected unions A of units that hold K's least orbit, and
+    stops at the first with at least 4 cut edges, A != K and K - A
+    connected.  A component left as one unit has no split and no walk.
+    Only a failing graph goes on to the scan of all pairs of orbit unions
+    for the witness.
 
     Vertex and edge sets are bitmasks over ``G.vertices`` and ``G.edges``.
     The edges joining two disjoint vertex sets are the edges in both cuts.
@@ -342,6 +366,10 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     for _, t, h in G.edges:
         orbit_adjacency[orbit_of[t]] |= 1 << orbit_of[h]
         orbit_adjacency[orbit_of[h]] |= 1 << orbit_of[t]
+    # units[i]: the vertex bits of the unit whose least orbit is i, empty
+    # once merged away; a merged-away unit has no neighbours
+    units, unit_cuts = list(orbits), list(cuts)
+    unit_adjacency = [nbrs & ~(1 << i) for i, nbrs in enumerate(orbit_adjacency)]
     unplaced = (1 << len(G.vertices)) - 1
     while unplaced:
         # orbits are numbered by their first vertex, so the orbit of K's
@@ -351,11 +379,47 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
         unplaced ^= component
         if not bit[iota.vertex_map[v]] & component:
             continue
-        for _, part, cut in _unions_from(orbit_of[v], orbits, orbit_adjacency, adjacency, cuts):
-            rest = component ^ part
-            if cut.bit_count() >= 4 and rest and _component(rest & -rest, rest, adjacency) == rest:
+        # units of K that may be pendant: every orbit, then each merged unit
+        pending = [i for i, bits in enumerate(orbits) if bits[0] & component]
+        while pending:
+            u = pending.pop()
+            w_bit = unit_adjacency[u]
+            if not w_bit or w_bit & (w_bit - 1):
+                continue
+            part = sum(units[u])
+            if (_splits(component, part, unit_cuts[u], adjacency)
+                    and _component(units[u][0], part, adjacency) == part):
+                return VologodskyResult(False, _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts))
+            # merge u into its neighbour w under the lower index; when that
+            # is u's, w's other neighbours are pointed at u
+            w = w_bit.bit_length() - 1
+            keep, gone = min(u, w), max(u, w)
+            nbrs = unit_adjacency[w] ^ 1 << u
+            if keep == u:
+                others = nbrs
+                while others:
+                    low = others & -others
+                    others ^= low
+                    unit_adjacency[low.bit_length() - 1] ^= w_bit | 1 << u
+            units[keep] += units[gone]
+            unit_cuts[keep] ^= unit_cuts[gone]
+            units[gone], unit_adjacency[gone], unit_adjacency[keep] = (), 0, nbrs
+            pending.append(keep)
+        root = orbit_of[v]
+        if not unit_adjacency[root]:
+            continue
+        for _, part, cut in _unions_from(root, units, unit_adjacency, adjacency, unit_cuts):
+            if _splits(component, part, cut, adjacency):
                 return VologodskyResult(False, _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts))
     return VologodskyResult(True)
+
+
+def _splits(component, part, cut, adjacency):
+    """Whether ``part``, with edge cut ``cut``, leaves a nonempty connected
+    rest of ``component`` and has at least 4 cut edges (``part`` itself is
+    the caller's to check for connectivity)."""
+    rest = component ^ part
+    return cut.bit_count() >= 4 and rest and _component(rest & -rest, rest, adjacency) == rest
 
 
 def _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts) -> VologodskyWitness:

@@ -332,12 +332,14 @@ def bond_system(G: MultiGraph) -> UnimodularSystem:
     """
     if G.num_edges == 0:
         raise GraphError("bond system needs at least one edge")
-    if len(components(G)) != 1:
+    # a row per vertex less one per component: |V| - 1 rows exactly when connected
+    matrix = cut_space_matrix(G)
+    if matrix.rows != G.num_vertices - 1:
         raise GraphError("bond system requires a connected graph; split into components")
     for lab in G.edge_labels:
         if G.is_loop(lab):
             raise GraphError(f"loop {lab!r} gives a zero column; remove loops first")
-    return UnimodularSystem(cut_space_matrix(G), allow_repeats=True)
+    return UnimodularSystem(matrix, allow_repeats=True)
 
 
 def spanning_forest_count(G: MultiGraph) -> int:

@@ -65,6 +65,14 @@ def test_non_involutive_edge_map_rejected():
         parse_graph_text(text)
 
 
+def test_involution_rejects_names_outside_the_graph():
+    g = MultiGraph(["a", "b"], [("e", "a", "b")])
+    with pytest.raises(GraphError, match="unknown vertex 'zz'"):
+        GraphInvolution(g, {"a": "b", "b": "a", "zz": "zz"}, {"e": "e"})
+    with pytest.raises(GraphError, match="unknown edge 'f'"):
+        GraphInvolution(g, {"a": "b", "b": "a"}, {"e": "e", "f": "f"})
+
+
 def test_segre_file_parses_to_cover():
     g, iota = build_cover()
     assert g.num_vertices == 10

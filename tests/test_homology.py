@@ -1,5 +1,6 @@
 import pytest
 
+from prymdice import homology
 from prymdice.exactmat import IntMatrix, det, rank
 from prymdice.graph import CochainVector, GraphError, MultiGraph
 from prymdice.homology import (
@@ -116,10 +117,15 @@ def test_k5_dicing_is_totally_unimodular(k5):
     assert is_totally_unimodular(system).is_tu
 
 
-def test_forest_has_no_dicing():
+def test_forest_has_no_dicing(monkeypatch):
     path = MultiGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="graph is a forest"):
         cographic_dicing_system(path)
+    with pytest.raises(GraphError, match="graph is a forest"):
+        cographic_dicing_system(MultiGraph(["a"], []))
+    # the cycle basis has b1 rows, so no components pass is needed
+    monkeypatch.setattr(homology, "components", None)
+    assert cographic_dicing_system(MultiGraph(["a"], [("l", "a", "a")])).dim == 1
 
 
 def test_bridge_columns_dropped():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -489,13 +490,43 @@ def _verdict(result):
     return result.passed, None if w is None else (w.subgraph_0, w.subgraph_1, w.connecting_edges)
 
 
+def _connected(g, vset):
+    inside = [e for e in g.edges if e[1] in vset and e[2] in vset]
+    return len(components(MultiGraph(list(vset), inside))) == 1
+
+
+def _is_split(g, part, rest):
+    """Whether ``part`` and ``rest``, the rest of its component, are both
+    connected and joined by at least four edges."""
+    joining = [lab for lab, t, h in g.edges if (t in part) != (h in part)]
+    return _connected(g, part) and _connected(g, rest) and len(joining) >= 4
+
+
+def _pendant_orbits(g, iota):
+    """The vertex orbits of invariant components with exactly one
+    neighbouring orbit, each with its component."""
+    orbit = {v: frozenset((v, iota.vertex_map[v])) for v in g.vertices}
+    touching = {o: set() for o in orbit.values()}
+    for _, t, h in g.edges:
+        if orbit[t] != orbit[h]:
+            touching[orbit[t]].add(orbit[h])
+            touching[orbit[h]].add(orbit[t])
+    # an orbit inside a component makes the component invariant
+    return [(o, comp) for comp in components(g) for o in {orbit[v] for v in comp}
+            if o <= comp and len(touching[o]) == 1]
+
+
 def test_vologodsky_matches_definition_oracle_on_small_covers():
     covers = _small_covers()
     seen = {"failed": 0, "fixed vertex": 0, "fixed edge": 0, "reversed edge": 0,
-            "loop": 0, "parallel": 0, "disconnected": 0}
+            "loop": 0, "parallel": 0, "disconnected": 0, "pendant orbit": 0, "pendant split": 0}
     for g, iota in covers:
         verdict = _verdict(vologodsky_check(g, iota))
         assert verdict == vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map), g.edges
+        pendants = _pendant_orbits(g, iota)
+        seen["pendant orbit"] += bool(pendants)
+        # the split that the pendant reduction checks directly
+        seen["pendant split"] += any(_is_split(g, o, comp - o) for o, comp in pendants)
         seen["failed"] += not verdict[0]
         seen["fixed vertex"] += any(iota.vertex_map[v] == v for v in g.vertices)
         fixed_edges = [lab for lab in g.edge_labels if iota.edge_map[lab] == lab]
@@ -545,8 +576,9 @@ def _swapped_copies(g):
     vertices = [f"{v}.{s}" for s in (0, 1) for v in g.vertices]
     edges = [(f"{lab}.{s}", f"{t}.{s}", f"{h}.{s}") for s in (0, 1) for lab, t, h in g.edges]
     double = MultiGraph(vertices, edges)
-    swap = {f"{x}.{s}": f"{x}.{1 - s}" for s in (0, 1) for x in g.vertices + g.edge_labels}
-    return double, GraphInvolution(double, swap, swap)
+    vswap, eswap = ({f"{x}.{s}": f"{x}.{1 - s}" for s in (0, 1) for x in names}
+                    for names in (g.vertices, g.edge_labels))
+    return double, GraphInvolution(double, vswap, eswap)
 
 
 def test_vologodsky_checks_every_invariant_component():
@@ -591,6 +623,113 @@ def test_split_without_a_joined_pair_raises(monkeypatch):
     monkeypatch.setattr(prym, "_connected_orbit_unions", lambda *args: [])
     with pytest.raises(RuntimeError):
         vologodsky_check(*_two_triangles_joined_by_four())
+
+
+def _all_splits(g, iota):
+    """Every split of an invariant component into two connected invariant
+    parts joined by at least four edges, by brute force over orbit sets."""
+    found = set()
+    for comp in components(g):
+        orbits = list({frozenset((v, iota.vertex_map[v])) for v in comp})
+        if not all(o <= comp for o in orbits):
+            continue
+        for r in range(1, len(orbits)):
+            for chosen in itertools.combinations(orbits, r):
+                part = frozenset().union(*chosen)
+                if _is_split(g, part, comp - part):
+                    found.add(frozenset((part, comp - part)))
+    return found
+
+
+def _verdict_and_walks(g, iota):
+    """The verdict of ``vologodsky_check``, and how many union walks it
+    started before reaching it (the witness scan's walks not counted)."""
+    walks, before_witness = 0, []
+    real_walk, real_witness = prym._unions_from, prym._first_joined_pair
+
+    def walk(*args):
+        nonlocal walks
+        walks += 1
+        return real_walk(*args)
+
+    def witness(*args):
+        before_witness.append(walks)
+        return real_witness(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prym, "_unions_from", walk)
+        patch.setattr(prym, "_first_joined_pair", witness)
+        verdict = _verdict(vologodsky_check(g, iota))
+    return verdict, before_witness[0] if before_witness else walks
+
+
+def _hexagon_with_pendant_hub():
+    """A hexagon with the half-turn as involution, and a fixed vertex z
+    joined by two edges to each vertex of one antipodal pair."""
+    ring = ["p.0", "q.0", "r.0", "p.1", "q.1", "r.1"]
+    edges = [(f"h{k}", ring[k], ring[(k + 1) % 6]) for k in range(6)]
+    edges += [(f"z{k}", "z", ("p.0", "p.1")[k % 2]) for k in range(4)]
+    g = MultiGraph(["z"] + ring, edges)
+    vmap = {v: ring[(k + 3) % 6] for k, v in enumerate(ring)} | {"z": "z"}
+    emap = {f"h{k}": f"h{(k + 3) % 6}" for k in range(6)} | {f"z{k}": f"z{k ^ 1}" for k in range(4)}
+    return g, GraphInvolution(g, vmap, emap)
+
+
+def test_a_pendant_unit_that_splits_off_fails_before_any_walk():
+    # z's orbit is pendant in the orbit quotient (a triangle with a tail);
+    # a hexagon less an antipodal pair falls apart, so {z} against the
+    # hexagon is the only split
+    g, iota = _hexagon_with_pendant_hub()
+    hexagon = frozenset(g.vertices) - {"z"}
+    assert _all_splits(g, iota) == {frozenset((frozenset({"z"}), hexagon))}
+    verdict, walks = _verdict_and_walks(g, iota)
+    assert verdict == vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
+    assert not verdict[0] and walks == 0
+    # without z the hexagon has no split and its one walk finds none
+    rest = MultiGraph(sorted(hexagon), [e for e in g.edges if "z" not in e[1:]])
+    ring_iota = GraphInvolution(rest, {v: iota.vertex_map[v] for v in hexagon},
+                                {lab: iota.edge_map[lab] for lab in rest.edge_labels})
+    assert _verdict_and_walks(rest, ring_iota) == ((True, None), 1)
+
+
+def test_tree_quotients_merge_to_one_unit_without_a_walk():
+    # a twisted loop at every base vertex joins each orbit's two vertices,
+    # so the orbit quotient of the cover is the base tree; one tree edge
+    # lifts to two edges, and a doubled one cuts four
+    rng = seeded_rng(72)
+    base = [f"p{i}" for i in range(6)]
+    tree = [("p0", "p1"), ("p1", "p2"), ("p1", "p3"), ("p3", "p4"), ("p3", "p5")]
+    covers = [_two_triangles_joined_by_four()]
+    for doubled in ([], [("p3", "p4")], [("p1", "p3")], [("p0", "p1"), ("p3", "p5")]):
+        edges = [(v, v) for v in base] + tree + doubled
+        cocycle = [1] * len(base) + [rng.randrange(2) for _ in tree + doubled]
+        covers.append(double_cover(rng, base, edges, cocycle))
+    verdicts = []
+    for g, iota in covers:
+        verdict, walks = _verdict_and_walks(g, iota)
+        assert verdict == vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
+        assert walks == 0
+        verdicts.append(verdict[0])
+    assert verdicts == [False, True, False, False, False]
+
+
+def test_verdict_walk_yields_a_pinned_union_count_over_census_covers(monkeypatch):
+    # merging pendant units first: the walk yielded 9,504 unions over these
+    # covers (8,715 on the sparse ones) when it ran over single orbits
+    yielded = 0
+    real_walk = prym._unions_from
+
+    def walk(*args):
+        nonlocal yielded
+        for union in real_walk(*args):
+            yielded += 1
+            yield union
+
+    monkeypatch.setattr(prym, "_unions_from", walk)
+    monkeypatch.setattr(prym, "_first_joined_pair", lambda *args: None)
+    for g, iota in census_covers():
+        vologodsky_check(g, iota)
+    assert yielded == 3490
 
 
 def test_x_minus_matches_projected_cycle_generators():

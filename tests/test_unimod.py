@@ -255,13 +255,25 @@ def test_bond_system_wheel_like():
     assert is_totally_unimodular(S).is_tu
 
 
-def test_bond_system_rejects_disconnected_and_loops():
+def test_bond_system_rejects_disconnected_and_loops(monkeypatch):
     two = MultiGraph(["a", "b", "c", "d"], [("e", "a", "b"), ("f", "c", "d")])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="requires a connected graph"):
         bond_system(two)
     loopy = MultiGraph(["a", "b"], [("e", "a", "b"), ("l", "a", "a")])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="loop 'l' gives a zero column"):
         bond_system(loopy)
+    # no edges first, then connectivity, then loops
+    with pytest.raises(GraphError, match="at least one edge"):
+        bond_system(MultiGraph(["a", "b"], []))
+    looped_pair = MultiGraph(["a", "b", "c"], [("l", "a", "a"), ("e", "b", "c")])
+    with pytest.raises(GraphError, match="requires a connected graph"):
+        bond_system(looped_pair)
+    # connectivity is read off the cut-space matrix: one components pass
+    passes = []
+    real_components = unimod.components
+    monkeypatch.setattr(unimod, "components", lambda g: passes.append(g) or real_components(g))
+    assert bond_system(MultiGraph(["a", "b"], [("e", "a", "b"), ("f", "b", "a")])).dim == 1
+    assert len(passes) == 1
 
 
 def test_cut_space_matrix_gives_loops_zero_columns():
