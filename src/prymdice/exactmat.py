@@ -20,8 +20,8 @@ The four workhorses are
 * ``gauss_jordan`` -- fraction-free (Bareiss) Gauss-Jordan elimination
   with greedy column pivoting: the lexicographically first column basis,
   its determinant d and d times the coordinates of every column in it,
-  including any columns appended to the rows (an identity block gives
-  the adjugate of the basis).
+  including any columns appended to the rows (appended columns Y come
+  out as d T^{-1} Y, so one pass solves T X = Y over Z).
 
 ``square_submatrices`` enumerates the k x k submatrices themselves in
 that order, one ``IntMatrix`` each: the plain definition that ``minors``
@@ -274,7 +274,7 @@ def gauss_jordan(rows: list, ncols: int) -> tuple[tuple[int, ...], int]:
     identity on the pivot columns, and on every other column, appended
     ones included, d times its coordinates in the basis.  Raises
     ``MatrixError`` when the first ``ncols`` columns have rank below n, so
-    a singular T has no adjugate read off here.
+    nothing is read off a singular T.
     """
     n = len(rows)
     pivots = []

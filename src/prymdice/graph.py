@@ -14,7 +14,12 @@ from __future__ import annotations
 
 
 class GraphError(ValueError):
-    """Raised for structurally invalid graphs or involutions."""
+    """Raised for structurally invalid graphs or involutions; ``edge`` names
+    the edge at fault, if any."""
+
+    def __init__(self, message: str, edge: str | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class GraphFormatError(GraphError):
@@ -185,14 +190,14 @@ class GraphInvolution:
             else:
                 raise GraphError(
                     f"edge map incidence mismatch: {lab!r} has image endpoints "
-                    f"({it},{ih}) but {img!r} is ({jt},{jh})"
+                    f"({it},{ih}) but {img!r} is ({jt},{jh})", edge=lab
                 )
             action.append((graph._edge_index[img], signs[lab]))
         self.edge_sign = signs
         self.edge_action = tuple(action)
         for lab in graph.edge_labels:
             if signs[self.edge_map[lab]] != signs[lab]:
-                raise GraphError(f"orientation signs inconsistent on the orbit of {lab!r}")
+                raise GraphError(f"orientation signs inconsistent on the orbit of {lab!r}", edge=lab)
 
     @classmethod
     def identity(cls, graph: MultiGraph) -> "GraphInvolution":
@@ -419,8 +424,10 @@ def parse_graph_text(text: str) -> tuple[MultiGraph, GraphInvolution | None]:
     try:
         involution = GraphInvolution(graph, vmap, emap)
     except GraphError as exc:
-        lineno = iota_e[0][0] if iota_e else (iota_v[0][0] if iota_v else None)
-        raise GraphFormatError(lineno, str(exc)) from exc
+        # every error the checks above leave names an edge: cite the first
+        # iota_e line naming it, else its edge line
+        cited = {x: lineno for lineno, a, b in reversed(iota_e) for x in (a, b)}
+        raise GraphFormatError(cited.get(exc.edge, elines.get(exc.edge)), str(exc)) from exc
     return graph, involution
 
 

@@ -188,17 +188,6 @@ class VologodskyResult:
     witness: VologodskyWitness | None = None
 
 
-def _connected_orbit_unions(orbits, orbit_adjacency, adjacency, cuts):
-    """Every union of vertex orbits that induces a connected subgraph, as
-    (orbit mask, vertex mask, cut mask) triples in no particular order:
-    those of ``_unions_from`` each root in turn."""
-    return [
-        union
-        for root in range(len(orbits))
-        for union in _unions_from(root, orbits, orbit_adjacency, adjacency, cuts)
-    ]
-
-
 def _unions_from(root, orbits, orbit_adjacency, adjacency, cuts):
     """Yield every union of units whose least unit is ``root`` and that
     induces a connected subgraph, as (unit mask, vertex mask, cut mask)
@@ -423,9 +412,14 @@ def _splits(component, part, cut, adjacency):
 
 
 def _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts) -> VologodskyWitness:
-    """The first pair of disjoint connected orbit unions joined by at least
-    4 edges, unions sorted by orbit mask and the second after the first."""
-    unions = sorted(_connected_orbit_unions(orbits, orbit_adjacency, adjacency, cuts))
+    """The first pair of disjoint connected orbit unions (``_unions_from``
+    from each root) joined by at least 4 edges, unions sorted by orbit
+    mask and the second after the first."""
+    unions = sorted(
+        union
+        for root in range(len(orbits))
+        for union in _unions_from(root, orbits, orbit_adjacency, adjacency, cuts)
+    )
     for pos, (mask_a, set_a, cut_a) in enumerate(unions):
         # every crossing edge is in A's cut
         if cut_a.bit_count() < 4:

@@ -53,6 +53,27 @@ def test_incidence_incompatible_involution_rejected():
     with pytest.raises(GraphFormatError) as err:
         parse_graph_text(text)
     assert "incidence" in str(err.value)
+    # the error cites the iota_e line naming the edge at fault, not the first one
+    text = (
+        "vertex a\nvertex b\nvertex c\nvertex d\n"
+        "edge e1 a b\nedge e2 a b\nedge e3 a c\nedge e4 a d\n"
+        "iota_v a a\niota_v b b\n"
+        "iota_e e1 e2\n"  # line 11: e1 and e2 have the same endpoints
+        "iota_e e3 e4\n"  # line 12: e3 ends at c, e4 at d
+    )
+    with pytest.raises(GraphFormatError, match="'e3'") as err:
+        parse_graph_text(text)
+    assert err.value.lineno == 12
+    # an edge that no iota_e line names is cited at its own edge line
+    text = (
+        "vertex a\nvertex b\nvertex c\nvertex d\n"
+        "edge e1 a b\nedge e2 a b\nedge e3 a c\n"  # e3 on line 7
+        "iota_v c d\n"  # iota fixes e3 but sends its end c to d
+        "iota_e e1 e2\n"
+    )
+    with pytest.raises(GraphFormatError, match="'e3'") as err:
+        parse_graph_text(text)
+    assert err.value.lineno == 7
 
 
 def test_non_involutive_edge_map_rejected():

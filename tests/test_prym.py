@@ -603,14 +603,14 @@ def test_vologodsky_checks_every_invariant_component():
 def test_vologodsky_passes_build_no_pair_list(monkeypatch):
     # the all-roots union list feeds only the pair scan behind a witness
     listings = 0
-    real_unions = prym._connected_orbit_unions
+    real_scan = prym._first_joined_pair
 
-    def counting_unions(*args):
+    def counting_scan(*args):
         nonlocal listings
         listings += 1
-        return real_unions(*args)
+        return real_scan(*args)
 
-    monkeypatch.setattr(prym, "_connected_orbit_unions", counting_unions)
+    monkeypatch.setattr(prym, "_first_joined_pair", counting_scan)
     assert vologodsky_check(*build_cover()).passed
     assert listings == 0
     for g, iota in census_covers():
@@ -620,7 +620,9 @@ def test_vologodsky_passes_build_no_pair_list(monkeypatch):
 
 
 def test_split_without_a_joined_pair_raises(monkeypatch):
-    monkeypatch.setattr(prym, "_connected_orbit_unions", lambda *args: [])
+    # the cover fails at a pendant unit before any walk, so the empty walk
+    # reaches only the witness scan
+    monkeypatch.setattr(prym, "_unions_from", lambda *args: iter(()))
     with pytest.raises(RuntimeError):
         vologodsky_check(*_two_triangles_joined_by_four())
 

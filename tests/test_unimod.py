@@ -360,6 +360,23 @@ def test_verify_equivalence_rejects_misshapen_witnesses():
     assert not verify_equivalence(A, A, Equivalence(M([[1, 0, 0], [0, 1, 0]]), full))
     assert not verify_equivalence(A, A, Equivalence(I3, full))
     assert not verify_equivalence(B, B, Equivalence(M([[1], [0]]), short))
+    # one mutation of a real E5 witness per rejection of the column map
+    E, T = e5(), scramble(seeded_rng(8), e5())
+    eq = systems_equivalent(E, T)
+    assert verify_equivalence(E, T, eq)
+    cmap = list(eq.column_map)
+    (t0, s0), (t1, s1) = cmap[:2]
+    for mutated in (
+        [(t1, s0)] + cmap[1:],  # two columns sent to one target
+        [(t0, 2 * s0)] + cmap[1:],  # a sign outside +-1
+        [(t1, s0), (t0, s1)] + cmap[2:],  # a bijection with a wrong image
+    ):
+        assert not verify_equivalence(E, T, Equivalence(eq.U, tuple(mutated)))
+    # every image matches, so only the bijection check, then the sign check, rejects
+    twice = UnimodularSystem(M([[1, 0, 1], [0, 1, 0]]), allow_repeats=True)
+    assert not verify_equivalence(twice, A, Equivalence(I2, ((0, 1), (1, 1), (0, 1))))
+    doubled = UnimodularSystem(M([[2, 0, 1], [0, 1, 1]]))
+    assert not verify_equivalence(A, doubled, Equivalence(I2, ((0, 2), (1, 1), (2, 1))))
 
 
 def test_dimension_mismatch_raises():
@@ -403,6 +420,13 @@ def test_lattice_equivalence_refines_matroid_equivalence():
     B = scramble(rng, A)
     assert systems_equivalent(A, B) is not None
     assert matroid_equivalent(A, B) is not None
+    # strictly: both are U(2,3), but only the first is unimodular (minors
+    # 1, 1, -1 against 2, 1, -2), so unimodularity cannot refute a matroid map
+    A, B = UnimodularSystem(M([[1, 0, 1], [0, 1, 1]])), UnimodularSystem(M([[1, 0, 1], [0, 2, 1]]))
+    assert A.is_unimodular and not B.is_unimodular
+    sigma = matroid_equivalent(A, B)
+    assert sigma is not None and _is_valid_matroid_map(A, B, sigma)
+    assert systems_equivalent(A, B) is None
 
 
 def test_adjugate_matches_cofactor_oracle():
@@ -586,14 +610,11 @@ def test_standard_form_matches_oracles():
         T = [[cols[j][i] for j in greedy] for i in range(n)]
         assert form.det == cofactor_det(T)
         non_tu_bases += abs(form.det) > 1
-        # T * coordinates = det * M, and T * adjugate = det * I
-        X, adj = form.coordinates.row_list(), form.adjugate.row_list()
+        # T * coordinates = det * M
+        X = form.coordinates.row_list()
         for i in range(n):
             assert [sum(T[i][k] * X[k][j] for k in range(n)) for j in range(m)] == [
                 form.det * x for x in S.matrix.row(i)
-            ]
-            assert [sum(T[i][k] * adj[k][j] for k in range(n)) for j in range(n)] == [
-                form.det * int(i == j) for j in range(n)
             ]
     assert non_tu_bases >= 30
 
@@ -823,7 +844,7 @@ def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
 
     class CountingMatroid(unimod._ColumnMatroid):
         def __init__(self, form):
-            built.append(form._matrix)
+            built.append(form)
             super().__init__(form)
 
     monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
@@ -831,7 +852,7 @@ def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
     assert S.matroid is S.matroid
     assert is_cographic(S).is_cographic
     assert matroid_equivalent(S, bond_system(triangle)) is not None
-    assert sum(1 for matrix in built if matrix is S.matrix) == 1
+    assert sum(1 for form in built if form is S.standard_form) == 1
     assert len(built) > 1  # the candidate systems were counted too
 
 
@@ -841,7 +862,7 @@ def test_e5_is_shared_and_its_matroid_built_once(monkeypatch):
 
     class CountingMatroid(unimod._ColumnMatroid):
         def __init__(self, form):
-            built.append(form._matrix)
+            built.append(form)
             super().__init__(form)
 
     monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
@@ -851,7 +872,7 @@ def test_e5_is_shared_and_its_matroid_built_once(monkeypatch):
         assert X.matrix != e5().matrix
         assert systems_equivalent(X, e5()) is not None
         assert systems_equivalent(X, e5()) is not None
-        assert sum(1 for matrix in built if matrix == e5().matrix) == 1
+        assert sum(1 for form in built if form is e5().standard_form) == 1
     finally:
         unimod.e5.cache_clear()
 
