@@ -175,7 +175,9 @@ def multipliers(X: HalfLattice) -> MultiplierVector:
 
 @dataclass(frozen=True)
 class VologodskyWitness:
-    """Two disjoint connected invariant subgraphs joined by >= 4 edges."""
+    """A split of one invariant component into two connected invariant
+    vertex sets joined by >= 4 edges; ``subgraph_0`` holds the component's
+    first vertex in ``G.vertices``."""
 
     subgraph_0: frozenset
     subgraph_1: frozenset
@@ -188,21 +190,20 @@ class VologodskyResult:
     witness: VologodskyWitness | None = None
 
 
-def _unions_from(root, orbits, orbit_adjacency, adjacency, cuts):
+def _unions_from(root, units, unit_adjacency, adjacency, unit_cuts):
     """Yield every union of units whose least unit is ``root`` and that
-    induces a connected subgraph, as (unit mask, vertex mask, cut mask)
-    triples.
+    induces a connected subgraph, as (vertex mask, cut mask) pairs.
 
     A unit is a union of vertex orbits that is connected in the orbit
     quotient: a single orbit, or orbits merged by ``vologodsky_check``.
-    ``orbits[i]`` holds the vertex bits of unit i (none for a unit merged
-    away), ``orbit_adjacency[i]`` its neighbouring units, ``adjacency``
-    maps a vertex bit to its neighbours' bits and ``cuts[i]`` is the edge
-    mask of unit i's cut.  A union connected in the graph is connected in
-    the quotient, so each set is grown along quotient edges from its least
-    unit: a branch adds one unit of the frontier, and the units tried
-    before it at the same node are barred below the later branches, so no
-    set repeats.
+    ``units[i]`` holds the vertex bits of unit i (none for a unit merged
+    away), ``unit_adjacency[i]`` its neighbouring units, ``adjacency``
+    maps a vertex bit to its neighbours' bits and ``unit_cuts[i]`` is the
+    edge mask of unit i's cut.  A union connected in the graph is
+    connected in the quotient, so each set is grown along quotient edges
+    from its least unit: a branch adds one unit of the frontier, and the
+    units tried before it at the same node are barred below the later
+    branches, so no set repeats.
 
     Connectivity is carried down the tree.  Paths in the quotient lift
     through the involution, so every component of a quotient-connected
@@ -213,34 +214,34 @@ def _unions_from(root, orbits, orbit_adjacency, adjacency, cuts):
     union so far; and it joins the two halves exactly when the new
     vertices that ``comp`` reaches touch the other half.
     """
-    orbit_vertices = [sum(bits) for bits in orbits]
+    unit_vertices = [sum(bits) for bits in units]
     below = (1 << root) - 1
-    root_bits = orbits[root]
+    root_bits = units[root]
     comp, reach = _join(root_bits[0], adjacency[root_bits[0]], root_bits, adjacency)
     stack = [(
-        1 << root, orbit_vertices[root], comp, reach, cuts[root],
-        orbit_adjacency[root] & ~below & ~(1 << root), below,
+        1 << root, unit_vertices[root], comp, reach, unit_cuts[root],
+        unit_adjacency[root] & ~below, below,
     )]
     while stack:
         mask, vertices, comp, reach, cut, frontier, barred = stack.pop()
         connected = comp == vertices
         if connected:
-            yield mask, vertices, cut
+            yield vertices, cut
         while frontier:
             bit = frontier & -frontier
             frontier ^= bit
             i = bit.bit_length() - 1
             grown = mask | bit
-            grown_vertices = vertices | orbit_vertices[i]
+            grown_vertices = vertices | unit_vertices[i]
             if connected:
                 grown_comp, grown_reach = grown_vertices, 0
             else:
-                grown_comp, grown_reach = _join(comp, reach, orbits[i], adjacency)
+                grown_comp, grown_reach = _join(comp, reach, units[i], adjacency)
                 if grown_reach & vertices & ~comp:
                     grown_comp = grown_vertices
             stack.append((
-                grown, grown_vertices, grown_comp, grown_reach, cut ^ cuts[i],
-                frontier | (orbit_adjacency[i] & ~grown & ~barred), barred,
+                grown, grown_vertices, grown_comp, grown_reach, cut ^ unit_cuts[i],
+                frontier | (unit_adjacency[i] & ~grown & ~barred), barred,
             ))
             barred |= bit
 
@@ -275,11 +276,10 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     """Family-independence criterion for the cell decomposition.
 
     Fails exactly when two disjoint connected invariant subgraphs are
-    joined by at least four edges; the witness returned is the first such
-    pair in a fixed deterministic order (invariant vertex subsets are
-    unions of vertex orbits, scanned in ascending bitmask order).
+    joined by at least four edges; the witness returned is the first split
+    of an invariant component that the search below meets.
 
-    The verdict comes from a smaller search.  Call a component K of G
+    The verdict comes from a search over splits.  Call a component K of G
     invariant when iota(K) = K, and call the edges with exactly one end in
     a vertex set A (loops not counted) the cut of A.
 
@@ -320,11 +320,8 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     only the connected unions A of units that hold K's least orbit, and
     stops at the first with at least 4 cut edges, A != K and K - A
     connected.  A component left as one unit has no split and no walk.
-    Only a failing graph goes on to the scan of all pairs of orbit unions
-    for the witness.
 
     Vertex and edge sets are bitmasks over ``G.vertices`` and ``G.edges``.
-    The edges joining two disjoint vertex sets are the edges in both cuts.
     """
     if iota.graph != G:
         raise GraphError("involution belongs to a different graph")
@@ -340,25 +337,25 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
         if tb != hb:
             incidence[tb] |= 1 << k
             incidence[hb] |= 1 << k
-    orbits, cuts, orbit_of = [], [], {}
+    # units[i]: the vertex bits of the unit whose least orbit is i, empty
+    # once merged away; a merged-away unit has no neighbours
+    units, unit_cuts, orbit_of = [], [], {}
     for v in G.vertices:
         if v not in orbit_of:
             w = iota.vertex_map[v]
-            orbit_of[v] = orbit_of[w] = len(orbits)
+            orbit_of[v] = orbit_of[w] = len(units)
             if w == v:
-                orbits.append((bit[v],))
-                cuts.append(incidence[bit[v]])
+                units.append((bit[v],))
+                unit_cuts.append(incidence[bit[v]])
             else:
-                orbits.append((bit[v], bit[w]))
-                cuts.append(incidence[bit[v]] ^ incidence[bit[w]])
-    orbit_adjacency = [0] * len(orbits)
+                units.append((bit[v], bit[w]))
+                unit_cuts.append(incidence[bit[v]] ^ incidence[bit[w]])
+    unit_adjacency = [0] * len(units)
     for _, t, h in G.edges:
-        orbit_adjacency[orbit_of[t]] |= 1 << orbit_of[h]
-        orbit_adjacency[orbit_of[h]] |= 1 << orbit_of[t]
-    # units[i]: the vertex bits of the unit whose least orbit is i, empty
-    # once merged away; a merged-away unit has no neighbours
-    units, unit_cuts = list(orbits), list(cuts)
-    unit_adjacency = [nbrs & ~(1 << i) for i, nbrs in enumerate(orbit_adjacency)]
+        i, j = orbit_of[t], orbit_of[h]
+        if i != j:
+            unit_adjacency[i] |= 1 << j
+            unit_adjacency[j] |= 1 << i
     unplaced = (1 << len(G.vertices)) - 1
     while unplaced:
         # orbits are numbered by their first vertex, so the orbit of K's
@@ -369,7 +366,7 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
         if not bit[iota.vertex_map[v]] & component:
             continue
         # units of K that may be pendant: every orbit, then each merged unit
-        pending = [i for i, bits in enumerate(orbits) if bits[0] & component]
+        pending = [i for i, bits in enumerate(units) if bits and bits[0] & component]
         while pending:
             u = pending.pop()
             w_bit = unit_adjacency[u]
@@ -378,7 +375,7 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
             part = sum(units[u])
             if (_splits(component, part, unit_cuts[u], adjacency)
                     and _component(units[u][0], part, adjacency) == part):
-                return VologodskyResult(False, _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts))
+                return VologodskyResult(False, _witness(G, component, part, unit_cuts[u]))
             # merge u into its neighbour w under the lower index; when that
             # is u's, w's other neighbours are pointed at u
             w = w_bit.bit_length() - 1
@@ -397,9 +394,9 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
         root = orbit_of[v]
         if not unit_adjacency[root]:
             continue
-        for _, part, cut in _unions_from(root, units, unit_adjacency, adjacency, unit_cuts):
+        for part, cut in _unions_from(root, units, unit_adjacency, adjacency, unit_cuts):
             if _splits(component, part, cut, adjacency):
-                return VologodskyResult(False, _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts))
+                return VologodskyResult(False, _witness(G, component, part, cut))
     return VologodskyResult(True)
 
 
@@ -411,30 +408,18 @@ def _splits(component, part, cut, adjacency):
     return cut.bit_count() >= 4 and rest and _component(rest & -rest, rest, adjacency) == rest
 
 
-def _first_joined_pair(G, orbits, orbit_adjacency, adjacency, cuts) -> VologodskyWitness:
-    """The first pair of disjoint connected orbit unions (``_unions_from``
-    from each root) joined by at least 4 edges, unions sorted by orbit
-    mask and the second after the first."""
-    unions = sorted(
-        union
-        for root in range(len(orbits))
-        for union in _unions_from(root, orbits, orbit_adjacency, adjacency, cuts)
+def _witness(G, component, part, cut) -> VologodskyWitness:
+    """The split of the component ``component`` into ``part``, with edge
+    cut ``cut``, and its rest, the part holding the least vertex first.
+    Every edge of the cut joins the two parts, since ``component`` is a
+    component and loops are in no cut."""
+    rest = component ^ part
+    first, second = (part, rest) if part & component & -component else (rest, part)
+    return VologodskyWitness(
+        *(frozenset(v for i, v in enumerate(G.vertices) if bits >> i & 1)
+          for bits in (first, second)),
+        tuple(sorted(lab for k, lab in enumerate(G.edge_labels) if cut >> k & 1)),
     )
-    for pos, (mask_a, set_a, cut_a) in enumerate(unions):
-        # every crossing edge is in A's cut
-        if cut_a.bit_count() < 4:
-            continue
-        for mask_b, set_b, cut_b in unions[pos + 1:]:
-            if mask_a & mask_b:
-                continue
-            crossing = cut_a & cut_b
-            if crossing.bit_count() >= 4:
-                return VologodskyWitness(
-                    *(frozenset(v for i, v in enumerate(G.vertices) if bits >> i & 1)
-                      for bits in (set_a, set_b)),
-                    tuple(sorted(lab for k, lab in enumerate(G.edge_labels) if crossing >> k & 1)),
-                )
-    raise RuntimeError("an invariant component splits, yet no pair of unions is joined by 4 edges")
 
 
 @dataclass(frozen=True)

@@ -730,8 +730,6 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
                 column_map.append((bucket[i], 1 if signed == coords_b[bucket[i]] else -1))
             else:
                 U = _solve_transform(cols_b, chosen, signs, A.matrix, basis_a)
-                if U is None:
-                    continue
                 eq = Equivalence(U, tuple(column_map))
                 if verify_equivalence(A, B, eq):
                     return eq
@@ -760,11 +758,16 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
 
 
 def _solve_transform(cols_b, chosen, signs, matrix_a: IntMatrix, basis_a: tuple):
-    """The U with U AT = BT diag(signs), or None when it is not integral.
+    """The U with U AT = BT diag(signs) when that U is integral, else an
+    integer matrix that ``verify_equivalence`` rejects.
 
     AT is A's columns ``basis_a`` and BT is B's columns ``chosen``: one
     ``gauss_jordan`` pass over the rows [AT^T | diag(signs) BT^T] leaves
-    det(AT) U^T in the right block.
+    det(AT) U^T in the right block, and dividing by det(AT) is exact when
+    U is integral.  Otherwise the floored quotient differs from U, the one
+    solution since AT is invertible, so it misses BT diag(signs) at some
+    column of AT, and the search's column map demands exactly those
+    images there; ``verify_equivalence`` is the one check on U.
     """
     n = len(chosen)
     rows = [
@@ -772,8 +775,6 @@ def _solve_transform(cols_b, chosen, signs, matrix_a: IntMatrix, basis_a: tuple)
         for j, k, s in zip(basis_a, chosen, signs)
     ]
     _, d = gauss_jordan(rows, n)
-    if any(x % d for row in rows for x in row[n:]):
-        return None
     return IntMatrix(n, n, tuple(row[n + i] // d for i in range(n) for row in rows))
 
 

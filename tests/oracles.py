@@ -10,7 +10,8 @@ trying every vertex permutation, and isomorphism of two multigraphs is
 decided by trying every permutation within degree classes.  The
 Vologodsky criterion is checked on every union of vertex orbits with
 set-based searches, and again on every split of an invariant component
-into two orbit unions.
+into two orbit unions; a witness is checked against its definition with
+the same searches.
 """
 
 from fractions import Fraction
@@ -333,6 +334,30 @@ def vologodsky_by_definition(vertices, edges, vertex_map):
             if len(crossing) >= 4:
                 return False, (set_a, set_b, tuple(sorted(crossing)))
     return True, None
+
+
+def vologodsky_witness_problem(vertices, edges, vertex_map, witness):
+    """Why ``witness``, a ``(part_0, part_1, connecting_edges)`` triple, is
+    not a split of one component into two disjoint connected invariant
+    vertex sets joined by exactly ``connecting_edges``, at least four of
+    them; None when it is one."""
+    _, neighbours, connected = _orbits_and_connectivity(vertices, edges, vertex_map)
+    part_0, part_1, connecting = witness
+    part_0, part_1 = set(part_0), set(part_1)
+    if not part_0 or not part_1 or part_0 & part_1:
+        return "parts are empty or overlap"
+    for part in (part_0, part_1):
+        if {vertex_map[v] for v in part} != part:
+            return "a part is not invariant"
+        if not connected(part):
+            return "a part is not connected"
+    crossing = _joining_edges(edges, part_0, part_1)
+    if len(crossing) < 4 or sorted(crossing) != sorted(connecting):
+        return "connecting edges are wrong or fewer than four"
+    union = part_0 | part_1
+    if not connected(union) or any(neighbours[v] - union for v in union):
+        return "the parts do not make up one component"
+    return None
 
 
 def vologodsky_by_bipartition(vertices, edges, vertex_map):

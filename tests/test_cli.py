@@ -14,7 +14,8 @@ from prymdice.graph import format_graph_text
 from prymdice.segre import build_cover
 from prymdice.unimod import e5
 
-from conftest import scramble, seeded_rng
+from conftest import scramble, seeded_rng, two_invariant_triangles
+from oracles import vologodsky_witness_problem
 
 TRIANGLE = "vertex u\nvertex v\nvertex w\nedge a u v\nedge b v w\nedge c w u\n"
 
@@ -108,6 +109,28 @@ def test_prym_dice_and_vologodsky(capsys, cover_file):
     code, out, _ = run(capsys, "--json", "vologodsky", cover_file)
     assert code == 0
     assert json.loads(out)["result"]["passed"] is True
+
+
+def test_prym_dice_and_vologodsky_on_a_failing_cover(capsys, tmp_path):
+    g, iota = two_invariant_triangles()
+    p = tmp_path / "triangles.graph"
+    p.write_text(format_graph_text(g, iota))
+
+    def witness_problem(witness):
+        parts = (witness["subgraph_0"], witness["subgraph_1"], witness["connecting_edges"])
+        return vologodsky_witness_problem(g.vertices, g.edges, iota.vertex_map, parts)
+
+    code, out, _ = run(capsys, "--json", "vologodsky", str(p))
+    assert code == 0  # a failing cover still exits 0
+    data = json.loads(out)
+    assert data["result"]["passed"] is False
+    assert witness_problem(data["certificate"]) is None
+
+    code, out, _ = run(capsys, "--json", "prym-dice", str(p))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["family_independent"] is False
+    assert witness_problem(result["vologodsky_witness"]) is None
 
 
 def test_prym_dice_requires_involution(capsys, triangle_file):

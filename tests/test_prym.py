@@ -30,7 +30,11 @@ from prymdice.segre import build_cover, fixture
 from prymdice.unimod import is_totally_unimodular
 
 from conftest import census_covers, double_cover, seeded_rng, shuffled_graph
-from oracles import vologodsky_by_bipartition, vologodsky_by_definition
+from oracles import (
+    vologodsky_by_bipartition,
+    vologodsky_by_definition,
+    vologodsky_witness_problem,
+)
 
 
 def test_pi_minus_kills_invariant_cycles():
@@ -196,29 +200,8 @@ def test_vologodsky_counterexample_fails_with_verifiable_witness():
     g, iota = _two_triangles_joined_by_four()
     result = vologodsky_check(g, iota)
     assert not result.passed
-    w = result.witness
-    assert isinstance(w, VologodskyWitness)
-    # re-verify the witness from scratch
-    assert w.subgraph_0.isdisjoint(w.subgraph_1)
-    for part in (w.subgraph_0, w.subgraph_1):
-        assert {iota.vertex_map[v] for v in part} == set(part)
-        seen = {next(iter(sorted(part)))}
-        stack = [next(iter(sorted(part)))]
-        while stack:
-            x = stack.pop()
-            for lab, y in g.neighbors(x):
-                if y in part and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        assert seen == set(part)
-    crossing = [
-        lab
-        for lab, t, h in g.edges
-        if (t in w.subgraph_0 and h in w.subgraph_1)
-        or (t in w.subgraph_1 and h in w.subgraph_0)
-    ]
-    assert len(crossing) >= 4
-    assert set(w.connecting_edges) == set(crossing)
+    assert isinstance(result.witness, VologodskyWitness)
+    _assert_agrees_with_oracle(g, iota, _verdict(result))
 
 
 def test_vologodsky_small_graphs_pass(triangle):
@@ -490,6 +473,16 @@ def _verdict(result):
     return result.passed, None if w is None else (w.subgraph_0, w.subgraph_1, w.connecting_edges)
 
 
+def _assert_agrees_with_oracle(g, iota, verdict):
+    """``verdict`` passes exactly when the definition oracle's does, and a
+    failing one carries a witness that checks out against its definition."""
+    passed, witness = verdict
+    assert passed == vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)[0], g.edges
+    assert (witness is None) == passed, g.edges
+    if witness is not None:
+        assert vologodsky_witness_problem(g.vertices, g.edges, iota.vertex_map, witness) is None, g.edges
+
+
 def _connected(g, vset):
     inside = [e for e in g.edges if e[1] in vset and e[2] in vset]
     return len(components(MultiGraph(list(vset), inside))) == 1
@@ -522,7 +515,7 @@ def test_vologodsky_matches_definition_oracle_on_small_covers():
             "loop": 0, "parallel": 0, "disconnected": 0, "pendant orbit": 0, "pendant split": 0}
     for g, iota in covers:
         verdict = _verdict(vologodsky_check(g, iota))
-        assert verdict == vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map), g.edges
+        _assert_agrees_with_oracle(g, iota, verdict)
         pendants = _pendant_orbits(g, iota)
         seen["pendant orbit"] += bool(pendants)
         # the split that the pendant reduction checks directly
@@ -541,15 +534,17 @@ def test_vologodsky_matches_definition_oracle_on_small_covers():
 
 def test_vologodsky_verdicts_on_census_covers_are_pinned():
     # recorded with the earlier scan, which tested every orbit mask for
-    # connectivity with set-based searches
+    # connectivity with set-based searches; the witnesses are not pinned,
+    # each is checked against its definition instead
     verdicts = []
     for g, iota in census_covers():
-        passed, w = _verdict(vologodsky_check(g, iota))
-        # sorted: the repr of a frozenset of names depends on string hashing
-        verdicts.append((passed, w and (tuple(sorted(w[0])), tuple(sorted(w[1])), w[2])))
-    assert 10 <= sum(not passed for passed, _ in verdicts) <= 190
+        passed, witness = _verdict(vologodsky_check(g, iota))
+        if witness is not None:
+            assert vologodsky_witness_problem(g.vertices, g.edges, iota.vertex_map, witness) is None
+        verdicts.append(passed)
+    assert verdicts.count(False) == 13
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
-        "43599b099c56cf0b71067170c5e76c006780d805273870010d140812905fc28e"
+        "4afa327d6943fcb3d843a5bee4febf27b51955a3d6db745f74778fa749b97a61"
     )
 
 
@@ -557,6 +552,30 @@ def test_bipartition_lemma_matches_definition_oracle():
     for g, iota in _small_covers() + list(census_covers()):
         passed, _ = vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
         assert vologodsky_by_bipartition(g.vertices, g.edges, iota.vertex_map) == passed, g.edges
+
+
+def test_tu_and_vologodsky_agree_on_free_covers_only():
+    # over the census (free involutions) a Prym dicing is TU exactly when
+    # the check passes; over the small covers some TU dicings fail it, and
+    # each of those involutions fixes a vertex and an edge
+    def tally(covers):
+        counts, tu_failing = {}, []
+        for g, iota in covers:
+            if x_minus(g, iota).rank == 0:
+                continue
+            dicing = prym_dicing(g, iota)
+            key = (is_totally_unimodular(dicing.system).is_tu, dicing.family_independent)
+            counts[key] = counts.get(key, 0) + 1
+            if key == (True, False):
+                tu_failing.append((g, iota))
+        return counts, tu_failing
+
+    assert tally(census_covers()) == ({(True, True): 187, (False, False): 13}, [])
+    counts, tu_failing = tally(_small_covers())
+    assert counts == {(True, True): 183, (False, False): 42, (True, False): 7}
+    for g, iota in tu_failing:
+        assert any(iota.vertex_map[v] == v for v in g.vertices), g.edges
+        assert any(iota.edge_map[lab] == lab for lab in g.edge_labels), g.edges
 
 
 def _disjoint_union(*covers):
@@ -595,36 +614,9 @@ def test_vologodsky_checks_every_invariant_component():
         (swapped, True),
         (_disjoint_union(lonely, swapped), True),
     ):
-        expected = vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
-        assert expected[0] == passes
-        assert _verdict(vologodsky_check(g, iota)) == expected
-
-
-def test_vologodsky_passes_build_no_pair_list(monkeypatch):
-    # the all-roots union list feeds only the pair scan behind a witness
-    listings = 0
-    real_scan = prym._first_joined_pair
-
-    def counting_scan(*args):
-        nonlocal listings
-        listings += 1
-        return real_scan(*args)
-
-    monkeypatch.setattr(prym, "_first_joined_pair", counting_scan)
-    assert vologodsky_check(*build_cover()).passed
-    assert listings == 0
-    for g, iota in census_covers():
-        listings = 0
-        passed = vologodsky_check(g, iota).passed
-        assert listings == (0 if passed else 1)
-
-
-def test_split_without_a_joined_pair_raises(monkeypatch):
-    # the cover fails at a pendant unit before any walk, so the empty walk
-    # reaches only the witness scan
-    monkeypatch.setattr(prym, "_unions_from", lambda *args: iter(()))
-    with pytest.raises(RuntimeError):
-        vologodsky_check(*_two_triangles_joined_by_four())
+        verdict = _verdict(vologodsky_check(g, iota))
+        assert verdict[0] == passes
+        _assert_agrees_with_oracle(g, iota, verdict)
 
 
 def _all_splits(g, iota):
@@ -645,24 +637,19 @@ def _all_splits(g, iota):
 
 def _verdict_and_walks(g, iota):
     """The verdict of ``vologodsky_check``, and how many union walks it
-    started before reaching it (the witness scan's walks not counted)."""
-    walks, before_witness = 0, []
-    real_walk, real_witness = prym._unions_from, prym._first_joined_pair
+    started to reach it."""
+    walks = 0
+    real_walk = prym._unions_from
 
     def walk(*args):
         nonlocal walks
         walks += 1
         return real_walk(*args)
 
-    def witness(*args):
-        before_witness.append(walks)
-        return real_witness(*args)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(prym, "_unions_from", walk)
-        patch.setattr(prym, "_first_joined_pair", witness)
         verdict = _verdict(vologodsky_check(g, iota))
-    return verdict, before_witness[0] if before_witness else walks
+    return verdict, walks
 
 
 def _hexagon_with_pendant_hub():
@@ -685,8 +672,10 @@ def test_a_pendant_unit_that_splits_off_fails_before_any_walk():
     hexagon = frozenset(g.vertices) - {"z"}
     assert _all_splits(g, iota) == {frozenset((frozenset({"z"}), hexagon))}
     verdict, walks = _verdict_and_walks(g, iota)
-    assert verdict == vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
+    _assert_agrees_with_oracle(g, iota, verdict)
     assert not verdict[0] and walks == 0
+    # the witness is that split, the part holding the first vertex, z, first
+    assert verdict[1][:2] == (frozenset({"z"}), hexagon)
     # without z the hexagon has no split and its one walk finds none
     rest = MultiGraph(sorted(hexagon), [e for e in g.edges if "z" not in e[1:]])
     ring_iota = GraphInvolution(rest, {v: iota.vertex_map[v] for v in hexagon},
@@ -709,7 +698,7 @@ def test_tree_quotients_merge_to_one_unit_without_a_walk():
     verdicts = []
     for g, iota in covers:
         verdict, walks = _verdict_and_walks(g, iota)
-        assert verdict == vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
+        _assert_agrees_with_oracle(g, iota, verdict)
         assert walks == 0
         verdicts.append(verdict[0])
     assert verdicts == [False, True, False, False, False]
@@ -728,7 +717,6 @@ def test_verdict_walk_yields_a_pinned_union_count_over_census_covers(monkeypatch
             yield union
 
     monkeypatch.setattr(prym, "_unions_from", walk)
-    monkeypatch.setattr(prym, "_first_joined_pair", lambda *args: None)
     for g, iota in census_covers():
         vologodsky_check(g, iota)
     assert yielded == 3490

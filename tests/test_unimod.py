@@ -379,6 +379,26 @@ def test_verify_equivalence_rejects_misshapen_witnesses():
     assert not verify_equivalence(A, doubled, Equivalence(I2, ((0, 2), (1, 1), (2, 1))))
 
 
+def test_a_non_integral_solve_is_rejected_by_verify_equivalence():
+    # U AT = BT at basis (0, 1) is U = diag(1/2, 1); the solve floors it to
+    # the singular diag(0, 1), and verify_equivalence is what rejects it
+    A = UnimodularSystem(M([[2, 0, 1], [0, 1, 1]]))
+    B = UnimodularSystem(M([[1, 0, 1], [0, 1, 1]]))
+    cols_b = [B.column(k) for k in range(B.size)]
+    U = unimod._solve_transform(cols_b, (0, 1), (1, 1), A.matrix, (0, 1))
+    assert U == M([[0, 0], [0, 1]])
+    assert not verify_equivalence(A, B, Equivalence(U, ((0, 1), (1, 1), (2, 1))))
+    assert systems_equivalent(A, B) is None
+    # the search meets one itself: its first complete bijection, identity on
+    # the columns, solves to U = [[1, 0], [1/2, 1]], floored to I
+    A = UnimodularSystem(M([[2, 0, 2], [0, 1, 1]]))
+    B = UnimodularSystem(M([[2, 0, 2], [1, 1, 2]]))
+    cols_b = [B.column(k) for k in range(B.size)]
+    assert unimod._solve_transform(cols_b, (0, 1), (1, 1), A.matrix, (0, 1)) == IntMatrix.identity(2)
+    eq = systems_equivalent(A, B)
+    assert eq.U != IntMatrix.identity(2) and verify_equivalence(A, B, eq)
+
+
 def test_dimension_mismatch_raises():
     A = e5()
     B = UnimodularSystem(IntMatrix.identity(4))
