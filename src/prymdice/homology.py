@@ -45,7 +45,8 @@ def default_spanning_forest(G: MultiGraph) -> frozenset:
     """Greedy forest over edges in ascending label order (lexicographically
     smallest tree-edge set)."""
     merge = _forest_merger(G.vertices)
-    return frozenset(lab for lab in sorted(G.edge_labels) if merge(*G.endpoints(lab)))
+    # labels are distinct, so the edges sort by label
+    return frozenset(lab for lab, t, h in sorted(G.edges) if merge(t, h))
 
 
 def _validate_spanning_forest(G: MultiGraph, tree_edges) -> frozenset:
@@ -93,15 +94,27 @@ def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
         forest = default_spanning_forest(G)
     else:
         forest = _validate_spanning_forest(G, tree)
-    # per vertex on a forest edge, those edges as (index, other end, sign of
-    # the edge walked from the other end towards this vertex)
+    identity = [(k, 1) for k in range(G.num_edges)]
+    return CycleBasis(G, forest, fundamental_cycle_rows(G, forest, identity, G.num_edges))
+
+
+def fundamental_cycle_rows(G: MultiGraph, forest, coordinates, width: int) -> tuple:
+    """The fundamental cycles of the spanning forest ``forest`` (a set of
+    edge labels), each carried by a linear map on edge coordinates: edge k's
+    coefficient goes, times ``factor``, to coordinate ``column`` of a row of
+    length ``width``, where (column, factor) = ``coordinates[k]``.  Rows
+    follow the non-tree edges in edge order; ``cycle_basis`` passes the
+    identity map.
+    """
+    # per vertex on a forest edge, those edges as (coordinate, other end,
+    # factor times the sign of the edge walked from the other end to it)
     adj: dict[str, list] = {}
-    for k, (lab, t, h) in enumerate(G.edges):
+    for (lab, t, h), (c, f) in zip(G.edges, coordinates):
         if lab in forest:
-            adj.setdefault(t, []).append((k, h, -1))
-            adj.setdefault(h, []).append((k, t, 1))
-    # paths[v]: the forest path from v to its tree's root, as a signed edge row
-    zero = [0] * G.num_edges
+            adj.setdefault(t, []).append((c, h, -f))
+            adj.setdefault(h, []).append((c, t, f))
+    # paths[v]: the image of the forest path from v to its tree's root
+    zero = [0] * width
     paths: dict[str, list] = {}
     for root in adj:
         if root in paths:
@@ -110,20 +123,20 @@ def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
         stack = [root]
         while stack:
             x = stack.pop()
-            for k, y, s in adj[x]:
+            for c, y, f in adj[x]:
                 if y not in paths:
-                    paths[y] = list(paths[x])
-                    paths[y][k] = s
+                    paths[y] = path = list(paths[x])
+                    path[c] += f
                     stack.append(y)
     # the cycle of a non-tree edge runs along it, then back from head to
     # tail; only loops meet a vertex on no forest edge, which has no path
     rows = []
-    for k, (lab, t, h) in enumerate(G.edges):
+    for (lab, t, h), (c, f) in zip(G.edges, coordinates):
         if lab not in forest:
             row = list(zero) if t == h else list(map(sub, paths[h], paths[t]))
-            row[k] = 1
+            row[c] += f
             rows.append(tuple(row))
-    return CycleBasis(G, forest, tuple(rows))
+    return tuple(rows)
 
 
 def is_cycle(G: MultiGraph, v: CochainVector) -> bool:

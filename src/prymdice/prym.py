@@ -15,7 +15,9 @@ and the involution acts through its integer ``edge_action``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+from operator import mul
 
 from .exactmat import IntMatrix, hermite_lattice_contains, hnf_basis
 from .graph import (
@@ -25,7 +27,7 @@ from .graph import (
     MultiGraph,
     apply_involution,
 )
-from .homology import cycle_basis
+from .homology import default_spanning_forest, fundamental_cycle_rows
 from .unimod import UnimodularSystem, collapse_columns
 
 
@@ -52,6 +54,15 @@ class HalfLattice:
             raise GraphError("basis width does not match the graph's edge count")
         self.graph = graph
         self.doubled = hnf_basis(doubled_generators)
+
+    @classmethod
+    def from_hermite_basis(cls, graph: MultiGraph, doubled: IntMatrix) -> "HalfLattice":
+        """The lattice whose doubled basis ``doubled`` is already in Hermite
+        form, as ``hnf_basis`` returns it; no Hermite pass is run."""
+        lattice = cls.__new__(cls)
+        lattice.graph = graph
+        lattice.doubled = doubled
+        return lattice
 
     @property
     def ambient_edges(self) -> tuple:
@@ -88,30 +99,55 @@ def lattice_from_vectors(G: MultiGraph, vectors) -> HalfLattice:
     return HalfLattice(G, generators)
 
 
+def _edge_orbits(iota: GraphInvolution) -> list:
+    """The edge orbits of ``iota`` as tuples of edge indices, each led by its
+    least edge (its representative) and listed in representative order."""
+    return [(j,) if j == k else (j, k) for j, (k, _) in enumerate(iota.edge_action) if j <= k]
+
+
 def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
     """Image of the integral cycle lattice under the anti-invariant projection.
 
     Works on the doubled projections 2 * pi_minus(h) = h - iota(h), which
     are integer rows: iota moves coordinate j to coordinate k with sign s,
-    where (k, s) = ``iota.edge_action[j]``.
+    where (k, s) = ``iota.edge_action[j]``.  Such a row is anti-invariant,
+    so it is fixed by its value at each orbit's representative: h_j enters
+    that value with factor 1 at a representative j < k, -s at its partner
+    j > k and 1 - s at a fixed edge j = k (the signs agree on an orbit).
+
+    The generators are the fundamental cycles of the default forest, mapped
+    to these orbit coordinates during the forest walk, and one Hermite pass
+    runs at orbit width.  Its rows, expanded with each partner coordinate
+    -s times its representative's, are the Hermite basis at full width:
+    every row in that pass stays anti-invariant, so a partner column, which
+    follows its representative's, is a unit multiple of it and never takes
+    a pivot or is read by a reduction.
     """
     if iota.graph != G:
         raise GraphError("involution belongs to a different graph")
     action = iota.edge_action
-    rows = []
-    for h in cycle_basis(G).rows:
-        row = list(h)
-        for x, (k, s) in zip(h, action):
-            if x:
-                row[k] -= s * x
-        rows.append(row)
-    generators = IntMatrix(len(rows), G.num_edges, tuple(x for row in rows for x in row))
-    lattice = HalfLattice(G, generators)
-    for i in range(lattice.rank):
-        row = lattice.doubled.row(i)
-        if any(row[k] != -s * x for x, (k, s) in zip(row, action)):
+    orbits = _edge_orbits(iota)
+    orbit_of = [0] * G.num_edges
+    for o, orbit in enumerate(orbits):
+        for j in orbit:
+            orbit_of[j] = o
+    # edge j's coordinate is its orbit's times signs[j]
+    signs = [-s if j > k else 1 for j, (k, s) in enumerate(action)]
+    coordinates = [
+        (o, 1 - s if j == k else sign)
+        for j, (o, (k, s), sign) in enumerate(zip(orbit_of, action, signs))
+    ]
+    rows = fundamental_cycle_rows(G, default_spanning_forest(G), coordinates, len(orbits))
+    basis = hnf_basis(IntMatrix(len(rows), len(orbits), tuple(chain.from_iterable(rows))))
+    images = [k for k, _ in action]
+    negated = [-s for _, s in action]
+    entries = []
+    for orbit_row in map(basis.row, range(basis.rows)):
+        row = list(map(mul, map(orbit_row.__getitem__, orbit_of), signs))
+        if list(map(mul, map(row.__getitem__, images), negated)) != row:
             raise GraphError("internal error: lattice basis vector is not anti-invariant")
-    return lattice
+        entries += row
+    return HalfLattice.from_hermite_basis(G, IntMatrix(basis.rows, G.num_edges, tuple(entries)))
 
 
 def torus_rank(G: MultiGraph, iota: GraphInvolution) -> int:
@@ -446,19 +482,32 @@ def prym_dicing(G: MultiGraph, iota: GraphInvolution) -> PrymDicing:
 
     Column j of the system is the functional (multiplier * coordinate)
     evaluated on the HNF basis of the lattice; zero columns are dropped
-    and +-duplicate columns (the involution pairs each edge's functional
-    with its partner's negative) keep their first representative.
+    and +-duplicate columns keep their first representative.  A partner's
+    column is -s times its representative's, so the columns are formed and
+    collapsed per edge orbit, and each group lists its orbits' edges in
+    edge order, as do the dropped edges.
     """
     X = x_minus(G, iota)
     if X.rank == 0:
         raise GraphError("anti-invariant lattice is trivial: no dicing to compute")
     mult = multipliers(X)
     # exact: a multiplier is 1 only where every doubled coordinate is even
+    orbits = _edge_orbits(iota)
+    reps = [orbit[0] for orbit in orbits]
     rows = [
-        [x * m // 2 for x, m in zip(X.doubled.row(i), mult.values)]
-        for i in range(X.rank)
+        [row[j] * mult.values[j] // 2 for j in reps]
+        for row in map(X.doubled.row, range(X.rank))
     ]
-    matrix, groups, dropped = collapse_columns(rows, G.edge_labels)
+    matrix, orbit_groups, _ = collapse_columns(rows, orbits)
+    # each edge joins its orbit's column, or the dropped edges, in edge order
+    columns, dropped = [[] for _ in orbit_groups], []
+    target = [dropped] * G.num_edges
+    for column, group in zip(columns, orbit_groups):
+        for orbit in group:
+            for j in orbit:
+                target[j] = column
+    for label, edges in zip(G.edge_labels, target):
+        edges.append(label)
     system = UnimodularSystem(matrix)
     result = vologodsky_check(G, iota)
     return PrymDicing(
@@ -467,6 +516,6 @@ def prym_dicing(G: MultiGraph, iota: GraphInvolution) -> PrymDicing:
         multipliers=mult,
         family_independent=result.passed,
         vologodsky_witness=result.witness,
-        column_edges=groups,
-        dropped_edges=dropped,
+        column_edges=tuple(map(tuple, columns)),
+        dropped_edges=tuple(dropped),
     )

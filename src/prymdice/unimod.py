@@ -92,27 +92,25 @@ def _sign_normalize(col):
 def collapse_columns(rows: list, edge_labels) -> tuple[IntMatrix, tuple, tuple]:
     """Drop zero columns, keep one representative per +-duplicate column set.
 
-    ``rows`` is a list of integer row vectors indexed by ``edge_labels``.
-    Returns (matrix, column_edges, dropped_edges).
+    ``rows`` is a nonempty list of integer row vectors indexed by
+    ``edge_labels``.  Returns (matrix, column_edges, dropped_edges).
     """
-    ncols = len(edge_labels)
-    kept: list[int] = []
+    kept: list[tuple] = []
     groups: list[list[str]] = []
     dropped: list[str] = []
     seen: dict[tuple, int] = {}
-    for j in range(ncols):
-        col = tuple(r[j] for r in rows)
-        if all(x == 0 for x in col):
-            dropped.append(edge_labels[j])
+    for col, label in zip(zip(*rows), edge_labels):
+        if not any(col):
+            dropped.append(label)
             continue
         key = _sign_normalize(col)
         if key in seen:
-            groups[seen[key]].append(edge_labels[j])
+            groups[seen[key]].append(label)
         else:
             seen[key] = len(kept)
-            kept.append(j)
-            groups.append([edge_labels[j]])
-    matrix = IntMatrix.from_rows([[r[j] for j in kept] for r in rows])
+            kept.append(col)
+            groups.append([label])
+    matrix = IntMatrix(len(rows), len(kept), tuple(itertools.chain.from_iterable(zip(*kept))))
     return matrix, tuple(tuple(g) for g in groups), tuple(dropped)
 
 

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from prymdice import prym
-from prymdice.exactmat import IntMatrix
+from prymdice.exactmat import IntMatrix, hnf_basis
 from prymdice.graph import (
     CochainVector,
     GraphError,
@@ -27,7 +28,7 @@ from prymdice.prym import (
     x_minus,
 )
 from prymdice.segre import build_cover, fixture
-from prymdice.unimod import is_totally_unimodular
+from prymdice.unimod import collapse_columns, e5, is_totally_unimodular, systems_equivalent
 
 from conftest import census_covers, double_cover, seeded_rng, shuffled_graph
 from oracles import (
@@ -282,6 +283,38 @@ def test_lattice_membership_makes_no_hermite_pass(monkeypatch):
     assert lattice.contains(vectors[0] + vectors[1])
     assert not lattice.contains(outside)
     assert calls == []
+
+
+def test_prym_dicing_makes_one_hermite_pass_at_orbit_width(monkeypatch):
+    from prymdice import exactmat
+
+    g, iota = build_cover()
+    original = exactmat.hnf_basis
+    calls = []
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return original(m)
+
+    monkeypatch.setattr(exactmat, "hnf_basis", counted)
+    monkeypatch.setattr(prym, "hnf_basis", counted)
+    prym_dicing(g, iota)
+    # the Segre cover has b1 = 11 and 20 edges in 10 orbits
+    assert calls == [(11, 10)]
+
+
+def test_prym_dicing_reads_its_lattice_through_the_module_x_minus(monkeypatch):
+    # the benchmark tracer times the lattice by rebinding prym.x_minus
+    g, iota = build_cover()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return x_minus(*args)
+
+    monkeypatch.setattr(prym, "x_minus", counted)
+    prym_dicing(g, iota)
+    assert calls == [(g, iota)]
 
 
 def test_half_lattice_reduces_dependent_generators():
@@ -723,11 +756,77 @@ def test_verdict_walk_yields_a_pinned_union_count_over_census_covers(monkeypatch
 
 
 def test_x_minus_matches_projected_cycle_generators():
-    covers = census_covers() + tuple(_small_covers()[::4])
+    covers = census_covers() + tuple(_small_covers())
     for g, iota in covers:
         lattice = x_minus(g, iota)
         projected = [pi_minus(iota, h) for h in cycle_basis(g).basis]
         assert lattice.doubled == lattice_from_vectors(g, projected).doubled
+
+
+def _full_width_dicing(g, iota):
+    """Multipliers, matrix, column edges and dropped edges of the Prym
+    dicing computed on every edge coordinate: the projected cycles'
+    lattice, then one column per edge before collapsing."""
+    lattice = lattice_from_vectors(g, [pi_minus(iota, h) for h in cycle_basis(g).basis])
+    mult = multipliers(lattice)
+    rows = [[x * m // 2 for x, m in zip(row, mult.values)] for row in lattice.doubled.row_list()]
+    return (mult, *collapse_columns(rows, g.edge_labels))
+
+
+def test_orbit_dicing_matches_the_full_width_reference_on_small_covers():
+    # fixed vertices, fixed edges of both signs, loops and disconnected covers
+    checked = 0
+    for g, iota in _small_covers():
+        if x_minus(g, iota).rank == 0:
+            continue
+        dicing = prym_dicing(g, iota)
+        assert hnf_basis(dicing.lattice.doubled) == dicing.lattice.doubled
+        found = (
+            dicing.multipliers, dicing.system.matrix, dicing.column_edges, dicing.dropped_edges,
+        )
+        assert found == _full_width_dicing(g, iota), g.edges
+        checked += 1
+    assert checked == 232
+
+
+def _k5_cover_classes():
+    """One double cover of K5 per cocycle class modulo coboundaries: a class
+    is fixed by its values off the spanning star at p0, here zero on it."""
+    rng = seeded_rng(72)
+    base = [f"p{i}" for i in range(5)]
+    edges = [(base[i], base[j]) for i in range(5) for j in range(i + 1, 5)]
+    off_star = [k for k, (t, _) in enumerate(edges) if t != "p0"]
+    covers = []
+    for values in itertools.product((0, 1), repeat=len(off_star)):
+        cocycle = [0] * len(edges)
+        for k, value in zip(off_star, values):
+            cocycle[k] = value
+        covers.append(double_cover(rng, base, edges, cocycle))
+    return covers
+
+
+def test_prym_pipeline_on_every_k5_cover_class_is_pinned():
+    # every class the k5_cover benchmark draws; recorded with the full-width
+    # x_minus, which reduced all 20 edge coordinates
+    shapes, equivalent, found = Counter(), 0, []
+    for g, iota in _k5_cover_classes():
+        dicing = prym_dicing(g, iota)
+        system = dicing.system
+        shapes[system.dim, system.size] += 1
+        assert is_totally_unimodular(system).is_tu
+        assert dicing.family_independent
+        if system.dim == 5 and systems_equivalent(system, e5()) is not None:
+            equivalent += 1
+        doubled = dicing.lattice.doubled
+        found.append((
+            doubled.rows, doubled.entries, dicing.multipliers.values,
+            system.matrix, dicing.column_edges, dicing.dropped_edges,
+        ))
+    assert shapes == {(5, 8): 15, (5, 9): 25, (5, 10): 23, (6, 10): 1}
+    assert equivalent == 1
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "ef1fbceb9d954268ce2615666d58397c165ffbe1b088684d5cd06cd171a79b43"
+    )
 
 
 def test_prym_pipeline_on_census_covers_is_pinned():
