@@ -54,13 +54,6 @@ class MultiGraph:
                 raise GraphError(f"edge {lab} references undeclared vertex")
         self.edge_labels = tuple(labels)
         self._edge_index = {lab: i for i, lab in enumerate(labels)}
-        self._endpoints = {lab: (t, h) for (lab, t, h) in self.edges}
-        adj: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
-        for lab, t, h in self.edges:
-            adj[t].append((lab, h))
-            if t != h:
-                adj[h].append((lab, t))
-        self._adjacency = adj
 
     @property
     def num_vertices(self) -> int:
@@ -78,14 +71,8 @@ class MultiGraph:
 
     def endpoints(self, label: str) -> tuple[str, str]:
         """(tail, head) of the edge."""
-        try:
-            return self._endpoints[label]
-        except KeyError:
-            raise GraphError(f"unknown edge label {label!r}") from None
-
-    def neighbors(self, vertex: str):
-        """(edge label, other endpoint) pairs at a vertex; loops appear once."""
-        return tuple(self._adjacency[vertex])
+        _, t, h = self.edges[self.edge_index(label)]
+        return t, h
 
     def degree(self, vertex: str) -> int:
         d = 0
@@ -114,27 +101,41 @@ class MultiGraph:
         return f"MultiGraph({self.num_vertices} vertices, {self.num_edges} edges)"
 
 
+def union_find(vertices):
+    """Union-find over ``vertices`` (path halving): ``find(v)`` is the root
+    of v's tree, and ``merge(t, h)`` joins the trees of an edge's endpoints
+    and returns False when they already agree."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def merge(t, h):
+        rt, rh = find(t), find(h)
+        if rt == rh:
+            return False
+        parent[rt] = rh
+        return True
+
+    return find, merge
+
+
 def components(G: MultiGraph) -> list[frozenset]:
     """Connected components as vertex sets (edges taken undirected).
 
     Deterministic: components are listed by their smallest-index vertex.
     """
-    seen = set()
-    out = []
+    find, merge = union_find(G.vertices)
+    for _, t, h in G.edges:
+        merge(t, h)
+    # a root is first met at its component's smallest-index vertex
+    groups: dict[str, list] = {}
     for v in G.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for _, y in G.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+        groups.setdefault(find(v), []).append(v)
+    return [frozenset(group) for group in groups.values()]
 
 
 class GraphInvolution:
@@ -147,7 +148,9 @@ class GraphInvolution:
     reversed.  For a loop fixed by the involution both
     readings agree and the sign is taken to be +1.  ``edge_action[j]`` is
     the pair (index of the image of edge j, sign of edge j): the one integer
-    form of the action on edge coordinates.
+    form of the action on edge coordinates.  ``vertex_orbits`` and
+    ``edge_orbits`` are the orbits in the same integer form: tuples of
+    indices, each led by its least index and listed in leader order.
     """
 
     def __init__(self, graph: MultiGraph, vertex_map: dict, edge_map: dict):
@@ -160,44 +163,48 @@ class GraphInvolution:
         for lab in graph.edge_labels:
             if lab not in self.edge_map:
                 raise GraphError(f"edge map does not cover {lab!r}")
-        vset = set(graph.vertices)
+        vertex_index = {v: i for i, v in enumerate(graph.vertices)}
         for v in self.vertex_map:
-            if v not in vset:
+            if v not in vertex_index:
                 raise GraphError(f"unknown vertex {v!r} in vertex map")
+        edge_index = graph._edge_index
         for lab in self.edge_map:
-            if lab not in graph._edge_index:
+            if lab not in edge_index:
                 raise GraphError(f"unknown edge {lab!r} in edge map")
         for v in graph.vertices:
             w = self.vertex_map[v]
-            if w not in vset:
+            if w not in vertex_index:
                 raise GraphError(f"vertex map sends {v!r} outside the graph")
             if self.vertex_map[w] != v:
                 raise GraphError(f"vertex map is not an involution at {v!r}")
         signs, action = {}, []
-        for lab in graph.edge_labels:
+        for lab, t, h in graph.edges:
             img = self.edge_map[lab]
-            if img not in graph._edge_index:
+            k = edge_index.get(img)
+            if k is None:
                 raise GraphError(f"edge map sends {lab!r} to unknown edge {img!r}")
             if self.edge_map[img] != lab:
                 raise GraphError(f"edge map is not an involution at {lab!r}")
-            t, h = graph.endpoints(lab)
             it, ih = self.vertex_map[t], self.vertex_map[h]
-            jt, jh = graph.endpoints(img)
+            _, jt, jh = graph.edges[k]
             if (jt, jh) == (it, ih):
-                signs[lab] = 1
+                sign = 1
             elif (jt, jh) == (ih, it):
-                signs[lab] = -1
+                sign = -1
             else:
                 raise GraphError(
                     f"edge map incidence mismatch: {lab!r} has image endpoints "
                     f"({it},{ih}) but {img!r} is ({jt},{jh})", edge=lab
                 )
-            action.append((graph._edge_index[img], signs[lab]))
+            signs[lab] = sign
+            action.append((k, sign))
         self.edge_sign = signs
         self.edge_action = tuple(action)
-        for lab in graph.edge_labels:
-            if signs[self.edge_map[lab]] != signs[lab]:
+        for lab, (k, sign) in zip(graph.edge_labels, action):
+            if action[k][1] != sign:
                 raise GraphError(f"orientation signs inconsistent on the orbit of {lab!r}", edge=lab)
+        self.vertex_orbits = _orbits(vertex_index[self.vertex_map[v]] for v in graph.vertices)
+        self.edge_orbits = _orbits(k for k, _ in action)
 
     @classmethod
     def identity(cls, graph: MultiGraph) -> "GraphInvolution":
@@ -208,13 +215,17 @@ class GraphInvolution:
         )
 
     def is_fixed_point_free(self) -> bool:
-        return all(self.vertex_map[v] != v for v in self.graph.vertices) and all(
-            self.edge_map[e] != e for e in self.graph.edge_labels
-        )
+        return all(len(orbit) == 2 for orbit in self.vertex_orbits + self.edge_orbits)
 
     def __repr__(self):
-        swaps = sum(1 for v, w in self.vertex_map.items() if v < w)
+        swaps = sum(len(orbit) == 2 for orbit in self.vertex_orbits)
         return f"GraphInvolution({swaps} vertex swaps on {self.graph!r})"
+
+
+def _orbits(images) -> tuple:
+    """The orbits of the index involution i -> ``images[i]``, each led by its
+    least index and listed in leader order."""
+    return tuple((i,) if i == k else (i, k) for i, k in enumerate(images) if i <= k)
 
 
 def _doubled(c) -> int:
@@ -340,12 +351,8 @@ def involution_quotient(G: MultiGraph, iota: GraphInvolution) -> MultiGraph:
     labelled ``"<tail orbit>|<edge label>"``.
     """
     name = {v: min(v, iota.vertex_map[v]) for v in G.vertices}
-    edges = []
-    done = set()
-    for lab, t, h in G.edges:
-        if lab not in done:
-            done.update((lab, iota.edge_map[lab]))
-            edges.append((name[t] + "|" + lab, name[t], name[h]))
+    kept = (G.edges[orbit[0]] for orbit in iota.edge_orbits)
+    edges = [(name[t] + "|" + lab, name[t], name[h]) for lab, t, h in kept]
     return MultiGraph(dict.fromkeys(name.values()), edges)
 
 
@@ -435,18 +442,7 @@ def format_graph_text(G: MultiGraph, iota: GraphInvolution | None = None) -> str
     lines = [f"vertex {v}" for v in G.vertices]
     lines += [f"edge {lab} {t} {h}" for (lab, t, h) in G.edges]
     if iota is not None:
-        done = set()
-        for v in G.vertices:
-            w = iota.vertex_map[v]
-            if v not in done and w != v:
-                lines.append(f"iota_v {v} {w}")
-                done.add(v)
-                done.add(w)
-        done = set()
-        for lab in G.edge_labels:
-            img = iota.edge_map[lab]
-            if lab not in done:
-                lines.append(f"iota_e {lab} {img}")
-                done.add(lab)
-                done.add(img)
+        names, labels = G.vertices, G.edge_labels
+        lines += [f"iota_v {names[o[0]]} {names[o[1]]}" for o in iota.vertex_orbits if len(o) == 2]
+        lines += [f"iota_e {labels[o[0]]} {labels[o[-1]]}" for o in iota.edge_orbits]
     return "\n".join(lines) + "\n"

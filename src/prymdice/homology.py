@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
 
-from .graph import CochainVector, GraphError, MultiGraph, components
+from .graph import CochainVector, GraphError, MultiGraph, components, union_find
 from .unimod import UnimodularSystem, collapse_columns
 
 
@@ -20,31 +20,10 @@ def betti_number(G: MultiGraph) -> int:
     return G.num_edges - G.num_vertices + len(components(G))
 
 
-def _forest_merger(vertices):
-    """Union-find over ``vertices`` (path halving); ``merge(t, h)`` joins the
-    trees of an edge's endpoints and returns False when they already agree."""
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def merge(t, h):
-        rt, rh = find(t), find(h)
-        if rt == rh:
-            return False
-        parent[rt] = rh
-        return True
-
-    return merge
-
-
 def default_spanning_forest(G: MultiGraph) -> frozenset:
     """Greedy forest over edges in ascending label order (lexicographically
     smallest tree-edge set)."""
-    merge = _forest_merger(G.vertices)
+    _, merge = union_find(G.vertices)
     # labels are distinct, so the edges sort by label
     return frozenset(lab for lab, t, h in sorted(G.edges) if merge(t, h))
 
@@ -53,14 +32,15 @@ def _validate_spanning_forest(G: MultiGraph, tree_edges) -> frozenset:
     tree = frozenset(tree_edges)
     for lab in tree:
         G.edge_index(lab)  # raises on unknown label
-    merge = _forest_merger(G.vertices)
+    _, merge = union_find(G.vertices)
     for lab in sorted(tree):
         if not merge(*G.endpoints(lab)):
             raise GraphError(f"supplied edge set is not a forest: {lab!r} closes a cycle")
-    expected = G.num_vertices - len(components(G))
-    if len(tree) != expected:
+    # the edges that still merge trees extend the forest to a spanning one
+    missing = sum(merge(t, h) for _, t, h in G.edges)
+    if missing:
         raise GraphError(
-            f"supplied forest has {len(tree)} edges; a spanning forest needs {expected}"
+            f"supplied forest has {len(tree)} edges; a spanning forest needs {len(tree) + missing}"
         )
     return tree
 

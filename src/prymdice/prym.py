@@ -15,9 +15,10 @@ and the involution acts through its integer ``edge_action``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from math import gcd
-from operator import mul
+from operator import mul, xor
 
 from .exactmat import IntMatrix, hermite_lattice_contains, hnf_basis
 from .graph import (
@@ -99,12 +100,6 @@ def lattice_from_vectors(G: MultiGraph, vectors) -> HalfLattice:
     return HalfLattice(G, generators)
 
 
-def _edge_orbits(iota: GraphInvolution) -> list:
-    """The edge orbits of ``iota`` as tuples of edge indices, each led by its
-    least edge (its representative) and listed in representative order."""
-    return [(j,) if j == k else (j, k) for j, (k, _) in enumerate(iota.edge_action) if j <= k]
-
-
 def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
     """Image of the integral cycle lattice under the anti-invariant projection.
 
@@ -126,7 +121,7 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
     if iota.graph != G:
         raise GraphError("involution belongs to a different graph")
     action = iota.edge_action
-    orbits = _edge_orbits(iota)
+    orbits = iota.edge_orbits
     orbit_of = [0] * G.num_edges
     for o, orbit in enumerate(orbits):
         for j in orbit:
@@ -139,14 +134,14 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
     ]
     rows = fundamental_cycle_rows(G, default_spanning_forest(G), coordinates, len(orbits))
     basis = hnf_basis(IntMatrix(len(rows), len(orbits), tuple(chain.from_iterable(rows))))
-    images = [k for k, _ in action]
-    negated = [-s for _, s in action]
+    # the expansion is anti-invariant except on a fixed edge of sign +1,
+    # which it leaves at its orbit value: that value must be zero
+    for o, orbit in enumerate(orbits):
+        if len(orbit) == 1 and action[orbit[0]][1] == 1 and any(basis.column(o)):
+            raise GraphError("internal error: lattice basis vector is not anti-invariant")
     entries = []
     for orbit_row in map(basis.row, range(basis.rows)):
-        row = list(map(mul, map(orbit_row.__getitem__, orbit_of), signs))
-        if list(map(mul, map(row.__getitem__, images), negated)) != row:
-            raise GraphError("internal error: lattice basis vector is not anti-invariant")
-        entries += row
+        entries += map(mul, map(orbit_row.__getitem__, orbit_of), signs)
     return HalfLattice.from_hermite_basis(G, IntMatrix(basis.rows, G.num_edges, tuple(entries)))
 
 
@@ -375,17 +370,9 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
             incidence[hb] |= 1 << k
     # units[i]: the vertex bits of the unit whose least orbit is i, empty
     # once merged away; a merged-away unit has no neighbours
-    units, unit_cuts, orbit_of = [], [], {}
-    for v in G.vertices:
-        if v not in orbit_of:
-            w = iota.vertex_map[v]
-            orbit_of[v] = orbit_of[w] = len(units)
-            if w == v:
-                units.append((bit[v],))
-                unit_cuts.append(incidence[bit[v]])
-            else:
-                units.append((bit[v], bit[w]))
-                unit_cuts.append(incidence[bit[v]] ^ incidence[bit[w]])
+    units = [tuple(1 << i for i in orbit) for orbit in iota.vertex_orbits]
+    unit_cuts = [reduce(xor, map(incidence.__getitem__, bits)) for bits in units]
+    orbit_of = {G.vertices[i]: o for o, orbit in enumerate(iota.vertex_orbits) for i in orbit}
     unit_adjacency = [0] * len(units)
     for _, t, h in G.edges:
         i, j = orbit_of[t], orbit_of[h]
@@ -492,7 +479,7 @@ def prym_dicing(G: MultiGraph, iota: GraphInvolution) -> PrymDicing:
         raise GraphError("anti-invariant lattice is trivial: no dicing to compute")
     mult = multipliers(X)
     # exact: a multiplier is 1 only where every doubled coordinate is even
-    orbits = _edge_orbits(iota)
+    orbits = iota.edge_orbits
     reps = [orbit[0] for orbit in orbits]
     rows = [
         [row[j] * mult.values[j] // 2 for j in reps]

@@ -310,8 +310,7 @@ def cut_space_matrix(G: MultiGraph) -> IntMatrix:
 
     A loop's +1 and -1 fall in one row, so its column is zero.
     """
-    comps = components(G)
-    drop = {max(sorted(c)) for c in comps}
+    drop = {max(c) for c in components(G)}
     kept = [v for v in G.vertices if v not in drop]
     index = {v: i for i, v in enumerate(kept)}
     rows = [[0] * G.num_edges for _ in kept]

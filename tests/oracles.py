@@ -11,9 +11,11 @@ decided by trying every permutation within degree classes.  The
 Vologodsky criterion is checked on every union of vertex orbits with
 set-based searches, and again on every split of an invariant component
 into two orbit unions; a witness is checked against its definition with
-the same searches.
+the same searches.  Connected components come from a breadth-first
+search.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -275,6 +277,27 @@ def brute_force_multigraph_classes(nverts, nedges, loops=False, connected=None, 
 
     rec(0, nedges, [])
     return classes
+
+
+def components_by_search(vertices, edges):
+    """The connected components of the graph on ``vertices`` with edges
+    ``(label, tail, head)``, as vertex sets, each found by a breadth-first
+    search from the first vertex in ``vertices`` that no earlier one holds."""
+    neighbours = {v: set() for v in vertices}
+    for _, t, h in edges:
+        neighbours[t].add(h)
+        neighbours[h].add(t)
+    found = []
+    for v in vertices:
+        if any(v in comp for comp in found):
+            continue
+        comp, queue = {v}, deque([v])
+        while queue:
+            for y in neighbours[queue.popleft()] - comp:
+                comp.add(y)
+                queue.append(y)
+        found.append(frozenset(comp))
+    return found
 
 
 def _orbits_and_connectivity(vertices, edges, vertex_map):

@@ -17,6 +17,7 @@ from prymdice.graph import (
 from prymdice.segre import build_cover
 
 from conftest import seeded_rng
+from oracles import components_by_search
 
 
 def test_single_loop_parse():
@@ -150,9 +151,29 @@ def test_components():
     g, iota = build_cover()
     assert len(components(g)) == 1
     two_loops = MultiGraph(["u", "v"], [("p", "u", "u"), ("q", "v", "v")])
-    assert len(components(two_loops)) == 2
+    assert components(two_loops) == [frozenset("u"), frozenset("v")]
     bare = MultiGraph(["a", "b", "c"], [])
-    assert len(components(bare)) == 3
+    assert components(bare) == [frozenset("a"), frozenset("b"), frozenset("c")]
+    # listed by smallest-index vertex, not by name
+    mixed = MultiGraph(["z", "a", "m", "b"], [("e", "b", "z"), ("l", "a", "a")])
+    assert components(mixed) == [frozenset("zb"), frozenset("a"), frozenset("m")]
+
+
+def test_components_match_breadth_first_search():
+    rng = seeded_rng(23)
+    seen = dict.fromkeys(["loop", "isolated vertex", "several components", "connected"], 0)
+    for _ in range(200):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 10))]
+        rng.shuffle(vertices)
+        edges = [(f"e{k}", rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(0, 12))]
+        g = MultiGraph(vertices, edges)
+        found = components(g)
+        assert found == components_by_search(vertices, edges), edges
+        seen["loop"] += any(t == h for _, t, h in edges)
+        seen["isolated vertex"] += any(g.degree(v) == 0 for v in vertices)
+        seen["several components"] += len(found) > 1
+        seen["connected"] += len(found) == 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_edge_sign_computation():

@@ -49,6 +49,11 @@ def test_invalid_tree_rejected(triangle):
         cycle_basis(triangle, ["a"])  # too small
     with pytest.raises(GraphError):
         cycle_basis(triangle, ["a", "zzz"])  # unknown label
+    # the needed size counts the components, here a triangle and a looped vertex
+    g = MultiGraph(["u", "v", "w", "x"], [("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u"), ("l", "x", "x")])
+    assert cycle_basis(g, ["a", "b"]).rank == 2
+    with pytest.raises(GraphError, match="supplied forest has 1 edges; a spanning forest needs 2"):
+        cycle_basis(g, ["c"])
 
 
 def test_fundamental_cycle_structure(k5):

@@ -32,6 +32,7 @@ from prymdice.unimod import collapse_columns, e5, is_totally_unimodular, systems
 
 from conftest import census_covers, double_cover, seeded_rng, shuffled_graph
 from oracles import (
+    _orbits_and_connectivity,
     vologodsky_by_bipartition,
     vologodsky_by_definition,
     vologodsky_witness_problem,
@@ -123,6 +124,24 @@ def test_x_minus_rejects_an_involution_of_another_graph():
     for call in (x_minus, torus_rank, prym_dicing):
         with pytest.raises(GraphError, match="different graph"):
             call(g2, iota)
+
+
+def test_x_minus_refuses_a_basis_that_breaks_anti_invariance(monkeypatch):
+    # e and f are swapped with sign +1 and the loop l is fixed with sign +1;
+    # only the orbit column of such a fixed edge can break anti-invariance
+    g = MultiGraph(["u", "v"], [("e", "u", "v"), ("f", "u", "v"), ("l", "u", "u")])
+    iota = GraphInvolution(g, {"u": "u", "v": "v"}, {"e": "f", "f": "e", "l": "l"})
+    assert x_minus(g, iota).rank == 1
+    real = prym.fundamental_cycle_rows
+
+    def tampered(G, forest, coordinates, width):
+        rows = [list(row) for row in real(G, forest, coordinates, width)]
+        rows[0][coordinates[G.edge_index("l")][0]] += 1
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(prym, "fundamental_cycle_rows", tampered)
+    with pytest.raises(GraphError, match="internal error"):
+        x_minus(g, iota)
 
 
 def test_multipliers_zero_lattice(triangle):
@@ -540,6 +559,29 @@ def _pendant_orbits(g, iota):
     # an orbit inside a component makes the component invariant
     return [(o, comp) for comp in components(g) for o in {orbit[v] for v in comp}
             if o <= comp and len(touching[o]) == 1]
+
+
+def _assert_orbits(orbits, images):
+    """``orbits`` are the orbits of i -> ``images[i]``: each index once, each
+    orbit led by its least index, and the orbits in leader order."""
+    assert sorted(itertools.chain.from_iterable(orbits)) == list(range(len(images)))
+    for orbit in orbits:
+        assert orbit == tuple(sorted({orbit[0], images[orbit[0]]}))
+    leaders = [orbit[0] for orbit in orbits]
+    assert leaders == sorted(set(leaders))
+
+
+def test_involution_orbits_match_the_oracle_and_the_edge_action():
+    seen = dict.fromkeys(["fixed vertex", "fixed edge"], 0)
+    for g, iota in _small_covers() + list(census_covers()):
+        oracle_orbits, _, _ = _orbits_and_connectivity(g.vertices, g.edges, iota.vertex_map)
+        assert [{g.vertices[i] for i in orbit} for orbit in iota.vertex_orbits] == oracle_orbits
+        index = {v: i for i, v in enumerate(g.vertices)}
+        _assert_orbits(iota.vertex_orbits, [index[iota.vertex_map[v]] for v in g.vertices])
+        _assert_orbits(iota.edge_orbits, [k for k, _ in iota.edge_action])
+        seen["fixed vertex"] += any(len(orbit) == 1 for orbit in iota.vertex_orbits)
+        seen["fixed edge"] += any(len(orbit) == 1 for orbit in iota.edge_orbits)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_vologodsky_matches_definition_oracle_on_small_covers():

@@ -86,6 +86,16 @@ def test_no_library_module_imports_another_modules_private_name():
     assert found == []
 
 
+def test_the_library_has_one_union_find():
+    # connectivity is decided in one place: graph.union_find's ``find``
+    found = [
+        path.name
+        for path, node in _library_nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "find"
+    ]
+    assert found == ["graph.py"]
+
+
 def _traced_names():
     """The ``module.name`` entries that perfbench's tracer looks up, read from
     its source without importing it."""
