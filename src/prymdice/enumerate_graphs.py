@@ -28,8 +28,8 @@ into one pair-graph only on request.  The cographic search's connected
 loopless representatives carry their spanning-tree counts (Kirchhoff,
 computed once per representative), so the search reads a candidate's
 forest count as a product and joins its pair-graph only when that count
-matches; the pair-graph and ``MultiGraph`` generators are views over the
-same walk.
+matches; ``multigraphs_with_cycle_space_rank`` joins every choice of the
+same walk into a ``MultiGraph``.
 """
 
 from __future__ import annotations
@@ -400,10 +400,14 @@ def _counted_reps(shape: tuple) -> tuple:
 
 
 def cycle_space_rank_components(nedges: int, rank: int):
-    """The component choices of ``pair_graphs_with_cycle_space_rank``, same order.
+    """All loopless multigraphs (no isolated vertices) with ``nedges`` edges
+    whose incidence rank |V| - #components equals ``rank``, up to
+    isomorphism, as their choices of components.
 
-    Each choice is a tuple of connected loopless representatives
-    ``(pairs, nverts, trees)``, carrying their spanning-tree counts, so a
+    Connected graphs come first, then shapes with more components, in a
+    fixed deterministic order.  Each choice is a tuple of connected
+    loopless representatives ``(pairs, nverts, trees)`` from
+    ``connected_multigraphs``, carrying their spanning-tree counts, so a
     caller can read a candidate's forest count and join its pair-graph
     with ``disjoint_union`` only when it needs one.
     """
@@ -411,21 +415,9 @@ def cycle_space_rank_components(nedges: int, rank: int):
         yield from _component_choices(shape_list, _counted_reps)
 
 
-def pair_graphs_with_cycle_space_rank(nedges: int, rank: int):
-    """All loopless multigraphs (no isolated vertices) with ``nedges`` edges
-    whose incidence rank |V| - #components equals ``rank``, up to isomorphism.
-
-    Yields ``(pairs, nverts, components)``: connected graphs first, then
-    shapes with more components, in a fixed deterministic order; each
-    entry of ``components`` is a connected representative
-    ``(pairs, nverts)`` from ``connected_multigraphs``.
-    """
-    for chosen in cycle_space_rank_components(nedges, rank):
-        yield (*disjoint_union(chosen), tuple((pairs, nverts) for pairs, nverts, _ in chosen))
-
-
 def multigraphs_with_cycle_space_rank(nedges: int, rank: int):
-    """``pair_graphs_with_cycle_space_rank`` as ``MultiGraph`` objects, same order."""
+    """The graphs of ``cycle_space_rank_components`` as ``MultiGraph``
+    objects, same order."""
     for chosen in cycle_space_rank_components(nedges, rank):
         yield pair_graph_to_multigraph(*disjoint_union(chosen))
 

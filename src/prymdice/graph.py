@@ -143,14 +143,14 @@ class GraphInvolution:
 
     ``vertex_map`` and ``edge_map`` are total dicts that name nothing
     outside the graph; both must square to the identity and be
-    incidence-compatible.  ``edge_sign[e]`` is +1 when the image edge
-    carries (tail, head) to (tail, head) and -1 when the orientation is
-    reversed.  For a loop fixed by the involution both
-    readings agree and the sign is taken to be +1.  ``edge_action[j]`` is
-    the pair (index of the image of edge j, sign of edge j): the one integer
-    form of the action on edge coordinates.  ``vertex_orbits`` and
-    ``edge_orbits`` are the orbits in the same integer form: tuples of
-    indices, each led by its least index and listed in leader order.
+    incidence-compatible.  ``edge_action[j]`` is the pair (index of the
+    image of edge j, sign of edge j): the one integer form of the action on
+    edge coordinates.  The sign is +1 when the image edge carries (tail,
+    head) to (tail, head) and -1 when the orientation is reversed (+1 on a
+    loop, where both readings agree); both edges of an orbit carry the
+    same sign.  ``vertex_orbits`` and ``edge_orbits`` are the orbits in the
+    same integer form: tuples of indices, each led by its least index and
+    listed in leader order.
     """
 
     def __init__(self, graph: MultiGraph, vertex_map: dict, edge_map: dict):
@@ -177,7 +177,7 @@ class GraphInvolution:
                 raise GraphError(f"vertex map sends {v!r} outside the graph")
             if self.vertex_map[w] != v:
                 raise GraphError(f"vertex map is not an involution at {v!r}")
-        signs, action = {}, []
+        action = []
         for lab, t, h in graph.edges:
             img = self.edge_map[lab]
             k = edge_index.get(img)
@@ -196,13 +196,8 @@ class GraphInvolution:
                     f"edge map incidence mismatch: {lab!r} has image endpoints "
                     f"({it},{ih}) but {img!r} is ({jt},{jh})", edge=lab
                 )
-            signs[lab] = sign
             action.append((k, sign))
-        self.edge_sign = signs
         self.edge_action = tuple(action)
-        for lab, (k, sign) in zip(graph.edge_labels, action):
-            if action[k][1] != sign:
-                raise GraphError(f"orientation signs inconsistent on the orbit of {lab!r}", edge=lab)
         self.vertex_orbits = _orbits(vertex_index[self.vertex_map[v]] for v in graph.vertices)
         self.edge_orbits = _orbits(k for k, _ in action)
 

@@ -161,10 +161,6 @@ class MultiplierVector:
             raise GraphError("multiplier count does not match edge count")
         if any(v not in (0, 1, 2) for v in self.values):
             raise GraphError("multipliers must be 0, 1 or 2")
-        self._index = {lab: i for i, lab in enumerate(self.edges)}
-
-    def __getitem__(self, label: str) -> int:
-        return self.values[self._index[label]]
 
     def as_dict(self) -> dict:
         return dict(zip(self.edges, self.values))
@@ -357,10 +353,12 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     if iota.graph != G:
         raise GraphError("involution belongs to a different graph")
     bit = {v: 1 << i for i, v in enumerate(G.vertices)}
+    orbit_of = {G.vertices[i]: o for o, orbit in enumerate(iota.vertex_orbits) for i in orbit}
     # incidence: a vertex's non-loop edges; the cut of a vertex set is the
     # XOR of its vertices' incidences, since an inner edge appears twice
     adjacency = dict.fromkeys(bit.values(), 0)
     incidence = dict.fromkeys(bit.values(), 0)
+    unit_adjacency = [0] * len(iota.vertex_orbits)
     for k, (_, t, h) in enumerate(G.edges):
         tb, hb = bit[t], bit[h]
         adjacency[tb] |= hb
@@ -368,17 +366,14 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
         if tb != hb:
             incidence[tb] |= 1 << k
             incidence[hb] |= 1 << k
+            i, j = orbit_of[t], orbit_of[h]
+            if i != j:
+                unit_adjacency[i] |= 1 << j
+                unit_adjacency[j] |= 1 << i
     # units[i]: the vertex bits of the unit whose least orbit is i, empty
     # once merged away; a merged-away unit has no neighbours
     units = [tuple(1 << i for i in orbit) for orbit in iota.vertex_orbits]
     unit_cuts = [reduce(xor, map(incidence.__getitem__, bits)) for bits in units]
-    orbit_of = {G.vertices[i]: o for o, orbit in enumerate(iota.vertex_orbits) for i in orbit}
-    unit_adjacency = [0] * len(units)
-    for _, t, h in G.edges:
-        i, j = orbit_of[t], orbit_of[h]
-        if i != j:
-            unit_adjacency[i] |= 1 << j
-            unit_adjacency[j] |= 1 << i
     unplaced = (1 << len(G.vertices)) - 1
     while unplaced:
         # orbits are numbered by their first vertex, so the orbit of K's
@@ -485,16 +480,11 @@ def prym_dicing(G: MultiGraph, iota: GraphInvolution) -> PrymDicing:
         [row[j] * mult.values[j] // 2 for j in reps]
         for row in map(X.doubled.row, range(X.rank))
     ]
-    matrix, orbit_groups, _ = collapse_columns(rows, orbits)
-    # each edge joins its orbit's column, or the dropped edges, in edge order
-    columns, dropped = [[] for _ in orbit_groups], []
-    target = [dropped] * G.num_edges
-    for column, group in zip(columns, orbit_groups):
-        for orbit in group:
-            for j in orbit:
-                target[j] = column
-    for label, edges in zip(G.edge_labels, target):
-        edges.append(label)
+    matrix, orbit_groups, dropped_orbits = collapse_columns(rows, orbits)
+
+    def edges_of(group):
+        return tuple(G.edge_labels[j] for j in sorted(chain.from_iterable(group)))
+
     system = UnimodularSystem(matrix)
     result = vologodsky_check(G, iota)
     return PrymDicing(
@@ -503,6 +493,6 @@ def prym_dicing(G: MultiGraph, iota: GraphInvolution) -> PrymDicing:
         multipliers=mult,
         family_independent=result.passed,
         vologodsky_witness=result.witness,
-        column_edges=tuple(map(tuple, columns)),
-        dropped_edges=tuple(dropped),
+        column_edges=tuple(map(edges_of, orbit_groups)),
+        dropped_edges=edges_of(dropped_orbits),
     )

@@ -200,7 +200,6 @@ class DegenerationReport:
     """End-to-end result for the pentagon double cover."""
 
     vologodsky_passed: bool
-    vologodsky_witness: object
     torus_rank: int
     dicing: PrymDicing
     equivalence: Equivalence | None
@@ -230,7 +229,6 @@ def degeneration_report(f: SegreFixture, max_graphs: int | None = None) -> Degen
         conclusion = "system does not match the reference"
     return DegenerationReport(
         vologodsky_passed=dicing.family_independent,
-        vologodsky_witness=dicing.vologodsky_witness,
         torus_rank=dicing.lattice.rank,
         dicing=dicing,
         equivalence=equivalence,

@@ -93,7 +93,9 @@ def collapse_columns(rows: list, edge_labels) -> tuple[IntMatrix, tuple, tuple]:
     """Drop zero columns, keep one representative per +-duplicate column set.
 
     ``rows`` is a nonempty list of integer row vectors indexed by
-    ``edge_labels``.  Returns (matrix, column_edges, dropped_edges).
+    ``edge_labels``: edge labels for a Jacobian's cycle system, edge-orbit
+    index tuples for ``prym_dicing``.  Returns (matrix, column_edges,
+    dropped_edges), which hold those labels.
     """
     kept: list[tuple] = []
     groups: list[list[str]] = []
@@ -831,14 +833,11 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
         raise NotTotallyUnimodularError(is_totally_unimodular(S))
     n, m = S.dim, S.size
     n_bases = S.matroid.gate[1]
-    tried = connected_tried = disconnected_tried = matches = 0
+    tried = connected_tried = matches = 0
     witness = None
     for parts in enumerate_graphs.cycle_space_rank_components(m, n):
         tried += 1
-        if len(parts) == 1:
-            connected_tried += 1
-        else:
-            disconnected_tried += 1
+        connected_tried += len(parts) == 1
         if max_graphs is not None and tried > max_graphs:
             break
         if prod(trees for _, _, trees in parts) != n_bases:
@@ -850,7 +849,7 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
         if bijection is not None:
             witness = G, tuple(G.edge_labels[k] for k in bijection)
             break
-    report = SearchReport(tried, connected_tried, disconnected_tried, matches, m, n, max_graphs)
+    report = SearchReport(tried, connected_tried, tried - connected_tried, matches, m, n, max_graphs)
     if max_graphs is not None and tried > max_graphs:
         raise SearchCapExceeded(report)
     if witness is None:

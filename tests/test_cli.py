@@ -10,9 +10,9 @@ import prymdice
 
 from prymdice.cli import main
 from prymdice.exactmat import IntMatrix, format_matrix_text
-from prymdice.graph import format_graph_text
+from prymdice.graph import MultiGraph, format_graph_text
 from prymdice.segre import build_cover
-from prymdice.unimod import e5
+from prymdice.unimod import UnimodularSystem, bond_system, cut_space_matrix, e5
 
 from conftest import scramble, seeded_rng, two_invariant_triangles
 from oracles import vologodsky_witness_problem
@@ -187,6 +187,35 @@ def test_check_cographic_searches_a_unimodular_system_with_a_non_tu_matrix(capsy
     assert data["certificate"]["search"]["graphs_tried"] == 3761
 
 
+def test_check_cographic_witness_carries_the_input_bases(capsys, tmp_path):
+    # K4 is planar, so its bond system is both graphic and cographic
+    k4 = MultiGraph("abcd", [(f"k{i}", t, h) for i, (t, h) in enumerate(
+        [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")])])
+    system = bond_system(k4)
+    p = tmp_path / "k4.matrix"
+    p.write_text(format_matrix_text(system.matrix))
+    code, out, _ = run(capsys, "--json", "check-cographic", str(p))
+    assert code == 0
+    data = json.loads(out)
+    assert data["result"]["cographic"] is True
+    witness = data["certificate"]["witness_graph"]
+    graph = MultiGraph(witness["vertices"], witness["edges"])
+    column_to_edge = data["certificate"]["column_to_edge"]
+    assert sorted(column_to_edge) == sorted(graph.edge_labels)
+    # the witness's cut space, its columns in the input's order
+    cut = cut_space_matrix(graph)
+    order = [graph.edge_index(lab) for lab in column_to_edge]
+    matched = UnimodularSystem(cut.column_submatrix(order), allow_repeats=True)
+    assert sorted(matched.matroid.bases) == sorted(system.matroid.bases)
+
+
+def test_non_integer_graph_cap_is_a_usage_error(capsys, e5_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-cographic", e5_file, "--max-graphs", "abc"])
+    assert exc.value.code == 2
+    assert "--max-graphs: not an integer: 'abc'" in capsys.readouterr().err
+
+
 def test_equiv_command(capsys, tmp_path, e5_file):
     # a row-negated, column-permuted copy
     m = e5().matrix
@@ -211,6 +240,15 @@ def test_equiv_negative_verdict_exits_zero(capsys, tmp_path, e5_file):
     data = json.loads(out)
     assert data["result"]["equivalent"] is False
     assert data["certificate"] is None
+
+
+def test_equiv_across_dimensions_is_input_error(capsys, tmp_path, e5_file):
+    p = tmp_path / "k2.matrix"
+    p.write_text("1 1\n1\n")
+    code, out, err = run(capsys, "equiv", e5_file, str(p))
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: systems live in different dimensions"
 
 
 def test_cycles_on_forest_is_a_verdict(capsys, tmp_path):
@@ -336,6 +374,13 @@ def test_verbose_notes_go_to_stderr_only(capsys, e5_file):
     assert "note: searching" in err
     quiet = json.loads(run(capsys, "--json", "check-cographic", e5_file)[1])
     assert json.loads(out) == quiet  # the report itself is unaffected
+
+
+def test_segre_verbose_note_goes_to_stderr_only(capsys):
+    code, out, err = run(capsys, "--json", "--verbose", "segre")
+    assert code == 0
+    assert err == "note: running the exhaustive cographic search\n"
+    assert out == run(capsys, "--json", "segre")[1]
 
 
 def test_json_human_parity_on_check_tu(capsys, e5_file):

@@ -395,9 +395,10 @@ def test_loopless_unions_and_connected_loop_shapes_are_pinned():
 
 
 def test_pair_level_unions_match_the_multigraph_view():
-    unions = list(eg.pair_graphs_with_cycle_space_rank(6, 3))
+    choices = list(eg.cycle_space_rank_components(6, 3))
+    unions = [eg.disjoint_union(parts) for parts in choices]
     graphs = list(eg.multigraphs_with_cycle_space_rank(6, 3))
-    assert [_as_pairs(G) for G in graphs] == [pairs for pairs, _, _ in unions]
-    for G, (pairs, nverts, parts) in zip(graphs, unions):
-        assert G.num_vertices == nverts == sum(n for _, n in parts)
+    assert [_as_pairs(G) for G in graphs] == [pairs for pairs, _ in unions]
+    for G, (pairs, nverts), parts in zip(graphs, unions, choices):
+        assert G.num_vertices == nverts == sum(n for _, n, _ in parts)
         assert len(components(G)) == len(parts)

@@ -339,3 +339,17 @@ def test_row_lattice_contains_matches_the_stacked_hermite_definition():
             assert hermite_lattice_contains(hnf_basis(m), v) == expected
             outcomes[expected] += 1
     assert min(outcomes.values()) > 100
+
+
+def test_each_malformed_matrix_input_is_refused_with_its_message():
+    cases = [
+        (lambda: IntMatrix(-1, 2, ()), "negative matrix dimensions"),
+        (lambda: hnf(IntMatrix(0, 2, ())), "hnf requires a nonempty matrix"),
+        (lambda: hermite_lattice_contains(IntMatrix.identity(2), [1]),
+         "vector length does not match column count"),
+        (lambda: parse_matrix_text("# header\n1 2 3\n1 2\n"), "line 2: expected 'rows cols'"),
+    ]
+    for build, message in cases:
+        with pytest.raises(MatrixError) as err:
+            build()
+        assert str(err.value) == message

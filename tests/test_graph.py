@@ -180,16 +180,16 @@ def test_edge_sign_computation():
     # involution swaps the endpoints of a fixed edge: orientation reversed
     g = MultiGraph(["u", "v"], [("e", "u", "v"), ("f", "u", "v")])
     iota = GraphInvolution(g, {"u": "v", "v": "u"}, {"e": "e", "f": "f"})
-    assert iota.edge_sign == {"e": -1, "f": -1}
+    assert iota.edge_action == ((0, -1), (1, -1))
     # parallel pair between swapped vertices, edges exchanged: sign is forced
     iota2 = GraphInvolution(g, {"u": "v", "v": "u"}, {"e": "f", "f": "e"})
-    assert iota2.edge_sign == {"e": -1, "f": -1}
+    assert iota2.edge_action == ((1, -1), (0, -1))
 
 
 def test_loop_fixed_by_involution_gets_plus_sign():
     g = MultiGraph(["w"], [("l", "w", "w")])
     iota = GraphInvolution.identity(g)
-    assert iota.edge_sign["l"] == 1
+    assert iota.edge_action == ((0, 1),)
 
 
 def test_apply_involution_is_linear_involution():
@@ -233,10 +233,23 @@ def test_cochain_holds_doubled_integers():
 
 
 def test_edge_action_pairs_each_edge_with_its_image_and_sign():
-    g, iota = build_cover()
-    assert iota.edge_action == tuple(
-        (g.edge_index(iota.edge_map[lab]), iota.edge_sign[lab]) for lab in g.edge_labels
-    )
+    swapped = MultiGraph(["u", "v", "w"], [("e", "u", "v"), ("f", "u", "v"), ("l", "w", "w")])
+    covers = [
+        build_cover(),
+        (swapped, GraphInvolution(swapped, {"u": "v", "v": "u", "w": "w"}, {"e": "f", "f": "e", "l": "l"})),
+    ]
+    signs = set()
+    for g, iota in covers:
+        expected = []
+        for lab, t, h in g.edges:
+            image = iota.edge_map[lab]
+            ends = (iota.vertex_map[t], iota.vertex_map[h])
+            sign = 1 if g.endpoints(image) == ends else -1
+            assert g.endpoints(image) == ends[::sign]
+            expected.append((g.edge_index(image), sign))
+        assert iota.edge_action == tuple(expected)
+        signs.update(sign for _, sign in expected)
+    assert signs == {1, -1}
 
 
 def test_involution_quotient_of_cover_is_k5():
@@ -277,3 +290,44 @@ def test_unknown_directive_and_conflicts():
             "edge e a b\n"
             "iota_v a b\niota_v a c\n"
         )
+
+
+def test_each_malformed_graph_involution_and_file_is_refused_with_its_message():
+    # (build, message, cited line): MultiGraph and GraphInvolution cite none
+    g = MultiGraph(["a", "b"], [("e", "a", "b"), ("f", "a", "b")])
+    fixed_edges = {"e": "e", "f": "f"}
+    cases = [
+        (lambda: MultiGraph(["a", "a"], []), "duplicate vertex names", None),
+        (lambda: MultiGraph(["a"], [(lab, "a", "a") for lab in "fefe"]),
+         "duplicate edge labels: e, f", None),
+        (lambda: MultiGraph(["a"], [("e", "a", "b")]), "edge e references undeclared vertex", None),
+        (lambda: GraphInvolution(g, {"a": "a"}, fixed_edges), "vertex map does not cover 'b'", None),
+        (lambda: GraphInvolution(g, {"a": "b", "b": "a"}, {"e": "e"}),
+         "edge map does not cover 'f'", None),
+        (lambda: GraphInvolution(g, {"a": "zz", "b": "b"}, fixed_edges),
+         "vertex map sends 'a' outside the graph", None),
+        (lambda: GraphInvolution(g, {"a": "b", "b": "b"}, fixed_edges),
+         "vertex map is not an involution at 'a'", None),
+        (lambda: GraphInvolution(g, {"a": "a", "b": "b"}, {"e": "zz", "f": "f"}),
+         "edge map sends 'e' to unknown edge 'zz'", None),
+        (lambda: GraphInvolution(g, {"a": "a", "b": "b"}, {"e": "f", "f": "f"}),
+         "edge map is not an involution at 'e'", None),
+        (lambda: parse_graph_text("vertex a b\n"), "vertex line needs exactly one name", 1),
+        (lambda: parse_graph_text("vertex a\nvertex a\n"), "duplicate vertex 'a'", 2),
+        (lambda: parse_graph_text("vertex a\nedge e a\n"), "edge line needs label, tail, head", 2),
+        (lambda: parse_graph_text("vertex a\niota_v a\n"), "iota_v line needs two vertex names", 2),
+        (lambda: parse_graph_text("vertex a\nedge e a a\n# swap\niota_e e\n"),
+         "iota_e line needs two edge labels", 4),
+        (lambda: parse_graph_text("vertex a\niota_v a zz\n"), "unknown vertex 'zz' in iota_v", 2),
+        (lambda: parse_graph_text("vertex a\nedge e a a\niota_e e zz\n"),
+         "unknown edge 'zz' in iota_e", 3),
+    ]
+    for build, message, lineno in cases:
+        with pytest.raises(GraphError) as err:
+            build()
+        if lineno is None:
+            assert not isinstance(err.value, GraphFormatError), message
+            assert str(err.value) == message
+        else:
+            assert err.value.lineno == lineno, message
+            assert str(err.value) == f"line {lineno}: {message}"

@@ -18,6 +18,7 @@ from prymdice.graph import (
 from prymdice.homology import betti_number, cycle_basis
 from prymdice.prym import (
     HalfLattice,
+    MultiplierVector,
     VologodskyWitness,
     lattice_from_vectors,
     multipliers,
@@ -597,9 +598,9 @@ def test_vologodsky_matches_definition_oracle_on_small_covers():
         seen["pendant split"] += any(_is_split(g, o, comp - o) for o, comp in pendants)
         seen["failed"] += not verdict[0]
         seen["fixed vertex"] += any(iota.vertex_map[v] == v for v in g.vertices)
-        fixed_edges = [lab for lab in g.edge_labels if iota.edge_map[lab] == lab]
-        seen["fixed edge"] += any(iota.edge_sign[lab] == 1 for lab in fixed_edges)
-        seen["reversed edge"] += any(iota.edge_sign[lab] == -1 for lab in fixed_edges)
+        fixed_signs = [s for j, (k, s) in enumerate(iota.edge_action) if k == j]
+        seen["fixed edge"] += 1 in fixed_signs
+        seen["reversed edge"] += -1 in fixed_signs
         seen["loop"] += any(t == h for _, t, h in g.edges)
         seen["parallel"] += len({frozenset((t, h)) for _, t, h in g.edges}) < g.num_edges
         seen["disconnected"] += len(components(g)) > 1
@@ -885,3 +886,20 @@ def test_prym_pipeline_on_census_covers_is_pinned():
     assert hashlib.sha256(repr(found).encode()).hexdigest() == (
         "b5b6ec918fd73bea3546c8ec873cf58f191c7020fa36610877a1d2eed313a5b9"
     )
+
+
+def test_each_malformed_prym_input_is_refused_with_its_message():
+    g = MultiGraph(["a", "b"], [("e", "a", "b"), ("f", "a", "b")])
+    other = MultiGraph(["a", "b"], [("e", "a", "b")])
+    cases = [
+        (lambda: HalfLattice(g, IntMatrix(1, 3, (0, 0, 0))),
+         "basis width does not match the graph's edge count"),
+        (lambda: MultiplierVector(["e"], [1, 2]), "multiplier count does not match edge count"),
+        (lambda: MultiplierVector(["e", "f"], [1, 3]), "multipliers must be 0, 1 or 2"),
+        (lambda: vologodsky_check(g, GraphInvolution.identity(other)),
+         "involution belongs to a different graph"),
+    ]
+    for build, message in cases:
+        with pytest.raises(GraphError) as err:
+            build()
+        assert str(err.value) == message

@@ -54,7 +54,7 @@ def test_recorded_endpoints():
         t, h = f.cover.endpoints(lab)
         it, ih = f.cover.endpoints(f.involution.edge_map[lab])
         assert (it, ih) == (f.involution.vertex_map[t], f.involution.vertex_map[h])
-        assert f.involution.edge_sign[lab] == 1
+        assert f.involution.edge_action[f.cover.edge_index(lab)][1] == 1
 
 
 def test_homology_basis_cycles_and_supports():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -122,3 +123,39 @@ def test_every_name_the_benchmark_traces_exists():
         if not hasattr(importlib.import_module(f"prymdice.{module}"), attribute):
             missing.append(name)
     assert missing == []
+
+
+def _identifiers(nodes):
+    """Every name that ``nodes`` read, import or look up as an attribute,
+    with the node that names it."""
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node
+
+
+def test_every_library_definition_is_named_elsewhere():
+    # an underscore name must be used by the library itself, outside its
+    # own definition; a public one by the library, the tests, the
+    # benchmark or the README
+    library = list(_library_nodes())
+    uses = {}
+    for name, node in _identifiers(node for _, node in library):
+        uses.setdefault(name, set()).add(id(node))
+    root = Path(__file__).parents[1]
+    named = {name for _, node in _nodes(root / "tests") for name, _ in _identifiers([node])}
+    for path in sorted((root / "perfbench").glob("*.py")):
+        named |= {name for name, _ in _identifiers(ast.walk(ast.parse(path.read_text())))}
+    named |= {name.partition(".")[2] for name in _traced_names()}
+    named |= set(re.findall(r"\w+", (root / "README.md").read_text()))
+    unused = []
+    for path, node in library:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+            continue
+        outside = uses.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
+        if not outside and (node.name.startswith("_") or node.name not in named):
+            unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

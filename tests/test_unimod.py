@@ -1283,3 +1283,15 @@ def test_k33_cycle_dicing_is_not_cographic():
     cert = is_cographic(system)
     assert not cert.is_cographic
     assert cert.report.graphs_tried > 100
+
+
+def test_each_malformed_system_shape_is_refused_with_its_message():
+    cases = [
+        (IntMatrix(0, 2, ()), "a unimodular system needs at least one row and column"),
+        (IntMatrix(2, 0, ()), "a unimodular system needs at least one row and column"),
+        (IntMatrix.from_rows([[1], [0]]), "a system needs at least as many vectors as its dimension"),
+    ]
+    for matrix, message in cases:
+        with pytest.raises(ValueError) as err:
+            UnimodularSystem(matrix)
+        assert str(err.value) == message
