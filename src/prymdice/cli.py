@@ -160,8 +160,6 @@ def _render_human(value, indent: int = 0) -> list:
                 lines.extend(_render_human(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_flat(item)}")
-    else:
-        lines.append(f"{pad}{_flat(value)}")
     return lines
 
 

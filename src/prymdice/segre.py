@@ -158,8 +158,7 @@ def validate_basis_data(f: SegreFixture) -> BasisReport:
             same = proj == target
             identities.append(same)
             if not same:
-                delta = proj - target
-                lab = next(iter(delta.support()))
+                lab = min((proj - target).support(), key=f.cover.edge_index)
                 raise GraphError(
                     f"projection of basis vector {member} differs from generator "
                     f"{gen_index} at edge {lab}"

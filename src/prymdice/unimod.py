@@ -1,10 +1,12 @@
 """Unimodular systems: total unimodularity, equivalence, cographic recognition.
 
-A unimodular system is a full-rank set of integer column vectors all of
-whose square subselections have determinant in {-1, 0, 1}.  Two systems
-are equivalent when an integer change of basis (GL_n(Z)) plus a signed
-relabeling of the vectors carries one onto the other; this is exactly
-invariance under change of lattice basis and re-orientation of edges.
+A unimodular system is a full-rank family of integer column vectors all
+of whose square subselections have determinant in {-1, 0, 1}; a vector
+may repeat, equal or opposite, as a graph's parallel edges do.  Two
+systems are equivalent when an integer change of basis (GL_n(Z)) plus a
+signed relabeling of the vectors carries one onto the other; this is
+exactly invariance under change of lattice basis and re-orientation of
+edges.
 
 Total unimodularity is decided by Ghouila-Houri's theorem: every subset
 of the rows (or of the columns, when there are fewer) must have a signing
@@ -82,11 +84,11 @@ class SearchCapExceeded(RuntimeError):
 
 
 def _sign_normalize(col):
-    """The one of ``col`` and ``-col`` whose first nonzero entry is positive."""
+    """The one of ``col`` and ``-col`` whose first nonzero entry is positive;
+    ``col`` is nonzero."""
     for x in col:
         if x != 0:
             return col if x > 0 else tuple(-y for y in col)
-    return col
 
 
 def collapse_columns(rows: list, edge_labels) -> tuple[IntMatrix, tuple, tuple]:
@@ -119,41 +121,44 @@ def collapse_columns(rows: list, edge_labels) -> tuple[IntMatrix, tuple, tuple]:
 class UnimodularSystem:
     """A system of m >= n integer vectors spanning R^n (columns of ``matrix``).
 
-    Invariants: full row rank, no zero columns, and (unless constructed
-    with ``allow_repeats=True``, as incidence matrices of graphs with
-    parallel edges require) no two columns equal or opposite.  The pass
-    that checks the rank leaves ``standard_form``; a system is never
-    mutated, so ``is_unimodular`` and the column matroid ``matroid`` are
-    read off it on first use and cached.
+    Invariants: full row rank and no zero columns.  A vector may repeat,
+    equal or opposite, as the parallel edges of a graph give in its
+    incidence matrix; a dicing is determined by its vectors up to sign, so
+    a repeat adds no hyperplane, and the dicing builders collapse them
+    (``collapse_columns``).
+
+    The one ``gauss_jordan`` pass that checks the rank pivots M at its
+    lexicographically first basis: ``basis`` lists the basis columns in
+    order and ``det`` is the determinant of the basis matrix T = M[:, basis].
+    ``coordinates`` is adj(T) M = det * T^{-1} M, which is ``det`` times the
+    identity on the basis columns; for a TU system det = +-1, so up to that
+    sign and the column order this is the standard representation [I | A].
+    A system is never mutated, so ``coordinates``, ``is_unimodular`` and the
+    column matroid ``matroid`` are read off that pass on first use and cached.
     """
 
-    def __init__(self, matrix: IntMatrix, allow_repeats: bool = False):
+    def __init__(self, matrix: IntMatrix):
         if matrix.rows < 1 or matrix.cols < 1:
             raise ValueError("a unimodular system needs at least one row and column")
         if matrix.cols < matrix.rows:
             raise ValueError("a system needs at least as many vectors as its dimension")
-        columns = [matrix.column(j) for j in range(matrix.cols)]
-        for j, col in enumerate(columns):
-            if not any(col):
+        for j in range(matrix.cols):
+            if not any(matrix.column(j)):
                 raise ValueError(f"zero column at index {j}")
-        if not allow_repeats:
-            seen = {}
-            for j, col in enumerate(columns):
-                key = _sign_normalize(col)
-                if key in seen:
-                    raise ValueError(f"columns {seen[key]} and {j} are equal or opposite")
-                seen[key] = j
         rows = matrix.row_list()
         try:
-            basis, d = gauss_jordan(rows, matrix.cols)
+            self.basis, self.det = gauss_jordan(rows, matrix.cols)
         except MatrixError:
             raise ValueError("columns do not span: row rank is deficient") from None
-        self.matrix, self.allow_repeats = matrix, allow_repeats
-        self.standard_form = StandardForm(basis, d, rows)
+        self.matrix, self._rows = matrix, rows
+
+    @cached_property
+    def coordinates(self) -> IntMatrix:
+        return IntMatrix.from_rows(self._rows)
 
     @cached_property
     def matroid(self) -> "_ColumnMatroid":
-        return _ColumnMatroid(self.standard_form)
+        return _ColumnMatroid(self)
 
     @cached_property
     def is_unimodular(self) -> bool:
@@ -165,8 +170,7 @@ class UnimodularSystem:
         same: TU verdicts by parity count were 3 to 12 times slower (10.9 ->
         34.6 us per small dicing, 40.9 -> 500 us per K5 dicing).
         """
-        form = self.standard_form
-        return abs(form.det) == 1 and _equitably_signable(form.coordinates)
+        return abs(self.det) == 1 and _equitably_signable(self.coordinates)
 
     @property
     def dim(self) -> int:
@@ -178,12 +182,6 @@ class UnimodularSystem:
 
     def column(self, j: int) -> tuple:
         return self.matrix.column(j)
-
-    def __eq__(self, other):
-        return isinstance(other, UnimodularSystem) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def __repr__(self):
         return f"UnimodularSystem(dim={self.dim}, size={self.size})"
@@ -328,9 +326,8 @@ def bond_system(G: MultiGraph) -> UnimodularSystem:
     """Cut-space system of a connected graph: incidence matrix minus one row.
 
     Parallel edges give repeated columns and are kept (the ground set of
-    the column independence structure must stay intact), so the system is
-    built with repeats allowed.  Loops would give zero columns and are
-    rejected.
+    the column independence structure must stay intact).  Loops would give
+    zero columns and are rejected.
     """
     if G.num_edges == 0:
         raise GraphError("bond system needs at least one edge")
@@ -341,7 +338,7 @@ def bond_system(G: MultiGraph) -> UnimodularSystem:
     for lab in G.edge_labels:
         if G.is_loop(lab):
             raise GraphError(f"loop {lab!r} gives a zero column; remove loops first")
-    return UnimodularSystem(matrix, allow_repeats=True)
+    return UnimodularSystem(matrix)
 
 
 def spanning_forest_count(G: MultiGraph) -> int:
@@ -363,34 +360,15 @@ def spanning_forest_count(G: MultiGraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-class StandardForm:
-    """A system M pivoted at its lexicographically first basis.
-
-    ``basis`` lists the basis columns in order and ``det`` is the
-    determinant of the basis matrix T = M[:, basis].  ``coordinates`` is
-    adj(T) M = det * T^{-1} M, which is ``det`` times the identity on the
-    basis columns; for a TU system det = +-1, so up to that sign and the
-    column order this is the standard representation [I | A].  All three
-    come from the system's one ``gauss_jordan`` pass over M; the matrix
-    is built on first use.
-    """
-
-    def __init__(self, basis: tuple, det: int, rows: list):
-        self.basis, self.det, self._rows = basis, det, rows
-
-    @cached_property
-    def coordinates(self) -> IntMatrix:
-        return IntMatrix.from_rows(self._rows)
-
-
 class _ColumnMatroid:
     """Bases and independence data of a system's columns, as bitmasks.
 
-    Everything is read off the system's standard form ``form``; nothing
-    is eliminated here.  Its basis B is one basis; for a set R of basis
-    positions and a set K of other columns of the same size, (B minus the
-    columns at R) plus K is a basis exactly when the minor of the
-    coordinate block at rows R and columns K is nonzero.  So B and the
+    Everything is read off the system's one elimination, its ``basis``,
+    ``det`` and coordinate rows; nothing is eliminated here.  Its basis B
+    is one basis; for a set R of basis positions and a set K of other
+    columns of the same size, (B minus the columns at R) plus K is a basis
+    exactly when the minor of the coordinate block at rows R and columns K
+    is nonzero.  So B and the
     nonzero minors of the n x (m - n) coordinate block, over all row
     sets, give every basis.
 
@@ -424,10 +402,13 @@ class _ColumnMatroid:
     collection of independent sets is kept.
     """
 
-    def __init__(self, form: StandardForm):
-        self.form, self.rank, self.m = form, form.coordinates.rows, form.coordinates.cols
-        self.others = [j for j in range(self.m) if j not in form.basis]  # columns outside B
-        found = self._parity_bases() if abs(self.form.det) == 1 else None
+    def __init__(self, system: UnimodularSystem):
+        # the basis and rows, not the system, are kept: the system caches this
+        # matroid, and a reference back would free both only at a cyclic collection
+        self.basis, self._rows = system.basis, system._rows
+        self.rank, self.m = system.dim, system.size
+        self.others = [j for j in range(self.m) if j not in self.basis]  # columns outside B
+        found = self._parity_bases() if abs(system.det) == 1 else None
         self.bases, self.holders = self._numbered(found or self._laplace_bases())
         counts = tuple(sorted(h.bit_count() for h in self.holders))
         self.gate = (self.rank, len(self.bases), counts)
@@ -444,8 +425,9 @@ class _ColumnMatroid:
         the packed lines (Cauchy-Binet, Sylvester), exactly when every
         nonzero minor is +-1.
         """
-        basis, others = self.form.basis, self.others
-        columns = list(map(self.form.coordinates.column, others))
+        basis, others = self.basis, self.others
+        coordinates = list(zip(*self._rows))
+        columns = [coordinates[j] for j in others]
         # with no other columns this is [], not n empty rows: those join no product
         rows = list(zip(*columns))
         if len(others) < self.rank:
@@ -475,9 +457,10 @@ class _ColumnMatroid:
 
     def _laplace_bases(self):
         """The bases, as masks, read off the nonzero minors of the coordinate block."""
-        basis, others = self.form.basis, self.others
+        basis, others = self.basis, self.others
         bases = [sum(1 << j for j in basis)]
-        for rows, cols, d in minors(self.form.coordinates.column_submatrix(others)):
+        block = IntMatrix.from_rows([[row[j] for j in others] for row in self._rows])
+        for rows, cols, d in minors(block):
             if d:
                 mask = bases[0]
                 for r in rows:
@@ -664,7 +647,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     Systems whose cached column matroids differ in their gate (rank, basis
     count and sorted per-column basis counts) are rejected at once, since
     such an equivalence is in particular a matroid isomorphism.  Otherwise
-    A's standard form supplies its lexicographically first basis AT,
+    A's one elimination supplies its lexicographically first basis AT,
     det(AT) and the scaled coordinates of all its columns, and that basis
     is mapped onto candidate ordered column bases of B.  Each full
     candidate BT gets det(BT) and adj(BT) times B from one
@@ -688,9 +671,8 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     MA, MB = A.matroid, B.matroid
     if MA.gate != MB.gate:
         return None
-    form_a = A.standard_form
-    basis_a, det_a = form_a.basis, form_a.det
-    coords_a = _scaled_columns([form_a.coordinates.row(i) for i in range(n)], det_a)
+    basis_a, det_a = A.basis, A.det
+    coords_a = _scaled_columns(A._rows, det_a)
     # how many columns of A each prefix of its basis spans
     span_counts_a = []
     common = -1  # the AND of no bitsets: every basis
@@ -844,7 +826,7 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
             continue
         matches += 1
         G = enumerate_graphs.pair_graph_to_multigraph(*enumerate_graphs.disjoint_union(parts))
-        candidate = UnimodularSystem(cut_space_matrix(G), allow_repeats=True)
+        candidate = UnimodularSystem(cut_space_matrix(G))
         bijection = matroid_equivalent(S, candidate)
         if bijection is not None:
             witness = G, tuple(G.edge_labels[k] for k in bijection)

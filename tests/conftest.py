@@ -76,7 +76,7 @@ def scramble(rng, S):
     signs = [rng.choice([1, -1]) for _ in range(m)]
     UA = U @ S.matrix
     rows = [[signs[j] * UA.entry(i, perm[j]) for j in range(m)] for i in range(n)]
-    return UnimodularSystem(IntMatrix.from_rows(rows), allow_repeats=S.allow_repeats)
+    return UnimodularSystem(IntMatrix.from_rows(rows))
 
 
 def two_invariant_triangles():

@@ -205,8 +205,19 @@ def test_check_cographic_witness_carries_the_input_bases(capsys, tmp_path):
     # the witness's cut space, its columns in the input's order
     cut = cut_space_matrix(graph)
     order = [graph.edge_index(lab) for lab in column_to_edge]
-    matched = UnimodularSystem(cut.column_submatrix(order), allow_repeats=True)
+    matched = UnimodularSystem(cut.column_submatrix(order))
     assert sorted(matched.matroid.bases) == sorted(system.matroid.bases)
+
+
+def test_check_cographic_accepts_a_bond_system_with_parallel_edges(capsys, tmp_path):
+    # a triangle with one edge doubled: its first two columns are equal, and
+    # a repeated vector is a system's own, so only unimodularity is checked
+    p = tmp_path / "parallel.matrix"
+    p.write_text("2 4\n1 1 0 1\n0 0 1 -1\n")
+    code, out, err = run(capsys, "check-cographic", str(p))
+    assert (code, err) == (0, "")
+    assert "result:\n  cographic: yes\n" in out
+    assert "forest_count_matches: 1\n" in out
 
 
 def test_non_integer_graph_cap_is_a_usage_error(capsys, e5_file):

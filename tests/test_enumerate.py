@@ -36,6 +36,11 @@ def test_connected_simple_graph_counts():
     assert len(eg.connected_simple_graphs(6, 5)) == 6  # trees on six vertices
     assert len(eg.connected_simple_graphs(6, 10)) == 14
     assert eg.connected_simple_graphs(3, 3) == (((0, 1), (0, 2), (1, 2)),)
+    # no vertex or a negative edge count: without its guard, (0, 0)
+    # recurses to C(-1, 2) and raises
+    assert eg.connected_simple_graphs(0, 0) == ()
+    assert eg.connected_simple_graphs(3, -1) == ()
+    assert eg.connected_simple_graphs(-1, 0) == ()
 
 
 def test_connected_simple_graphs_are_pinned():

@@ -14,7 +14,9 @@ from prymdice.graph import (
     involution_quotient,
     parse_graph_text,
 )
+from prymdice.prym import MultiplierVector, lattice_from_vectors, x_minus
 from prymdice.segre import build_cover
+from prymdice.unimod import e5
 
 from conftest import seeded_rng
 from oracles import components_by_search
@@ -331,3 +333,36 @@ def test_each_malformed_graph_involution_and_file_is_refused_with_its_message():
         else:
             assert err.value.lineno == lineno, message
             assert str(err.value) == f"line {lineno}: {message}"
+
+
+def test_reprs_and_hashes_of_the_library_types(reversed_banana):
+    cover, iota = build_cover()
+    banana, flip = reversed_banana
+    half = CochainVector.from_edge_dict(banana, {"e": 1, "f": Fraction(-1, 2)})
+    reprs = [
+        (cover, "MultiGraph(10 vertices, 20 edges)"),
+        (iota, "GraphInvolution(5 vertex swaps on MultiGraph(10 vertices, 20 edges))"),
+        (flip, "GraphInvolution(1 vertex swaps on MultiGraph(2 vertices, 2 edges))"),
+        (half, "CochainVector(+1*e -1/2*f)"),
+        (CochainVector.zero(banana), "CochainVector(0)"),
+        (x_minus(cover, iota), "HalfLattice(rank=5, edges=20)"),
+        (lattice_from_vectors(banana, [half]), "HalfLattice(rank=1, edges=2)"),
+        (MultiplierVector(["e", "f"], [2, 0]), "MultiplierVector({'e': 2, 'f': 0})"),
+        (e5(), "UnimodularSystem(dim=5, size=10)"),
+    ]
+    for value, text in reprs:
+        assert repr(value) == text
+    # equal values hash alike; the pairs are built apart, so equality is by value
+    again = MultiGraph(list(banana.vertices), list(banana.edges))
+    pairs = [
+        (banana, again, True),
+        (banana, MultiGraph(["u", "v"], [("f", "u", "v"), ("e", "u", "v")]), False),
+        (half, CochainVector.from_doubled(again, (2, -1)), True),
+        (half, CochainVector(banana, [1, Fraction(1, 2)]), False),
+        (CochainVector.zero(banana), CochainVector.zero(cover), False),
+    ]
+    for a, b, equal in pairs:
+        assert (a == b) is equal and (b == a) is equal
+        if equal:
+            assert hash(a) == hash(b)
+    assert len({banana, again, half, CochainVector.from_doubled(again, (2, -1))}) == 2

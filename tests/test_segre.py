@@ -1,13 +1,14 @@
 
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from prymdice import segre
-from prymdice.graph import GraphError, apply_involution
+from prymdice.graph import CochainVector, GraphError, GraphInvolution, MultiGraph, apply_involution
 from prymdice.homology import betti_number, is_cycle
-from prymdice.prym import MultiplierVector, pi_minus, prym_dicing, x_minus
+from prymdice.prym import MultiplierVector, lattice_from_vectors, pi_minus, prym_dicing, x_minus
 from prymdice.segre import (
     PROJECTION_PAIRS,
     TREE_EDGES,
@@ -19,11 +20,14 @@ from prymdice.segre import (
 )
 from prymdice.unimod import (
     UnimodularSystem,
+    bond_system,
     e5,
     is_totally_unimodular,
     systems_equivalent,
     verify_equivalence,
 )
+
+from conftest import double_cover, seeded_rng
 
 
 def test_cover_shape():
@@ -125,6 +129,85 @@ def test_degeneration_report_full():
     assert report.e5_cographic is not None
     assert not report.e5_cographic.is_cographic
     assert report.conclusion == "non-cographic dicing obtained"
+
+
+def test_degeneration_report_names_each_conclusion(monkeypatch):
+    # the shipped cover reaches only the first conclusion; a cographic
+    # verdict on the reference, or a reference the dicing does not match,
+    # reaches the other two
+    f = fixture()
+    searched = segre.is_cographic
+    with monkeypatch.context() as m:
+        m.setattr(segre, "is_cographic", lambda S, max_graphs=None: dataclasses.replace(
+            searched(S, max_graphs=max_graphs), is_cographic=True))
+        report = degeneration_report(f)
+    assert report.equivalence_verified and report.e5_cographic.is_cographic
+    assert report.conclusion == "cographic dicing obtained"
+    # the wheel on a 5-cycle: rank 5 on ten vectors like E5, and planar
+    hub = [(f"s{i}", "h", f"r{i}") for i in range(5)]
+    rim = [(f"t{i}", f"r{i}", f"r{(i + 1) % 5}") for i in range(5)]
+    wheel = bond_system(MultiGraph(["h"] + [f"r{i}" for i in range(5)], hub + rim))
+    monkeypatch.setattr(segre, "e5", lambda: wheel)
+    report = degeneration_report(f)
+    assert report.equivalence is None and not report.equivalence_verified
+    assert report.e5_cographic.is_cographic
+    assert report.conclusion == "system does not match the reference"
+
+
+def test_fixture_names_each_defect_in_its_data(monkeypatch):
+    cover, _ = segre.build_cover()
+    hexagon = double_cover(seeded_rng(3), "pqr", [("p", "q"), ("q", "r"), ("r", "p")], [1, 0, 0])
+    k5 = [(f"k{i}{j}", f"v{i}", f"v{j}") for i in range(5) for j in range(i + 1, 5)]
+    doubled_edge = MultiGraph([f"v{i}" for i in range(5)], k5[:-1] + [("k01'", "v0", "v1")])
+    cases = [
+        ("build_cover", lambda: (cover, GraphInvolution.identity(cover)),
+         "fixture involution must be fixed-point free"),
+        ("build_cover", lambda: hexagon,
+         f"fixture vertex {hexagon[0].vertices[0]} has degree 2, expected 4"),
+        ("is_cycle", lambda G, v: False, "fixture cycle at e6' is not a cycle"),
+        ("_CYCLE_SUPPORTS", {**_CYCLE_SUPPORTS, "e1": {"e1"}},
+         "fixture cycle at e1 has unexpected support"),
+        ("involution_quotient", lambda G, iota: hexagon[0],
+         "quotient of the cover is not a 5-vertex, 10-edge graph"),
+        ("involution_quotient", lambda G, iota: doubled_edge,
+         "quotient of the cover is not the complete graph on 5 vertices"),
+    ]
+    for name, value, message in cases:
+        with monkeypatch.context() as m:
+            m.setattr(segre, name, value)
+            with pytest.raises(GraphError) as raised:
+                fixture()
+        assert str(raised.value) == message
+    assert fixture().cover == cover
+
+
+def test_validate_basis_data_names_each_defect(monkeypatch):
+    f = fixture()
+    basis, anti = f.homology_basis, f.anti_invariant_basis
+    edge = CochainVector.from_edge_dict(f.cover, {"e2": 1})
+    cases = [
+        (dataclasses.replace(f, homology_basis=basis[:3] + (edge,) + basis[4:]),
+         "basis vector 3 is not a cycle (support starts at e2)"),
+        (dataclasses.replace(f, homology_basis=basis[:1] + basis[:1] + basis[2:]),
+         "homology basis has rank 10, expected 11"),
+    ]
+    # generator 2 negated: the first edge, in the cover's order, where the
+    # projection of basis vector 8 differs from it
+    first = min(anti[2].support(), key=f.cover.edge_index)
+    cases.append((
+        dataclasses.replace(f, anti_invariant_basis=anti[:2] + (-anti[2],) + anti[3:]),
+        f"projection of basis vector 8 differs from generator 2 at edge {first}",
+    ))
+    for altered, message in cases:
+        with pytest.raises(GraphError) as raised:
+            validate_basis_data(altered)
+        assert str(raised.value) == message
+    # twice the generators span a sublattice of index 2^5
+    twice = lattice_from_vectors(f.cover, [g.scaled(2) for g in anti])
+    monkeypatch.setattr(segre, "x_minus", lambda G, iota: twice)
+    with pytest.raises(GraphError) as raised:
+        validate_basis_data(f)
+    assert str(raised.value) == "generator lattice differs from the projected cycle lattice"
 
 
 def test_x_minus_has_all_half_coordinates():

@@ -97,6 +97,25 @@ def test_the_library_has_one_union_find():
     assert found == ["graph.py"]
 
 
+def test_the_only_boolean_knobs_are_the_enumerators_loops_flags():
+    # each of these is read with both values, by the benchmark's corpora;
+    # a flag with a default that every caller overrides, or none does, is a
+    # second code path that serves no workload
+    found = []
+    for path, node in _library_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = zip(positional[len(positional) - len(args.defaults):], args.defaults)
+            for arg, default in [*defaults, *zip(args.kwonlyargs, args.kw_defaults)]:
+                if isinstance(default, ast.Constant) and isinstance(default.value, bool):
+                    found.append((path.name, node.name, arg.arg))
+    assert sorted(found) == [
+        ("enumerate_graphs.py", name, "loops")
+        for name in ("all_multigraphs", "connected_multigraphs", "connected_multigraphs_any_order")
+    ]
+
+
 def _traced_names():
     """The ``module.name`` entries that perfbench's tracer looks up, read from
     its source without importing it."""

@@ -64,7 +64,7 @@ def test_e5_is_totally_unimodular():
 
 def test_e5_matroid_profile():
     # 162 bases, fifteen 4-element circuits, fifteen 6-element circuits
-    prof = UnimodularSystem(e5().matrix, allow_repeats=True).matroid
+    prof = UnimodularSystem(e5().matrix).matroid
     assert len(prof.bases) == 162
     # no small circuits: every set of <= 3 columns is independent; a set is
     # independent when the AND of its columns' holders is nonzero
@@ -211,18 +211,17 @@ def test_refutation_without_a_violating_minor_raises(monkeypatch):
 
 
 def test_system_invariants_enforced():
-    with pytest.raises(ValueError):
-        UnimodularSystem(M([[1, 0], [0, 0]]))  # zero column
-    with pytest.raises(ValueError):
-        UnimodularSystem(M([[1, -1], [2, -2]]))  # opposite columns
-    with pytest.raises(ValueError):
-        UnimodularSystem(M([[1, 1], [1, 1]]))  # equal columns (and rank 1)
-    # relaxed constructor admits repeats
-    UnimodularSystem(M([[1, 1, 0], [0, 0, 1]]), allow_repeats=True)
-    # columns that pass every column check but span one dimension of two
-    for matrix, allow_repeats in ([[1, 2, 3], [2, 4, 6]], False), ([[1, 1], [1, 1]], True):
+    with pytest.raises(ValueError) as raised:
+        UnimodularSystem(M([[1, 0], [0, 0]]))
+    assert str(raised.value) == "zero column at index 1"
+    # equal and opposite columns are admitted, as a graph's parallel edges give
+    for matrix in [[1, 1, 0], [0, 0, 1]], [[1, -1, 0], [2, -2, 1]]:
+        S = UnimodularSystem(M(matrix))
+        assert (S.dim, S.size, S.basis) == (2, 3, (0, 2))
+    # columns with no zero among them that span one dimension of two
+    for matrix in [[1, 2, 3], [2, 4, 6]], [[1, 1], [1, 1]], [[1, -1], [2, -2]]:
         with pytest.raises(ValueError) as raised:
-            UnimodularSystem(M(matrix), allow_repeats=allow_repeats)
+            UnimodularSystem(M(matrix))
         assert str(raised.value) == "columns do not span: row rank is deficient"
 
 
@@ -289,7 +288,7 @@ def test_cut_space_matrix_gives_loops_zero_columns():
 def test_forest_count_equals_basis_count_small():
     for m in range(1, 6):
         for g in eg.connected_multigraphs_any_order(m):
-            S = UnimodularSystem(cut_space_matrix(g), allow_repeats=True)
+            S = UnimodularSystem(cut_space_matrix(g))
             assert spanning_forest_count(g) == len(S.matroid.bases)
 
 
@@ -373,7 +372,7 @@ def test_verify_equivalence_rejects_misshapen_witnesses():
     ):
         assert not verify_equivalence(E, T, Equivalence(eq.U, tuple(mutated)))
     # every image matches, so only the bijection check, then the sign check, rejects
-    twice = UnimodularSystem(M([[1, 0, 1], [0, 1, 0]]), allow_repeats=True)
+    twice = UnimodularSystem(M([[1, 0, 1], [0, 1, 0]]))
     assert not verify_equivalence(twice, A, Equivalence(I2, ((0, 1), (1, 1), (0, 1))))
     doubled = UnimodularSystem(M([[2, 0, 1], [0, 1, 1]]))
     assert not verify_equivalence(A, doubled, Equivalence(I2, ((0, 2), (1, 1), (2, 1))))
@@ -418,9 +417,7 @@ def test_e5_not_equivalent_to_k5_dicing_truncation(k5):
     # is a 5 x 9 system and equivalence fails on the column count
     rows = full.matrix.row_list()[:5]
     kept = [j for j in range(10) if any(r[j] for r in rows)]
-    truncated = UnimodularSystem(
-        IntMatrix.from_rows([[r[j] for j in kept] for r in rows]), allow_repeats=True
-    )
+    truncated = UnimodularSystem(IntMatrix.from_rows([[r[j] for j in kept] for r in rows]))
     assert truncated.dim == 5 and truncated.size == 9
     assert systems_equivalent(e5(), truncated) is None
     # a same-size graph system exercises the exhausted-search branch, and
@@ -545,12 +542,22 @@ def test_bulk_witnesses_are_pinned():
         "5d289c7d7ecbde3d490e632bde24b1f1aaf3784ca98718e67dd9ac7e4639f662"
     )
 
+
+def _repeats_a_column(rows):
+    # whether two columns are equal or opposite: these corpora draw systems
+    # without repeats, as they did when the constructor refused them
+    columns = list(zip(*rows))
+    return len({max(c, tuple(-x for x in c)) for c in columns}) < len(columns)
+
+
 def _random_system_with_det_2_basis(rng, n, m):
     while True:
         rows = [[rng.choice((-1, 0, 0, 1, 1, 2)) for _ in range(m)] for _ in range(n)]
         try:
             S = UnimodularSystem(M(rows))
         except ValueError:
+            continue
+        if _repeats_a_column(rows):
             continue
         bases = itertools.combinations(range(m), n)
         if any(abs(det(S.matrix.column_submatrix(c))) == 2 for c in bases):
@@ -562,10 +569,8 @@ def _with_a_doubled_column(rng, S):
     while True:
         k = rng.randrange(S.size)
         rows = [[x * (1 + (j == k)) for j, x in enumerate(r)] for r in S.matrix.row_list()]
-        try:
+        if not _repeats_a_column(rows):
             return UnimodularSystem(M(rows))
-        except ValueError:
-            continue
 
 
 def test_systems_equivalent_matches_definition_oracle_on_non_tu_systems():
@@ -610,7 +615,7 @@ def _random_systems(rng, count):
             else:
                 cols.append([rng.choice((-2, -1, 0, 0, 1, 1, 3)) for _ in range(n)])
         try:
-            S = UnimodularSystem(M([[c[i] for c in cols] for i in range(n)]), allow_repeats=True)
+            S = UnimodularSystem(M([[c[i] for c in cols] for i in range(n)]))
         except ValueError:
             continue  # a zero column or rank below n
         systems.append(S)
@@ -625,16 +630,15 @@ def test_standard_form_matches_oracles():
         # the lexicographically first basis: every column that raises the
         # rank of the columns before it
         greedy = [j for j in range(m) if rational_rank(cols[: j + 1]) > rational_rank(cols[:j])]
-        form = S.standard_form
-        assert form.basis == tuple(greedy)
+        assert S.basis == tuple(greedy)
         T = [[cols[j][i] for j in greedy] for i in range(n)]
-        assert form.det == cofactor_det(T)
-        non_tu_bases += abs(form.det) > 1
+        assert S.det == cofactor_det(T)
+        non_tu_bases += abs(S.det) > 1
         # T * coordinates = det * M
-        X = form.coordinates.row_list()
+        X = S.coordinates.row_list()
         for i in range(n):
             assert [sum(T[i][k] * X[k][j] for k in range(n)) for j in range(m)] == [
-                form.det * x for x in S.matrix.row(i)
+                S.det * x for x in S.matrix.row(i)
             ]
     assert non_tu_bases >= 30
 
@@ -647,7 +651,7 @@ def test_column_matroid_matches_rank_oracle():
     for S in systems:
         n, m = S.dim, S.size
         independent = independent_column_sets([S.column(j) for j in range(m)])
-        matroid = UnimodularSystem(S.matrix, allow_repeats=True).matroid
+        matroid = UnimodularSystem(S.matrix).matroid
         oracle_bases = [mask for mask in independent if mask.bit_count() == n]
         assert matroid.bases == set(oracle_bases)
         per_column = [sum(1 for b in oracle_bases if b >> e & 1) for e in range(m)]
@@ -678,10 +682,10 @@ def test_is_unimodular_matches_maximal_minors():
             for cols in itertools.combinations(range(m), n)
         )
         assert S.is_unimodular == all(-1 <= d <= 1 for d in maximal)
-    assert abs(refusal.standard_form.det) == 1 and not refusal.is_unimodular
+    assert abs(refusal.det) == 1 and not refusal.is_unimodular
     assert all(S.is_unimodular and not is_totally_unimodular(S).is_tu for S in scrambles)
     assert {S.is_unimodular for S in dicings} == {True, False}
-    assert any(abs(S.standard_form.det) > 1 for S in systems)
+    assert any(abs(S.det) > 1 for S in systems)
     # is_cographic refuses exactly the systems that are not unimodular
     refused = 0
     for S in systems:
@@ -727,8 +731,8 @@ def test_each_system_is_eliminated_once(monkeypatch):
     for matrix, cographic in inputs:
         own = matrix.row_list()
         eliminated.clear()
-        S = UnimodularSystem(matrix, allow_repeats=True)
-        assert S.standard_form.det and S.is_unimodular and S.matroid.gate[0] == S.dim
+        S = UnimodularSystem(matrix)
+        assert S.det and S.is_unimodular and S.matroid.gate[0] == S.dim
         cert = is_cographic(S)
         assert cert.is_cographic is cographic
         if cographic:
@@ -754,7 +758,7 @@ def _same_independence(holders_a, holders_b):
 
 def _routes_agree(matrix):
     """Build the matroid both ways; whether the parity route was certified."""
-    matroid = UnimodularSystem(matrix, allow_repeats=True).matroid
+    matroid = UnimodularSystem(matrix).matroid
     laplace_bases, laplace_holders = matroid._numbered(matroid._laplace_bases())
     assert matroid.bases == laplace_bases
     found = matroid._parity_bases()
@@ -811,9 +815,9 @@ def test_parity_and_laplace_routes_agree():
     # -2: it is even, so the parity count is 5, while the squared minors
     # sum to det(I + A A^T) = 9
     refusal = M([[1, 0, 1, 1], [0, 1, 1, -1]])
-    assert abs(UnimodularSystem(refusal, allow_repeats=True).standard_form.det) == 1
+    assert abs(UnimodularSystem(refusal).det) == 1
     assert not _routes_agree(refusal)
-    assert len(UnimodularSystem(refusal, allow_repeats=True).matroid.bases) == 6
+    assert len(UnimodularSystem(refusal).matroid.bases) == 6
 
 
 def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
@@ -828,11 +832,11 @@ def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
     monkeypatch.setattr(unimod, "minors", counting_minors)
     # E5's parity count is certified, so its bases come from exterior
     # products and no minor is drawn (the Laplace route drew C(10, 5) - 1)
-    UnimodularSystem(e5().matrix, allow_repeats=True).matroid
+    UnimodularSystem(e5().matrix).matroid
     assert drawn == []
     # an uncertified count falls back to drawing the coordinate block's
     # minors: 2 + 2 one-by-one and 1 two-by-two
-    UnimodularSystem(M([[1, 0, 1, 1], [0, 1, 1, -1]]), allow_repeats=True).matroid
+    UnimodularSystem(M([[1, 0, 1, 1], [0, 1, 1, -1]])).matroid
     assert len(drawn) == 5
     T = scramble(seeded_rng(7), e5())
     assert T.matroid.gate == e5().matroid.gate
@@ -863,16 +867,16 @@ def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
     built = []
 
     class CountingMatroid(unimod._ColumnMatroid):
-        def __init__(self, form):
-            built.append(form)
-            super().__init__(form)
+        def __init__(self, system):
+            built.append(system)
+            super().__init__(system)
 
     monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
     S = UnimodularSystem(M([[1, 0, 1], [0, 1, 1]]))
     assert S.matroid is S.matroid
     assert is_cographic(S).is_cographic
     assert matroid_equivalent(S, bond_system(triangle)) is not None
-    assert sum(1 for form in built if form is S.standard_form) == 1
+    assert sum(1 for system in built if system is S) == 1
     assert len(built) > 1  # the candidate systems were counted too
 
 
@@ -881,9 +885,9 @@ def test_e5_is_shared_and_its_matroid_built_once(monkeypatch):
     built = []
 
     class CountingMatroid(unimod._ColumnMatroid):
-        def __init__(self, form):
-            built.append(form)
-            super().__init__(form)
+        def __init__(self, system):
+            built.append(system)
+            super().__init__(system)
 
     monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
     unimod.e5.cache_clear()  # E5's matroid may already be cached by another test
@@ -892,7 +896,7 @@ def test_e5_is_shared_and_its_matroid_built_once(monkeypatch):
         assert X.matrix != e5().matrix
         assert systems_equivalent(X, e5()) is not None
         assert systems_equivalent(X, e5()) is not None
-        assert sum(1 for form in built if form is e5().standard_form) == 1
+        assert sum(1 for system in built if system is e5()) == 1
     finally:
         unimod.e5.cache_clear()
 
@@ -929,8 +933,7 @@ def test_matroid_equivalent_recovers_permutation(triangle):
     shuffled = UnimodularSystem(
         IntMatrix.from_rows(
             [[S.matrix.entry(i, perm[j]) for j in range(3)] for i in range(2)]
-        ),
-        allow_repeats=True,
+        )
     )
     sigma = matroid_equivalent(shuffled, S)
     assert sigma is not None
@@ -968,7 +971,7 @@ def test_bond_k4_round_trip():
     assert cert.witness is not None
     assert sorted(cert.column_to_edge) == sorted(cert.witness.edge_labels)
     # the witness's own system really is structurally equivalent
-    witness_sys = UnimodularSystem(cut_space_matrix(cert.witness), allow_repeats=True)
+    witness_sys = UnimodularSystem(cut_space_matrix(cert.witness))
     assert matroid_equivalent(bond_system(k4), witness_sys) is not None
 
 
@@ -1054,7 +1057,7 @@ def _signed_permutation(rng, S):
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in perm]
     rows = [[s * S.matrix.entry(i, k) for s, k in zip(signs, perm)] for i in range(S.dim)]
-    return UnimodularSystem(M(rows), allow_repeats=S.allow_repeats)
+    return UnimodularSystem(M(rows))
 
 
 def test_seven_edge_certificates_and_matroid_maps_are_pinned():
@@ -1119,7 +1122,7 @@ def test_matroid_equivalent_matches_permutation_oracle():
             for row in rows:
                 row[k] = rng.choice((-2, -1, 0, 1, 2))
             try:
-                B = UnimodularSystem(M(rows), allow_repeats=True)
+                B = UnimodularSystem(M(rows))
             except ValueError:
                 continue
         sigma = matroid_equivalent(A, B)
