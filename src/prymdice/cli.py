@@ -285,7 +285,7 @@ def _cmd_segre(args):
             "projection_identities": list(basis_report.projection_identities),
             "lattice_matches": basis_report.lattice_matches,
         },
-        "vologodsky_passed": report.vologodsky_passed,
+        "vologodsky_passed": report.dicing.family_independent,
         "torus_rank": report.torus_rank,
         "multipliers": report.dicing.multipliers.as_dict(),
         "system": _matrix_json(report.dicing.system.matrix),

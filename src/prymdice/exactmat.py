@@ -15,8 +15,9 @@ The four workhorses are
 * ``minors`` -- every k x k minor in the order total-unimodularity
   certificates use, each computed from the (k-1)-minors by Laplace
   expansion; it finds the minor that a not-TU certificate cites and,
-  through the coordinate block of a standard form, the bases of a column
-  matroid whose bases are not certified to be the odd minors,
+  through a system's coordinate block, the bases behind
+  ``UnimodularSystem.holders`` when they are not certified to be the odd
+  minors,
 * ``gauss_jordan`` -- fraction-free (Bareiss) Gauss-Jordan elimination
   with greedy column pivoting: the lexicographically first column basis,
   its determinant d and d times the coordinates of every column in it,

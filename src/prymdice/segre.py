@@ -198,7 +198,6 @@ def dicing_matrix_in_generator_basis(f: SegreFixture) -> IntMatrix:
 class DegenerationReport:
     """End-to-end result for the pentagon double cover."""
 
-    vologodsky_passed: bool
     torus_rank: int
     dicing: PrymDicing
     equivalence: Equivalence | None
@@ -227,7 +226,6 @@ def degeneration_report(f: SegreFixture, max_graphs: int | None = None) -> Degen
     else:
         conclusion = "system does not match the reference"
     return DegenerationReport(
-        vologodsky_passed=dicing.family_independent,
         torus_rank=dicing.lattice.rank,
         dicing=dicing,
         equivalence=equivalence,

@@ -20,22 +20,43 @@ Each system is eliminated once, at construction: one fraction-free
 Gauss-Jordan pass (``exactmat.gauss_jordan``) checks its rank and leaves
 its standard form, the system pivoted at its lexicographically first
 basis B with determinant d, every column's coordinates in B times d.
-``is_unimodular`` (|d| = 1 and a TU coordinate block) and the one cached
-column matroid, the only source of independence data here, are read off
-that form; the block's nonzero minors are the other bases.  When
-|d| = 1 they are found without drawing a minor: a regular matroid is
-binary (Tutte), so the bases of a unimodular system are the block's odd
-minors, read off mod-2 exterior products packed into integers, and
-Cauchy-Binet certifies that count (det(I + A A^T) is the sum of the
-squared minors).  Any other system, and any whose count that sum
-refutes, draws every minor by Laplace expansion.  The bases are
-numbered, and each column keeps the bitset of the bases that hold it.
-A column set is independent exactly when it lies in some basis, so when
-the AND of its columns' bitsets is nonzero.  Both equivalence searches
-read independence only that way, and cographic recognition reads the
-basis count.  Coordinates in any other chosen basis, and a witness's
-change of basis, come from the same elimination routine, and the
-lattice search matches columns by them, so nothing is eliminated over Q.
+``is_unimodular`` (|d| = 1 and a TU coordinate block) and ``holders``,
+the only source of independence data here, are read off that form.
+
+For a set R of basis positions and a set K of other columns of the same
+size, (B minus the columns at R) plus K is a basis exactly when the
+minor of the n x (m - n) coordinate block at rows R and columns K is
+nonzero, so B and the block's nonzero minors give every basis.  Two
+routes find them.  When |d| = 1 the parity route (``_parity_bases``)
+runs first: a regular matroid is binary (Tutte), so a unimodular
+system's nonzero minors are its odd ones, and those come from mod-2
+exterior products packed into integers, XOR arithmetic that draws no
+minor.  It is taken only when certified: by Cauchy-Binet, det(I + A A^T)
+is the sum of the squared minors of the block A, and it equals the
+parity count exactly when every nonzero minor is +-1.  Any other system,
+and any whose count that sum refutes, takes the Laplace route
+(``_laplace_bases``), which draws every minor with ``exactmat.minors``.
+``is_unimodular`` does not pick the route: signing costs more than that
+count (117 against 36 us on E5's block; ``reject`` ran 5.8% slower), so
+both tests stay.
+
+Each route lists the bases as column masks, basis b being the b-th in
+its list, and ``holders[e]`` is the bitset of the bases that contain
+column e, the transpose of that list.  A column set is independent
+exactly when the AND of its holders is nonzero, since it then lies in a
+basis, and the span of an independent set with AND h is the set plus
+every column j with h & holders[j] zero.  The numbering differs between
+the routes; the bases, the holders' bit counts and every AND's verdict
+do not.  ``gate`` (rank, basis count and the sorted per-column basis
+counts) is preserved by any column bijection that maps independent sets
+to independent sets, so a mismatch refutes both matroid and lattice
+equivalence.  Every basis has n columns, so the basis count is the sum
+of the per-column counts over n, and no collection of bases is kept.
+Both equivalence searches read independence only off ``holders``, and
+cographic recognition reads the basis count.  Coordinates in any other
+chosen basis, and a witness's change of basis, come from the same
+elimination routine, and the lattice search matches columns by them, so
+nothing is eliminated over Q.
 
 Cographic recognition is decided by brute force: candidate multigraphs
 with the right edge count and incidence rank are enumerated exhaustively
@@ -133,8 +154,8 @@ class UnimodularSystem:
     ``coordinates`` is adj(T) M = det * T^{-1} M, which is ``det`` times the
     identity on the basis columns; for a TU system det = +-1, so up to that
     sign and the column order this is the standard representation [I | A].
-    A system is never mutated, so ``coordinates``, ``is_unimodular`` and the
-    column matroid ``matroid`` are read off that pass on first use and cached.
+    A system is never mutated, so ``coordinates``, ``is_unimodular``,
+    ``holders`` and ``gate`` are read off that pass on first use and cached.
     """
 
     def __init__(self, matrix: IntMatrix):
@@ -157,8 +178,29 @@ class UnimodularSystem:
         return IntMatrix.from_rows(self._rows)
 
     @cached_property
-    def matroid(self) -> "_ColumnMatroid":
-        return _ColumnMatroid(self)
+    def holders(self) -> tuple:
+        """Per column, the bitset of the bases that contain it.
+
+        The bases' masks are laid out as bytes, last basis first; every
+        byte position gives a plane of one byte per basis, and the digits
+        of a column's bit in that plane, read in binary, are its bitset.
+        """
+        found = _parity_bases(self.basis, self._rows) if abs(self.det) == 1 else None
+        bases = found or _laplace_bases(self.basis, self._rows)
+        m = self.size
+        width = (m + 7) // 8
+        layout = itertools.repeat(width), itertools.repeat("little")
+        data = b"".join(map(int.to_bytes, reversed(bases), *layout))
+        holders = []
+        for low in range(width):
+            plane = data[low::width]
+            holders += [int(plane.translate(table), 2) for table in _BIT_DIGITS[:m - 8 * low]]
+        return tuple(holders)
+
+    @cached_property
+    def gate(self) -> tuple:
+        counts = tuple(sorted(h.bit_count() for h in self.holders))
+        return self.dim, sum(counts) // self.dim, counts
 
     @cached_property
     def is_unimodular(self) -> bool:
@@ -166,9 +208,10 @@ class UnimodularSystem:
 
         Unlike the matrix being TU, this is invariant under GL_n(Z).  The
         signing test is exponential in the shorter side, so it runs on first use.
-        It stays beside the matroid's Cauchy-Binet count, which certifies the
-        same: TU verdicts by parity count were 3 to 12 times slower (10.9 ->
-        34.6 us per small dicing, 40.9 -> 500 us per K5 dicing).
+        It stays beside the parity route's Cauchy-Binet count, which
+        certifies the same: TU verdicts by parity count were 3 to 12 times
+        slower (10.9 -> 34.6 us per small dicing, 40.9 -> 500 us per K5
+        dicing).
         """
         return abs(self.det) == 1 and _equitably_signable(self.coordinates)
 
@@ -192,7 +235,7 @@ def e5() -> UnimodularSystem:
     """The exceptional rank-5 system on ten vectors, in its standard form.
 
     Systems are never mutated, so one shared instance (and its cached
-    column matroid) serves every caller.
+    ``holders``) serves every caller.
     """
     return UnimodularSystem(
         IntMatrix.from_rows(
@@ -360,133 +403,63 @@ def spanning_forest_count(G: MultiGraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _ColumnMatroid:
-    """Bases and independence data of a system's columns, as bitmasks.
+def _parity_bases(basis: tuple, rows: list):
+    """The bases, as masks, read off the odd minors of the coordinate block.
 
-    Everything is read off the system's one elimination, its ``basis``,
-    ``det`` and coordinate rows; nothing is eliminated here.  Its basis B
-    is one basis; for a set R of basis positions and a set K of other
-    columns of the same size, (B minus the columns at R) plus K is a basis
-    exactly when the minor of the coordinate block at rows R and columns K
-    is nonzero.  So B and the
-    nonzero minors of the n x (m - n) coordinate block, over all row
-    sets, give every basis.
-
-    Two routes find those minors.  When |det B| = 1 the parity route runs
-    first (``_parity_bases``): the block's nonzero minors are its odd
-    ones whenever every nonzero minor is +-1, as in a unimodular system,
-    and odd minors come from mod-2 exterior products, packed XOR
-    arithmetic that draws no minor.  It is taken only when certified: by
-    Cauchy-Binet, det(I + A A^T) is the sum of the squared minors of the
-    block A, computed on its shorter side, and it equals the parity count
-    exactly when every nonzero minor is +-1.  Otherwise the Laplace route
-    (``_laplace_bases``) draws all C(m, n) - 1 minors with
-    ``exactmat.minors``.  Both give the same bases.  ``is_unimodular`` does
-    not pick the route: signing costs more than that count (117 against 36
-    us on E5's block; ``reject`` ran 5.8% slower), so both tests stay.
-
-    Each route lists the bases as column masks, and basis b is the b-th
-    in its list: the parity route numbers them in blocks, one block per
-    set of columns that enter or of positions that leave.  ``holders[e]``
-    is the bitset of the bases that contain column e, the transpose of
-    that list.  A column set is independent exactly when the AND of its
-    holders is nonzero, since it then lies in a basis, and the span of an
-    independent set with AND h is the set plus every column j with
-    h & holders[j] zero.  The numbering differs between the routes; the
-    bases, the holders' bit counts and every AND's verdict do not.
-
-    ``gate`` (rank, basis count and the sorted per-column basis counts) is
-    preserved by any column bijection that maps independent sets to
-    independent sets, so a mismatch refutes both matroid and lattice
-    equivalence.  It is read off ``holders``, like independence itself; no
-    collection of independent sets is kept.
+    Returns None unless the parity count is certified.  The side of the
+    block with fewer lines is packed and the other is walked: each set
+    W of walked lines with a nonzero mod-2 exterior product, a 2^w-bit
+    integer over the sets P of the w packed lines, gives one basis per
+    set bit P, the one whose minor is at W and P.  The count equals
+    the sum of the squared minors, det(I + G) with G the Gram matrix of
+    the packed lines (Cauchy-Binet, Sylvester), exactly when every
+    nonzero minor is +-1.
     """
+    coordinates = list(zip(*rows))
+    others = [j for j in range(len(coordinates)) if j not in basis]
+    columns = [coordinates[j] for j in others]
+    # with no other columns this is [], not n empty rows: those join no product
+    block = list(zip(*columns))
+    if len(others) < len(basis):
+        walked, packed, lines, crossing = basis, others, block, columns
+    else:
+        walked, packed, lines, crossing = others, basis, columns, block
+    w = len(packed)
+    weight = det_of_rows([
+        [sum(map(mul, x, y)) + (a == b) for b, y in enumerate(crossing)]
+        for a, x in enumerate(crossing)
+    ])
+    spread = [0]  # per set P of packed lines: the bits of their columns
+    for j in packed:
+        spread += [bits | 1 << j for bits in spread]
+    first = sum(1 << j for j in basis)
+    bases = []
+    vectors = [
+        (1 << j, sum((x & 1) << a for a, x in enumerate(v))) for j, v in zip(walked, lines)
+    ]
+    for members, omega in _odd_exterior_products(vectors, w):
+        mask = first ^ members
+        while omega:
+            low = omega & -omega
+            omega ^= low
+            bases.append(mask ^ spread[low.bit_length() - 1])
+    return bases if len(bases) == weight else None
 
-    def __init__(self, system: UnimodularSystem):
-        # the basis and rows, not the system, are kept: the system caches this
-        # matroid, and a reference back would free both only at a cyclic collection
-        self.basis, self._rows = system.basis, system._rows
-        self.rank, self.m = system.dim, system.size
-        self.others = [j for j in range(self.m) if j not in self.basis]  # columns outside B
-        found = self._parity_bases() if abs(system.det) == 1 else None
-        self.bases, self.holders = self._numbered(found or self._laplace_bases())
-        counts = tuple(sorted(h.bit_count() for h in self.holders))
-        self.gate = (self.rank, len(self.bases), counts)
 
-    def _parity_bases(self):
-        """The bases, as masks, read off the odd minors of the coordinate block.
-
-        Returns None unless the parity count is certified.  The side of the
-        block with fewer lines is packed and the other is walked: each set
-        W of walked lines with a nonzero mod-2 exterior product, a 2^w-bit
-        integer over the sets P of the w packed lines, gives one basis per
-        set bit P, the one whose minor is at W and P.  The count equals
-        the sum of the squared minors, det(I + G) with G the Gram matrix of
-        the packed lines (Cauchy-Binet, Sylvester), exactly when every
-        nonzero minor is +-1.
-        """
-        basis, others = self.basis, self.others
-        coordinates = list(zip(*self._rows))
-        columns = [coordinates[j] for j in others]
-        # with no other columns this is [], not n empty rows: those join no product
-        rows = list(zip(*columns))
-        if len(others) < self.rank:
-            walked, packed, lines, crossing = basis, others, rows, columns
-        else:
-            walked, packed, lines, crossing = others, basis, columns, rows
-        w = len(packed)
-        weight = det_of_rows([
-            [sum(map(mul, x, y)) + (a == b) for b, y in enumerate(crossing)]
-            for a, x in enumerate(crossing)
-        ])
-        spread = [0]  # per set P of packed lines: the bits of their columns
-        for j in packed:
-            spread += [bits | 1 << j for bits in spread]
-        first = sum(1 << j for j in basis)
-        bases = []
-        vectors = [
-            (1 << j, sum((x & 1) << a for a, x in enumerate(v))) for j, v in zip(walked, lines)
-        ]
-        for members, omega in _odd_exterior_products(vectors, w):
-            mask = first ^ members
-            while omega:
-                low = omega & -omega
-                omega ^= low
-                bases.append(mask ^ spread[low.bit_length() - 1])
-        return bases if len(bases) == weight else None
-
-    def _laplace_bases(self):
-        """The bases, as masks, read off the nonzero minors of the coordinate block."""
-        basis, others = self.basis, self.others
-        bases = [sum(1 << j for j in basis)]
-        block = IntMatrix.from_rows([[row[j] for j in others] for row in self._rows])
-        for rows, cols, d in minors(block):
-            if d:
-                mask = bases[0]
-                for r in rows:
-                    mask ^= 1 << basis[r]
-                for c in cols:
-                    mask ^= 1 << others[c]
-                bases.append(mask)
-        return bases
-
-    def _numbered(self, bases: list):
-        """``bases`` and ``holders``, basis b being the b-th mask of ``bases``.
-
-        ``holders`` transposes the masks.  The masks are laid out as bytes,
-        last basis first; every byte position gives a plane of one byte per
-        basis, and the digits of a column's bit in that plane, read in
-        binary, are its bitset.
-        """
-        width = (self.m + 7) // 8
-        layout = itertools.repeat(width), itertools.repeat("little")
-        data = b"".join(map(int.to_bytes, reversed(bases), *layout))
-        holders = []
-        for low in range(width):
-            plane = data[low::width]
-            tables = _BIT_DIGITS[:self.m - 8 * low]
-            holders += [int(plane.translate(table), 2) for table in tables]
-        return frozenset(bases), tuple(holders)
+def _laplace_bases(basis: tuple, rows: list) -> list:
+    """The bases, as masks, read off the nonzero minors of the coordinate block."""
+    others = [j for j in range(len(rows[0])) if j not in basis]
+    bases = [sum(1 << j for j in basis)]
+    block = IntMatrix.from_rows([[row[j] for j in others] for row in rows])
+    for block_rows, cols, d in minors(block):
+        if d:
+            mask = bases[0]
+            for r in block_rows:
+                mask ^= 1 << basis[r]
+            for c in cols:
+                mask ^= 1 << others[c]
+            bases.append(mask)
+    return bases
 
 
 # per bit position b < 8: the byte values mapped to the digit of bit b
@@ -535,7 +508,7 @@ def _odd_exterior_products(vectors: list, width: int):
 def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """Column bijection carrying independent sets to independent sets, or None.
 
-    Pruned by the cached matroids' gate before a backtracking search that
+    Pruned by the systems' cached ``gate`` before a backtracking search that
     maps the rarest classes first, a column's class being its basis count,
     and maps it only into its class.  Independence is read only off
     ``holders``: the search carries, for every independent subset S of the
@@ -549,11 +522,10 @@ def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """
     if A.size != B.size:
         raise ValueError("matroid comparison requires equal ground set sizes")
-    MA, MB = A.matroid, B.matroid
-    if MA.gate != MB.gate:
+    if A.gate != B.gate:
         return None
-    m = MA.m
-    holders_a, holders_b = MA.holders, MB.holders
+    m = A.size
+    holders_a, holders_b = A.holders, B.holders
     counts_a = [h.bit_count() for h in holders_a]
     by_count: dict[int, list[int]] = {}
     for e, h in enumerate(holders_b):
@@ -644,8 +616,8 @@ def _scaled_columns(rows, d: int) -> list:
 def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     """Search for U in GL_n(Z) and a signed column bijection with U*A*sigma = B.
 
-    Systems whose cached column matroids differ in their gate (rank, basis
-    count and sorted per-column basis counts) are rejected at once, since
+    Systems that differ in their cached ``gate`` (rank, basis count and
+    sorted per-column basis counts) are rejected at once, since
     such an equivalence is in particular a matroid isomorphism.  Otherwise
     A's one elimination supplies its lexicographically first basis AT,
     det(AT) and the scaled coordinates of all its columns, and that basis
@@ -656,7 +628,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     diag(s) times A's up to sign, since U a_j = +-b_k exactly then; only a
     complete signed bijection, which fixes U, goes on to solve U AT = BT
     diag(s) in one more pass and to verify U entrywise.  Prefix candidates are pruned by
-    span-membership counts, read off the matroids' per-column basis
+    span-membership counts, read off the systems' per-column basis
     bitsets ``holders``: the search carries the AND h of its prefix's
     bitsets, the prefix is independent while h is nonzero, and a column j
     outside it lies in its span exactly when h & holders[j] is zero.  No
@@ -668,8 +640,7 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     if A.size != B.size:
         return None
     n, m = A.dim, A.size
-    MA, MB = A.matroid, B.matroid
-    if MA.gate != MB.gate:
+    if A.gate != B.gate:
         return None
     basis_a, det_a = A.basis, A.det
     coords_a = _scaled_columns(A._rows, det_a)
@@ -677,12 +648,12 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     span_counts_a = []
     common = -1  # the AND of no bitsets: every basis
     for size, j in enumerate(basis_a, 1):
-        common &= MA.holders[j]
-        span_counts_a.append(size + sum(1 for h in MA.holders if not common & h))
+        common &= A.holders[j]
+        span_counts_a.append(size + sum(1 for h in A.holders if not common & h))
     abs_multiset_a = Counter(tuple(abs(x) for x in col) for col in coords_a)
     rows_b = [B.matrix.row(i) for i in range(n)]
     cols_b = [B.column(k) for k in range(m)]
-    holders_b = MB.holders
+    holders_b = B.holders
 
     def try_full(chosen):
         rows = [[row[j] for j in chosen] + list(row) for row in rows_b]
@@ -733,8 +704,9 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     try:
         return extend((), -1)
     finally:
-        # extend refers to itself through its closure; clearing that cell
-        # frees B's matroid at once instead of at the next cyclic collection
+        # extend refers to itself through its closure, and through try_full
+        # to A and B; clearing that cell frees them at once instead of at the
+        # next cyclic collection
         del extend
 
 
@@ -814,7 +786,7 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     if not S.is_unimodular:
         raise NotTotallyUnimodularError(is_totally_unimodular(S))
     n, m = S.dim, S.size
-    n_bases = S.matroid.gate[1]
+    n_bases = S.gate[1]
     tried = connected_tried = matches = 0
     witness = None
     for parts in enumerate_graphs.cycle_space_rank_components(m, n):

@@ -79,6 +79,16 @@ def scramble(rng, S):
     return UnimodularSystem(IntMatrix.from_rows(rows))
 
 
+def basis_masks(S) -> set:
+    """The bases of S as column masks, recovered from ``S.holders``.
+
+    Basis b holds column e when bit b of holders[e] is set; every basis
+    holds a column, so the longest bitset is as long as the basis count.
+    """
+    count = max(h.bit_length() for h in S.holders)
+    return {sum(1 << e for e, h in enumerate(S.holders) if h >> b & 1) for b in range(count)}
+
+
 def two_invariant_triangles():
     """Two invariant triangles joined by four invariant edges: the standard
     family-dependence counterexample."""

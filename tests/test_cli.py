@@ -14,7 +14,7 @@ from prymdice.graph import MultiGraph, format_graph_text
 from prymdice.segre import build_cover
 from prymdice.unimod import UnimodularSystem, bond_system, cut_space_matrix, e5
 
-from conftest import scramble, seeded_rng, two_invariant_triangles
+from conftest import basis_masks, scramble, seeded_rng, two_invariant_triangles
 from oracles import vologodsky_witness_problem
 
 TRIANGLE = "vertex u\nvertex v\nvertex w\nedge a u v\nedge b v w\nedge c w u\n"
@@ -206,7 +206,7 @@ def test_check_cographic_witness_carries_the_input_bases(capsys, tmp_path):
     cut = cut_space_matrix(graph)
     order = [graph.edge_index(lab) for lab in column_to_edge]
     matched = UnimodularSystem(cut.column_submatrix(order))
-    assert sorted(matched.matroid.bases) == sorted(system.matroid.bases)
+    assert basis_masks(matched) == basis_masks(system)
 
 
 def test_check_cographic_accepts_a_bond_system_with_parallel_edges(capsys, tmp_path):
@@ -472,3 +472,20 @@ def test_segre_json_does_not_load_fractions():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.split() == ["0", "False"]
+
+
+def test_python_dash_m_segre_in_a_fresh_interpreter():
+    # the exact command of perfbench/segre_cli.py, run from the checkout's
+    # root with src on the path: __main__.py hands main's exit code to the
+    # process, and a capped search writes nothing to stdout
+    root = os.path.dirname(os.path.dirname(os.path.dirname(prymdice.__file__)))
+    env = dict(os.environ, PYTHONPATH="src")
+    command = [sys.executable, "-m", "prymdice", "--json", "segre"]
+    result = subprocess.run(command, capture_output=True, cwd=root, env=env)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "50f4a1a4ba60135ff42796cd51deec9a4b0458d5de7a7a4a87175400051fda98"
+    )
+    capped = subprocess.run([*command, "--max-graphs", "0"], capture_output=True, cwd=root, env=env)
+    assert capped.returncode == 3
+    assert capped.stdout == b""

@@ -120,7 +120,7 @@ def test_generator_matrix_equivalent_to_hnf_system():
 def test_degeneration_report_full():
     f = fixture()
     report = degeneration_report(f)
-    assert report.vologodsky_passed
+    assert report.dicing.family_independent
     assert report.torus_rank == 5
     assert report.dicing.system.dim == 5
     assert report.dicing.system.size == 10

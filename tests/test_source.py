@@ -97,6 +97,43 @@ def test_the_library_has_one_union_find():
     assert found == ["graph.py"]
 
 
+def test_holders_is_defined_once_on_the_system():
+    # a system's independence data is its own cached ``holders``; no second
+    # object copies its elimination, and none stores holders or bases
+    defined = [
+        (path.name, node.lineno)
+        for path, node in _library_nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "holders"
+    ]
+    on_system = [
+        (path.name, node.lineno)
+        for path, cls in _library_nodes()
+        if isinstance(cls, ast.ClassDef) and cls.name == "UnimodularSystem"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "holders"
+        and [d.id for d in node.decorator_list] == ["cached_property"]
+    ]
+    assert len(on_system) == 1 and defined == on_system
+    stored = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _library_nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in ("holders", "bases")
+    ]
+    assert stored == []
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml admits Python 3.10, so no library or test module may
+    # use syntax that a later version added
+    root = Path(__file__).parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text()
+    paths = [*Path(prymdice.__file__).parent.glob("*.py"), *(root / "tests").glob("*.py")]
+    assert len(paths) >= 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_the_only_boolean_knobs_are_the_enumerators_loops_flags():
     # each of these is read with both values, by the benchmark's corpora;
     # a flag with a default that every caller overrides, or none does, is a

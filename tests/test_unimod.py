@@ -29,7 +29,7 @@ from prymdice.unimod import (
 )
 from prymdice import enumerate_graphs as eg
 
-from conftest import census_covers, random_gl, scramble, seeded_rng
+from conftest import basis_masks, census_covers, random_gl, scramble, seeded_rng
 from oracles import (
     cofactor_det,
     first_violating_minor_by_definition,
@@ -64,14 +64,14 @@ def test_e5_is_totally_unimodular():
 
 def test_e5_matroid_profile():
     # 162 bases, fifteen 4-element circuits, fifteen 6-element circuits
-    prof = UnimodularSystem(e5().matrix).matroid
-    assert len(prof.bases) == 162
+    S = UnimodularSystem(e5().matrix)
+    assert len(basis_masks(S)) == S.gate[1] == 162
     # no small circuits: every set of <= 3 columns is independent; a set is
     # independent when the AND of its columns' holders is nonzero
     from math import comb
 
     census = [
-        sum(1 for sub in itertools.combinations(prof.holders, k) if functools.reduce(and_, sub))
+        sum(1 for sub in itertools.combinations(S.holders, k) if functools.reduce(and_, sub))
         for k in range(1, 5)
     ]
     assert census == [10, comb(10, 2), comb(10, 3), comb(10, 4) - 15]
@@ -289,7 +289,7 @@ def test_forest_count_equals_basis_count_small():
     for m in range(1, 6):
         for g in eg.connected_multigraphs_any_order(m):
             S = UnimodularSystem(cut_space_matrix(g))
-            assert spanning_forest_count(g) == len(S.matroid.bases)
+            assert spanning_forest_count(g) == len(basis_masks(S))
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +592,14 @@ def test_systems_equivalent_matches_definition_oracle_on_non_tu_systems():
             if expected:
                 assert verify_equivalence(A, B, eq)
                 accepted += 1
-            elif A.matroid.gate == B.matroid.gate:
+            elif A.gate == B.gate:
                 rejected_past_gate += 1
     # both verdicts occur, and rejections also come from the search itself
     assert accepted >= 10 and rejected_past_gate >= 10
 
 
 # ---------------------------------------------------------------------------
-# the cached column matroid
+# the cached independence data: holders and gate
 # ---------------------------------------------------------------------------
 
 
@@ -651,14 +651,14 @@ def test_column_matroid_matches_rank_oracle():
     for S in systems:
         n, m = S.dim, S.size
         independent = independent_column_sets([S.column(j) for j in range(m)])
-        matroid = UnimodularSystem(S.matrix).matroid
+        fresh = UnimodularSystem(S.matrix)
         oracle_bases = [mask for mask in independent if mask.bit_count() == n]
-        assert matroid.bases == set(oracle_bases)
+        assert basis_masks(fresh) == set(oracle_bases)
         per_column = [sum(1 for b in oracle_bases if b >> e & 1) for e in range(m)]
-        assert matroid.gate == (n, len(oracle_bases), tuple(sorted(per_column)))
+        assert fresh.gate == (n, len(oracle_bases), tuple(sorted(per_column)))
         # a column set is independent iff the AND of its holders is nonzero;
         # the AND over a set is the AND over it minus its top element
-        holders = matroid.holders
+        holders = fresh.holders
         common = [-1] * (1 << m)
         for mask in range(1, 1 << m):
             top = mask.bit_length() - 1
@@ -732,7 +732,7 @@ def test_each_system_is_eliminated_once(monkeypatch):
         own = matrix.row_list()
         eliminated.clear()
         S = UnimodularSystem(matrix)
-        assert S.det and S.is_unimodular and S.matroid.gate[0] == S.dim
+        assert S.det and S.is_unimodular and S.gate[0] == S.dim
         cert = is_cographic(S)
         assert cert.is_cographic is cographic
         if cographic:
@@ -756,17 +756,30 @@ def _same_independence(holders_a, holders_b):
     return True
 
 
+def _transpose(bases, m):
+    # per column, the bitset of the numbered bases that contain it
+    return tuple(sum(1 << b for b, mask in enumerate(bases) if mask >> e & 1) for e in range(m))
+
+
 def _routes_agree(matrix):
-    """Build the matroid both ways; whether the parity route was certified."""
-    matroid = UnimodularSystem(matrix).matroid
-    laplace_bases, laplace_holders = matroid._numbered(matroid._laplace_bases())
-    assert matroid.bases == laplace_bases
-    found = matroid._parity_bases()
+    """Find the bases both ways; whether the parity route was certified.
+
+    The system's ``holders`` transpose the bases of the route it takes:
+    the parity route's when |det| = 1 and its count is certified.
+    """
+    S = UnimodularSystem(matrix)
+    laplace = unimod._laplace_bases(S.basis, S._rows)
+    laplace_holders = _transpose(laplace, S.size)
+    assert basis_masks(S) == set(laplace)
+    assert len(laplace) == len(set(laplace))  # each basis numbered once
+    found = unimod._parity_bases(S.basis, S._rows)
+    taken = found if found is not None and abs(S.det) == 1 else laplace
+    assert S.holders == _transpose(taken, S.size)
     if found is None:
         return False
-    bases, holders = matroid._numbered(found)
-    assert bases == laplace_bases
-    assert len(found) == len(bases)  # each basis numbered once
+    holders = _transpose(found, S.size)
+    assert set(found) == set(laplace)
+    assert len(found) == len(laplace)  # each basis numbered once
     assert [h.bit_count() for h in holders] == [h.bit_count() for h in laplace_holders]
     assert _same_independence(holders, laplace_holders)
     return True
@@ -810,14 +823,14 @@ def test_parity_and_laplace_routes_agree():
         (_complete_bond_system(7), 7 ** 5),
     ):
         assert _routes_agree(S.matrix)
-        assert len(S.matroid.bases) == trees
+        assert len(basis_masks(S)) == trees
     # |det T| = 1, but the minor at both rows and the last two columns is
     # -2: it is even, so the parity count is 5, while the squared minors
     # sum to det(I + A A^T) = 9
     refusal = M([[1, 0, 1, 1], [0, 1, 1, -1]])
     assert abs(UnimodularSystem(refusal).det) == 1
     assert not _routes_agree(refusal)
-    assert len(UnimodularSystem(refusal).matroid.bases) == 6
+    assert len(basis_masks(UnimodularSystem(refusal))) == 6
 
 
 def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
@@ -832,23 +845,23 @@ def test_minor_draws_of_the_matroid_and_the_equivalence_search(monkeypatch):
     monkeypatch.setattr(unimod, "minors", counting_minors)
     # E5's parity count is certified, so its bases come from exterior
     # products and no minor is drawn (the Laplace route drew C(10, 5) - 1)
-    UnimodularSystem(e5().matrix).matroid
+    UnimodularSystem(e5().matrix).holders
     assert drawn == []
     # an uncertified count falls back to drawing the coordinate block's
     # minors: 2 + 2 one-by-one and 1 two-by-two
-    UnimodularSystem(M([[1, 0, 1, 1], [0, 1, 1, -1]])).matroid
+    UnimodularSystem(M([[1, 0, 1, 1], [0, 1, 1, -1]])).holders
     assert len(drawn) == 5
     T = scramble(seeded_rng(7), e5())
-    assert T.matroid.gate == e5().matroid.gate
+    assert T.gate == e5().gate
     drawn.clear()
-    # with both matroids built, the search reads coordinates from one
+    # with both systems' holders built, the search reads coordinates from one
     # elimination per candidate basis and sweeps no minors
     assert systems_equivalent(e5(), T) is not None
     assert drawn == []
 
 
 def test_equivalence_search_builds_no_downward_closure():
-    # both searches read independence off holders alone: the matroid keeps
+    # both searches read independence off holders alone: the system keeps
     # no collection of independent sets to count
     A = UnimodularSystem(e5().matrix)
     T = scramble(seeded_rng(13), e5())
@@ -863,17 +876,24 @@ def test_equivalence_search_builds_no_downward_closure():
     assert matroid_equivalent(A, T) is not None
 
 
-def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
+def _counting_holders_builds(monkeypatch):
+    """The list of systems whose ``holders`` get built from now on."""
     built = []
+    prop = UnimodularSystem.__dict__["holders"]
+    build = prop.func
 
-    class CountingMatroid(unimod._ColumnMatroid):
-        def __init__(self, system):
-            built.append(system)
-            super().__init__(system)
+    def counting(system):
+        built.append(system)
+        return build(system)
 
-    monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
+    monkeypatch.setattr(prop, "func", counting)
+    return built
+
+
+def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
+    built = _counting_holders_builds(monkeypatch)
     S = UnimodularSystem(M([[1, 0, 1], [0, 1, 1]]))
-    assert S.matroid is S.matroid
+    assert S.holders is S.holders and S.gate is S.gate
     assert is_cographic(S).is_cographic
     assert matroid_equivalent(S, bond_system(triangle)) is not None
     assert sum(1 for system in built if system is S) == 1
@@ -882,15 +902,8 @@ def test_matroid_is_cached_and_built_once_per_input(monkeypatch, triangle):
 
 def test_e5_is_shared_and_its_matroid_built_once(monkeypatch):
     assert e5() is e5()
-    built = []
-
-    class CountingMatroid(unimod._ColumnMatroid):
-        def __init__(self, system):
-            built.append(system)
-            super().__init__(system)
-
-    monkeypatch.setattr(unimod, "_ColumnMatroid", CountingMatroid)
-    unimod.e5.cache_clear()  # E5's matroid may already be cached by another test
+    built = _counting_holders_builds(monkeypatch)
+    unimod.e5.cache_clear()  # E5's holders may already be cached by another test
     try:
         X = scramble(seeded_rng(3), e5())
         assert X.matrix != e5().matrix
@@ -1187,7 +1200,7 @@ def test_matroid_search_refutes_pairs_that_pass_the_gate():
     rng = seeded_rng(25)
     for a, b in grids:
         A, B = (_plane_points([tuple(map(int, p)) for p in s.split()]) for s in (a, b))
-        assert A.matroid.gate == B.matroid.gate
+        assert A.gate == B.gate
         assert _triangle_meetings(A) != _triangle_meetings(B)
         assert matroid_equivalent(A, B) is None and matroid_equivalent(B, A) is None
         # each is still matched to a relabeling of itself
