@@ -79,43 +79,53 @@ def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
 
 
 def fundamental_cycle_rows(G: MultiGraph, forest, coordinates, width: int) -> tuple:
-    """The fundamental cycles of the spanning forest ``forest`` (a set of
-    edge labels), each carried by a linear map on edge coordinates: edge k's
-    coefficient goes, times ``factor``, to coordinate ``column`` of a row of
-    length ``width``, where (column, factor) = ``coordinates[k]``.  Rows
-    follow the non-tree edges in edge order; ``cycle_basis`` passes the
-    identity map.
+    """Fundamental cycles of a spanning forest, carried by a linear map on
+    edge coordinates.
+
+    ``forest`` is the set of the forest's edge labels.  Edge k's
+    coefficient goes, times ``factor``, to coordinate ``column`` of a row
+    of length ``width``, where (column, factor) = ``coordinates[k]``.  A
+    non-tree edge whose coordinates are None gets no row; the others give
+    one row each, in edge order.  ``cycle_basis`` passes the identity map
+    and wants every row; the Prym lattice passes edge-orbit coordinates.
+
+    The walk runs on vertex indices: one traversal per tree stores each
+    vertex's path to the root, and the cycle of a non-tree edge from t to h
+    is the path of h minus the path of t, plus the edge itself.
     """
-    # per vertex on a forest edge, those edges as (coordinate, other end,
-    # factor times the sign of the edge walked from the other end to it)
-    adj: dict[str, list] = {}
-    for (lab, t, h), (c, f) in zip(G.edges, coordinates):
+    index = {v: i for i, v in enumerate(G.vertices)}
+    # per vertex, its forest edges as (coordinate, other end, factor times
+    # the sign of the edge walked from the other end to it)
+    adj = [[] for _ in G.vertices]
+    chords = []
+    for (lab, t, h), cf in zip(G.edges, coordinates):
+        t, h = index[t], index[h]
         if lab in forest:
-            adj.setdefault(t, []).append((c, h, -f))
-            adj.setdefault(h, []).append((c, t, f))
+            c, f = cf
+            adj[t].append((c, h, -f))
+            adj[h].append((c, t, f))
+        elif cf is not None:
+            chords.append((t, h, cf))
     # paths[v]: the image of the forest path from v to its tree's root
     zero = [0] * width
-    paths: dict[str, list] = {}
-    for root in adj:
-        if root in paths:
+    paths = [None] * len(adj)
+    for root in range(len(paths)):
+        if paths[root] is not None:
             continue
         paths[root] = zero
         stack = [root]
         while stack:
             x = stack.pop()
             for c, y, f in adj[x]:
-                if y not in paths:
+                if paths[y] is None:
                     paths[y] = path = list(paths[x])
                     path[c] += f
                     stack.append(y)
-    # the cycle of a non-tree edge runs along it, then back from head to
-    # tail; only loops meet a vertex on no forest edge, which has no path
     rows = []
-    for (lab, t, h), (c, f) in zip(G.edges, coordinates):
-        if lab not in forest:
-            row = list(zero) if t == h else list(map(sub, paths[h], paths[t]))
-            row[c] += f
-            rows.append(tuple(row))
+    for t, h, (c, f) in chords:
+        row = list(map(sub, paths[h], paths[t]))
+        row[c] += f
+        rows.append(tuple(row))
     return tuple(rows)
 
 

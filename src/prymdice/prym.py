@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from math import gcd
-from operator import mul, xor
+from operator import xor
 
 from .exactmat import IntMatrix, hermite_lattice_contains, hnf_basis
 from .graph import (
@@ -27,8 +27,9 @@ from .graph import (
     GraphInvolution,
     MultiGraph,
     apply_involution,
+    union_find,
 )
-from .homology import default_spanning_forest, fundamental_cycle_rows
+from .homology import fundamental_cycle_rows
 from .unimod import UnimodularSystem, collapse_columns
 
 
@@ -110,38 +111,84 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
     that value with factor 1 at a representative j < k, -s at its partner
     j > k and 1 - s at a fixed edge j = k (the signs agree on an orbit).
 
-    The generators are the fundamental cycles of the default forest, mapped
-    to these orbit coordinates during the forest walk, and one Hermite pass
-    runs at orbit width.  Its rows, expanded with each partner coordinate
-    -s times its representative's, are the Hermite basis at full width:
-    every row in that pass stays anti-invariant, so a partner column, which
-    follows its representative's, is a unit multiple of it and never takes
-    a pivot or is read by a reduction.
+    The generators are fundamental cycles c(e) of a spanning forest F,
+    mapped to these orbit coordinates during the forest walk.  F is grown
+    by ``union_find`` over the edges orbit by orbit, in ``edge_orbits``
+    order, and only two kinds of cycle are kept: c(e) for a non-tree e
+    that leads its orbit (a fixed edge included), and c(e) for a non-tree
+    partner e whose representative is a tree edge.
+
+    Lemma.  For any spanning forest F, the kept cycles' images generate
+    (1 - iota) of the cycle lattice.
+
+    Proof.  The fundamental cycles are a basis of the cycle lattice, so it
+    is enough to reach (1 - iota)c(e) for a dropped e: a non-tree partner
+    whose representative f is a non-tree edge too, with iota(f) = s e.
+    Both iota c(f), on e and iota(F), and s c(e), on e and F, have
+    coefficient s at e, so z = iota c(f) - s c(e) is a cycle on the edges
+    of F and iota(F).  As (1 - iota) iota = -(1 - iota),
+
+        (1 - iota)c(e) = s(1 - iota)(iota c(f) - z)
+                       = -s (1 - iota)c(f) - s (1 - iota)z.
+
+    c(f) is kept.  F spans the subgraph on the edges of F and iota(F) too,
+    so z is an integer combination of the c(g) for g in iota(F) outside F,
+    the fundamental cycles of that subgraph.  Such a g is not fixed and
+    its partner iota(g) is a tree edge, so c(g) is kept whether g leads
+    its orbit or not.
+
+    The orbit order keeps the kept cycles few.  The edges met before an
+    orbit form an invariant set, so when an orbit's representative closes
+    a cycle its partner does too: an orbit gives one kept cycle unless all
+    its edges are tree edges.  On a free cover that makes b1(G/iota) kept
+    cycles, plus one for each orbit whose representative joins two
+    invariant trees.
+
+    One Hermite pass runs on the kept rows at orbit width.  Its rows,
+    expanded with each partner coordinate -s times its representative's,
+    are the Hermite basis at full width: every row in that pass stays
+    anti-invariant, so a partner column, which follows its
+    representative's, is a unit multiple of it and never takes a pivot or
+    is read by a reduction.
     """
     if iota.graph != G:
         raise GraphError("involution belongs to a different graph")
     action = iota.edge_action
     orbits = iota.edge_orbits
-    orbit_of = [0] * G.num_edges
+    edges = G.edges
+    _, merge = union_find(G.vertices)
+    forest = set()
+    coordinates = [None] * G.num_edges
+    # (o, sign) = expansion[j]: edge j's coordinate is orbit o's times sign
+    expansion = [None] * G.num_edges
     for o, orbit in enumerate(orbits):
-        for j in orbit:
-            orbit_of[j] = o
-    # edge j's coordinate is its orbit's times signs[j]
-    signs = [-s if j > k else 1 for j, (k, s) in enumerate(action)]
-    coordinates = [
-        (o, 1 - s if j == k else sign)
-        for j, (o, (k, s), sign) in enumerate(zip(orbit_of, action, signs))
-    ]
-    rows = fundamental_cycle_rows(G, default_spanning_forest(G), coordinates, len(orbits))
+        j, k = orbit[0], orbit[-1]
+        s = action[j][1]
+        expansion[j] = (o, 1)
+        lab, t, h = edges[j]
+        tree = merge(t, h)
+        if tree:
+            forest.add(lab)
+        if j == k:
+            coordinates[j] = (o, 1 - s)
+            continue
+        expansion[k] = (o, -s)
+        coordinates[j] = (o, 1)
+        # the edges before this orbit are invariant, so k closes a cycle
+        # when j does, and then only j's cycle is kept
+        if tree:
+            coordinates[k] = (o, -s)
+            lab, t, h = edges[k]
+            if merge(t, h):
+                forest.add(lab)
+    rows = fundamental_cycle_rows(G, forest, coordinates, len(orbits))
     basis = hnf_basis(IntMatrix(len(rows), len(orbits), tuple(chain.from_iterable(rows))))
     # the expansion is anti-invariant except on a fixed edge of sign +1,
     # which it leaves at its orbit value: that value must be zero
     for o, orbit in enumerate(orbits):
         if len(orbit) == 1 and action[orbit[0]][1] == 1 and any(basis.column(o)):
             raise GraphError("internal error: lattice basis vector is not anti-invariant")
-    entries = []
-    for orbit_row in map(basis.row, range(basis.rows)):
-        entries += map(mul, map(orbit_row.__getitem__, orbit_of), signs)
+    entries = [row[o] * sign for row in map(basis.row, range(basis.rows)) for o, sign in expansion]
     return HalfLattice.from_hermite_basis(G, IntMatrix(basis.rows, G.num_edges, tuple(entries)))
 
 

@@ -14,6 +14,7 @@ from prymdice.graph import (
     MultiGraph,
     apply_involution,
     components,
+    involution_quotient,
 )
 from prymdice.homology import betti_number, cycle_basis
 from prymdice.prym import (
@@ -319,8 +320,49 @@ def test_prym_dicing_makes_one_hermite_pass_at_orbit_width(monkeypatch):
     monkeypatch.setattr(exactmat, "hnf_basis", counted)
     monkeypatch.setattr(prym, "hnf_basis", counted)
     prym_dicing(g, iota)
-    # the Segre cover has b1 = 11 and 20 edges in 10 orbits
-    assert calls == [(11, 10)]
+    # the Segre cover has b1 = 11 and 20 edges in 10 orbits, and only
+    # b1(G/iota) = 6 of its fundamental cycles reach the pass
+    assert calls == [(6, 10)]
+
+
+def test_x_minus_feeds_b1_of_the_quotient_rows_to_its_hermite_pass(monkeypatch):
+    # on these free covers no orbit joins two invariant trees of the forest,
+    # so each kept cycle closes a cycle of the quotient; on any cover an
+    # orbit keeps at most one cycle
+    original = prym.hnf_basis
+    rows = []
+
+    def counted(m):
+        rows.append(m.rows)
+        return original(m)
+
+    monkeypatch.setattr(prym, "hnf_basis", counted)
+    free = _k5_cover_classes() + list(census_covers()) + [build_cover()]
+    for g, iota in free:
+        assert iota.is_fixed_point_free()
+        rows.clear()
+        x_minus(g, iota)
+        assert rows == [betti_number(involution_quotient(g, iota))], g.edges
+    for g, iota in _small_covers():
+        rows.clear()
+        x_minus(g, iota)
+        assert len(rows) == 1 and rows[0] <= len(iota.edge_orbits), g.edges
+
+
+def test_x_minus_walks_the_forest_once_through_the_module_global(monkeypatch):
+    # the tampering test and the benchmark tracer rebind
+    # prym.fundamental_cycle_rows, so x_minus must reach the walk there
+    g, iota = build_cover()
+    real = prym.fundamental_cycle_rows
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(prym, "fundamental_cycle_rows", counted)
+    x_minus(g, iota)
+    assert calls == [g]
 
 
 def test_prym_dicing_reads_its_lattice_through_the_module_x_minus(monkeypatch):
@@ -799,11 +841,27 @@ def test_verdict_walk_yields_a_pinned_union_count_over_census_covers(monkeypatch
 
 
 def test_x_minus_matches_projected_cycle_generators():
-    covers = census_covers() + tuple(_small_covers())
+    # against every fundamental cycle of the default forest, projected; the
+    # empty graph, an isolated vertex, a loop-only vertex and a swapped
+    # parallel pair with a fixed loop check that the index walk gives a
+    # vertex on no forest edge a path and a loop a cycle of its own
+    pair = MultiGraph(["u", "v"], [("e", "u", "v"), ("f", "u", "v"), ("l", "u", "u")])
+    degenerate = [
+        (g, GraphInvolution.identity(g))
+        for g in (MultiGraph([], []), MultiGraph(["u"], []), MultiGraph(["u"], [("l", "u", "u")]))
+    ] + [(pair, GraphInvolution(pair, {"u": "u", "v": "v"}, {"e": "f", "f": "e", "l": "l"}))]
+    covers = (
+        list(census_covers()) + _small_covers() + _k5_cover_classes() + [build_cover()]
+        + degenerate
+    )
     for g, iota in covers:
         lattice = x_minus(g, iota)
         projected = [pi_minus(iota, h) for h in cycle_basis(g).basis]
-        assert lattice.doubled == lattice_from_vectors(g, projected).doubled
+        assert lattice.doubled == lattice_from_vectors(g, projected).doubled, g.edges
+    assert [x_minus(g, iota).rank for g, iota in degenerate] == [0, 0, 0, 1]
+    assert [cycle_basis(g).rows for g, _ in degenerate] == [
+        (), (), ((1,),), ((-1, 1, 0), (0, 0, 1)),
+    ]
 
 
 def _full_width_dicing(g, iota):
