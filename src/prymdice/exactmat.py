@@ -60,12 +60,25 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
+        """The matrix with these rows.  Entries go through ``int()``: an
+        integral number or a numeric string is accepted, and anything
+        ``int()`` refuses or would round is refused."""
         rows = [list(r) for r in rows]
         n = len(rows)
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise MatrixError("ragged rows")
-        return cls(n, m, tuple(map(int, itertools.chain.from_iterable(rows))))
+        flat = []
+        for r in rows:
+            flat += r
+        try:
+            entries = list(map(int, flat))
+        except (TypeError, ValueError, OverflowError):
+            raise MatrixError("matrix entries must be integers") from None
+        # all-integer rows compare equal at C level; only others go entry by entry
+        if entries != flat and any(x != e for x, e in zip(flat, entries) if not isinstance(x, str)):
+            raise MatrixError("matrix entries must be integers")
+        return cls(n, m, tuple(entries))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -206,7 +219,8 @@ def hermite_lattice_contains(H: IntMatrix, v) -> bool:
 
     Row by row, the entry of ``v`` at the row's pivot must be a multiple of
     the pivot, and subtracting that multiple of the row clears it; ``v`` is
-    in the lattice exactly when nothing is left.
+    in the lattice exactly when nothing is left.  A row that is zero from
+    the previous row's pivot column on, a zero row say, is refused.
     """
     v = [int(x) for x in v]
     if len(v) != H.cols:
@@ -214,8 +228,11 @@ def hermite_lattice_contains(H: IntMatrix, v) -> bool:
     c = 0
     for i in range(H.rows):
         row = H.row(i)
-        while row[c] == 0:
-            c += 1
+        try:
+            while row[c] == 0:
+                c += 1
+        except IndexError:
+            raise MatrixError("matrix is not in Hermite form") from None
         q, r = divmod(v[c], row[c])
         if r:
             return False

@@ -15,10 +15,8 @@ and the involution acts through its integer ``edge_action``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
 from math import gcd
-from operator import xor
 
 from .exactmat import IntMatrix, hermite_lattice_contains, hnf_basis
 from .graph import (
@@ -264,86 +262,70 @@ class VologodskyResult:
     witness: VologodskyWitness | None = None
 
 
-def _unions_from(root, units, unit_adjacency, adjacency, unit_cuts):
-    """Yield every union of units whose least unit is ``root`` and that
-    induces a connected subgraph, as (vertex mask, cut mask) pairs.
+def _unions_from(root, even, odd, loose, cuts):
+    """Yield every union of units that holds ``root`` and lifts connected,
+    as (unit mask, cut mask) pairs, when ``root`` is the least unit of its
+    quotient component.
 
-    A unit is a union of vertex orbits that is connected in the orbit
-    quotient: a single orbit, or orbits merged by ``vologodsky_check``.
-    ``units[i]`` holds the vertex bits of unit i (none for a unit merged
-    away), ``unit_adjacency[i]`` its neighbouring units, ``adjacency``
-    maps a vertex bit to its neighbours' bits and ``unit_cuts[i]`` is the
-    edge mask of unit i's cut.  A union connected in the graph is
-    connected in the quotient, so each set is grown along quotient edges
-    from its least unit: a branch adds one unit of the frontier, and the
-    units tried before it at the same node are barred below the later
-    branches, so no set repeats.
+    ``even[i]`` and ``odd[i]`` are the masks of the units that unit i has
+    even and odd edges to, ``loose`` is the mask of the loose units and
+    ``cuts[i]`` is the edge mask of unit i's cut (see ``vologodsky_check``).
+    A union that lifts connected is connected in the quotient, so each set
+    is grown along quotient edges from ``root``: a branch adds one unit of
+    the frontier, and the units tried before it at the same node are barred
+    below the later branches, so no set repeats.
 
-    Connectivity is carried down the tree.  Paths in the quotient lift
-    through the involution, so every component of a quotient-connected
-    union meets each of its orbits: the union is connected, or it is
-    ``comp`` (the component of the root's first vertex) and the image of
-    ``comp``.  Adding an adjacent unit keeps a connected union connected,
-    since its orbits can be added one at a time, each adjacent to the
-    union so far; and it joins the two halves exactly when the new
-    vertices that ``comp`` reaches touch the other half.
+    Sheets are carried down the tree while the union lifts disconnected,
+    ``ones`` holding its units on sheet 1 and ``root`` on sheet 0: an added
+    unit takes the one sheet that its edges into the union allow.  When
+    they allow neither, or the unit is loose, the union lifts connected, and
+    so does every union grown from it.
     """
-    unit_vertices = [sum(bits) for bits in units]
-    below = (1 << root) - 1
-    root_bits = units[root]
-    comp, reach = _join(root_bits[0], adjacency[root_bits[0]], root_bits, adjacency)
-    stack = [(
-        1 << root, unit_vertices[root], comp, reach, unit_cuts[root],
-        unit_adjacency[root] & ~below, below,
-    )]
+    stack = [(1 << root, 0, loose >> root & 1, cuts[root], even[root] | odd[root], 0)]
     while stack:
-        mask, vertices, comp, reach, cut, frontier, barred = stack.pop()
-        connected = comp == vertices
+        mask, ones, connected, cut, frontier, barred = stack.pop()
         if connected:
-            yield vertices, cut
+            yield mask, cut
         while frontier:
             bit = frontier & -frontier
             frontier ^= bit
             i = bit.bit_length() - 1
+            grown_ones, joined = ones, connected or bit & loose
+            if not joined:
+                zeros = mask ^ ones
+                if even[i] & ones or odd[i] & zeros:
+                    if even[i] & zeros or odd[i] & ones:
+                        joined = True
+                    else:
+                        grown_ones |= bit
             grown = mask | bit
-            grown_vertices = vertices | unit_vertices[i]
-            if connected:
-                grown_comp, grown_reach = grown_vertices, 0
-            else:
-                grown_comp, grown_reach = _join(comp, reach, units[i], adjacency)
-                if grown_reach & vertices & ~comp:
-                    grown_comp = grown_vertices
             stack.append((
-                grown, grown_vertices, grown_comp, grown_reach, cut ^ unit_cuts[i],
-                frontier | (unit_adjacency[i] & ~grown & ~barred), barred,
+                grown, grown_ones, joined, cut ^ cuts[i],
+                frontier | ((even[i] | odd[i]) & ~grown & ~barred), barred,
             ))
             barred |= bit
 
 
-def _join(comp, reach, new_bits, adjacency):
-    """Grow the component ``comp`` (neighbourhood ``reach``) into the
-    vertices ``new_bits`` it reaches, directly or through each other."""
-    grew = True
-    while grew:
-        grew = False
-        for v in new_bits:
-            if v & reach and not v & comp:
-                comp |= v
-                reach |= adjacency[v]
-                grew = True
-    return comp, reach
-
-
-def _component(seed, within, adjacency):
-    """The vertices of ``within`` that the vertex bits ``seed`` reach inside it."""
-    comp = frontier = seed
+def _lifts(seed, within, even, odd, loose):
+    """The units of ``within`` that the unit ``seed`` reaches inside it,
+    and whether their lift is connected: whether one of them is loose or
+    the sheets that the search hands out, ``seed`` on sheet 0, disagree on
+    some edge."""
+    reached = frontier = seed
+    ones = clash = 0
     while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adjacency[low] & within & ~comp
-        comp |= new
+        bit = frontier & -frontier
+        frontier ^= bit
+        i = bit.bit_length() - 1
+        to_zero, to_one = even[i] & within, odd[i] & within
+        if bit & ones:
+            to_zero, to_one = to_one, to_zero
+        new = (to_zero | to_one) & ~reached
+        ones |= to_one & new
+        reached |= new
         frontier |= new
-    return comp
+        clash |= to_one & ~ones | to_zero & ones
+    return reached, bool(clash or reached & loose)
 
 
 def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
@@ -372,8 +354,46 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     A' and C is connected and closed under adjacency: one component of G.
     It is invariant, so it is one of the K above, split into A' and C.
 
-    The search works on units: unions of K's orbits that every split of
-    K not yet ruled out keeps on one side, the orbits themselves at first.
+    The search runs on the orbit quotient, over units: unions of vertex
+    orbits, connected in the quotient, that every split of K not yet ruled
+    out keeps on one side, the orbits themselves at first.  The lift of a
+    set of units is the set of vertices of their orbits.  A unit is loose
+    when its lift is connected; otherwise its lift is two components that
+    iota swaps (see below), its sheets 0 and 1.  An orbit is loose when it
+    is a fixed vertex or has an edge from v to iota(v), loops making
+    nothing loose; a free orbit's sheet 0 is the vertex that leads it in
+    ``iota.vertex_orbits``.  An edge between two units that are not loose
+    is even when its ends lie on sheets with the same number and odd
+    otherwise, and iota keeps its parity.  (The unit masks below file an
+    edge at a loose unit by the sheets of its end vertices all the same;
+    no test reads that parity.)
+
+    Lift lemma.  A set S of units, connected in the quotient, lifts
+    connected if and only if some unit of S is loose or the sheets
+    disagree on some edge: no choice of one sheet s(U) per unit U of S has
+    every edge of S between units U and V odd exactly when s(U) != s(V).
+
+    Proof.  Paths in the quotient lift through iota, so every component of
+    the lift meets the lift of every unit of S; a loose unit's connected
+    lift lies in one component, which is then the only one.  If no unit is
+    loose, each sheet of a unit lies in one component and every component
+    holds a sheet of every unit, so there are at most two components; if
+    there are two, C and C', C holds exactly one sheet s(U) of each unit
+    U.  An edge with an end in C has both there, and one with no end in C
+    has both on the other sheets, so every edge is odd exactly when
+    s(U) != s(V).  Conversely, if no unit is loose and s exists, no edge
+    of the lift leaves the union of the sheets s(U): an edge inside a unit
+    stays on its sheet, and an edge between units goes from sheet s(U) to
+    sheet s(V) by its parity.  That union is neither empty nor the whole
+    lift.
+
+    The sheets of a merged unit U + W that is not loose come from the
+    proof: its lift is two components, each holding one sheet of U and
+    one of W, which iota swaps because it swaps the sheets of W.
+
+    So a component of the quotient lifts to one invariant component of G
+    when it holds a loose unit or its sheets disagree, and otherwise to two
+    components that iota swaps, neither invariant.
 
     Pendant lemma.  If a unit U has exactly one neighbouring unit W in
     the orbit quotient, every split of K has U alone as one part or keeps
@@ -385,103 +405,115 @@ def vologodsky_check(G: MultiGraph, iota: GraphInvolution) -> VologodskyResult:
     A != U some edge joins U to the rest of A; it would end in W, outside
     A.  So A = U.
 
-    So each pendant unit (one neighbouring unit) is first tried alone as a
-    part: connected, with at least 4 cut edges and K - U connected.  If it
-    is no part, it is merged into its neighbour, and the merged unit keeps
-    the lower index, so the unit of K's least orbit keeps that orbit's
-    index, the least in K; the merged unit may be pendant in turn.  Either
-    part of a remaining split may be taken as A, so the search then walks
-    only the connected unions A of units that hold K's least orbit, and
-    stops at the first with at least 4 cut edges, A != K and K - A
+    Merge lemma.  Every edge that leaves the union of a pendant unit U and
+    its neighbour W leaves from W.
+
+    Proof.  An edge with an end in U ends in U or in W, as above, so it
+    does not leave the union.
+
+    So each pendant unit is first tried alone as a part: loose, so that
+    it is connected, with at least 4 cut edges and K - U lifting
+    connected.  If it is no part, it is merged into its neighbour.  By the
+    merge lemma the merged unit keeps W's sheets, W's neighbours other
+    than U and W's parities to them, and its cut is the XOR of the two
+    cuts; by the lift lemma it is loose when U or W is, or when U's edges
+    to W come in both parities.  The merged unit keeps the lower index, so
+    the unit of K's least orbit keeps that orbit's index, the least in K;
+    the merged unit may be pendant in turn.  Either part of a remaining
+    split may be taken as A, so the search then walks only the unions A
+    of units that hold K's least orbit and lift connected, and stops at
+    the first with at least 4 cut edges, A != K and K - A lifting
     connected.  A component left as one unit has no split and no walk.
 
-    Vertex and edge sets are bitmasks over ``G.vertices`` and ``G.edges``.
+    Unit sets are bitmasks over the orbits of ``iota.vertex_orbits``, a
+    unit taking the index of its least orbit, and cuts are bitmasks over
+    ``G.edges``.
     """
     if iota.graph != G:
         raise GraphError("involution belongs to a different graph")
-    bit = {v: 1 << i for i, v in enumerate(G.vertices)}
-    orbit_of = {G.vertices[i]: o for o, orbit in enumerate(iota.vertex_orbits) for i in orbit}
-    # incidence: a vertex's non-loop edges; the cut of a vertex set is the
-    # XOR of its vertices' incidences, since an inner edge appears twice
-    adjacency = dict.fromkeys(bit.values(), 0)
-    incidence = dict.fromkeys(bit.values(), 0)
-    unit_adjacency = [0] * len(iota.vertex_orbits)
+    orbits = iota.vertex_orbits
+    place = {G.vertices[v]: (o, s) for o, orbit in enumerate(orbits) for s, v in enumerate(orbit)}
+    even, odd, cuts = [0] * len(orbits), [0] * len(orbits), [0] * len(orbits)
+    loose = sum(1 << o for o, orbit in enumerate(orbits) if len(orbit) == 1)
     for k, (_, t, h) in enumerate(G.edges):
-        tb, hb = bit[t], bit[h]
-        adjacency[tb] |= hb
-        adjacency[hb] |= tb
-        if tb != hb:
-            incidence[tb] |= 1 << k
-            incidence[hb] |= 1 << k
-            i, j = orbit_of[t], orbit_of[h]
-            if i != j:
-                unit_adjacency[i] |= 1 << j
-                unit_adjacency[j] |= 1 << i
-    # units[i]: the vertex bits of the unit whose least orbit is i, empty
-    # once merged away; a merged-away unit has no neighbours
-    units = [tuple(1 << i for i in orbit) for orbit in iota.vertex_orbits]
-    unit_cuts = [reduce(xor, map(incidence.__getitem__, bits)) for bits in units]
-    unplaced = (1 << len(G.vertices)) - 1
+        (i, s), (j, r) = place[t], place[h]
+        if i == j:  # a loop, or an edge from v to iota(v)
+            loose |= (s ^ r) << i
+            continue
+        parity = odd if s != r else even
+        parity[i] |= 1 << j
+        parity[j] |= 1 << i
+        cuts[i] |= 1 << k
+        cuts[j] |= 1 << k
+    # units[i]: the vertex indices of the unit with index i
+    units = list(orbits)
+    unplaced = (1 << len(orbits)) - 1
     while unplaced:
-        # orbits are numbered by their first vertex, so the orbit of K's
-        # least vertex is K's least orbit when K is invariant
-        v = G.vertices[(unplaced & -unplaced).bit_length() - 1]
-        component = _component(bit[v], unplaced, adjacency)
+        component, invariant = _lifts(unplaced & -unplaced, unplaced, even, odd, loose)
         unplaced ^= component
-        if not bit[iota.vertex_map[v]] & component:
+        if not invariant:
             continue
         # units of K that may be pendant: every orbit, then each merged unit
-        pending = [i for i, bits in enumerate(units) if bits and bits[0] & component]
+        pending = [i for i in range(component.bit_length()) if component >> i & 1]
         while pending:
             u = pending.pop()
-            w_bit = unit_adjacency[u]
+            w_bit = even[u] | odd[u]
             if not w_bit or w_bit & (w_bit - 1):
                 continue
-            part = sum(units[u])
-            if (_splits(component, part, unit_cuts[u], adjacency)
-                    and _component(units[u][0], part, adjacency) == part):
-                return VologodskyResult(False, _witness(G, component, part, unit_cuts[u]))
+            u_bit = 1 << u
+            if loose & u_bit and _splits(component, u_bit, cuts[u], even, odd, loose):
+                return VologodskyResult(False, _witness(G, units, component, u_bit, cuts[u]))
             # merge u into its neighbour w under the lower index; when that
             # is u's, w's other neighbours are pointed at u
             w = w_bit.bit_length() - 1
             keep, gone = min(u, w), max(u, w)
-            nbrs = unit_adjacency[w] ^ 1 << u
+            # even[u] and odd[u] hold at most w
+            merged_loose = bool(loose & (u_bit | w_bit) or even[u] & odd[u])
+            loose = loose & ~(u_bit | w_bit) | merged_loose << keep
+            even_w, odd_w = even[w] & ~u_bit, odd[w] & ~u_bit
             if keep == u:
-                others = nbrs
+                others = even_w | odd_w
                 while others:
                     low = others & -others
                     others ^= low
-                    unit_adjacency[low.bit_length() - 1] ^= w_bit | 1 << u
+                    x = low.bit_length() - 1
+                    if even[x] & w_bit:
+                        even[x] ^= w_bit | u_bit
+                    if odd[x] & w_bit:
+                        odd[x] ^= w_bit | u_bit
+            even[gone] = odd[gone] = 0
+            even[keep], odd[keep] = even_w, odd_w
+            cuts[keep] ^= cuts[gone]
             units[keep] += units[gone]
-            unit_cuts[keep] ^= unit_cuts[gone]
-            units[gone], unit_adjacency[gone], unit_adjacency[keep] = (), 0, nbrs
+            component ^= 1 << gone
             pending.append(keep)
-        root = orbit_of[v]
-        if not unit_adjacency[root]:
+        root = (component & -component).bit_length() - 1
+        if not even[root] | odd[root]:
             continue
-        for part, cut in _unions_from(root, units, unit_adjacency, adjacency, unit_cuts):
-            if _splits(component, part, cut, adjacency):
-                return VologodskyResult(False, _witness(G, component, part, cut))
+        for part, cut in _unions_from(root, even, odd, loose, cuts):
+            if _splits(component, part, cut, even, odd, loose):
+                return VologodskyResult(False, _witness(G, units, component, part, cut))
     return VologodskyResult(True)
 
 
-def _splits(component, part, cut, adjacency):
-    """Whether ``part``, with edge cut ``cut``, leaves a nonempty connected
-    rest of ``component`` and has at least 4 cut edges (``part`` itself is
-    the caller's to check for connectivity)."""
+def _splits(component, part, cut, even, odd, loose):
+    """Whether ``part``, with edge cut ``cut``, leaves a nonempty rest of
+    ``component`` that lifts connected and has at least 4 cut edges
+    (``part`` itself is the caller's to check)."""
     rest = component ^ part
-    return cut.bit_count() >= 4 and rest and _component(rest & -rest, rest, adjacency) == rest
+    return (cut.bit_count() >= 4 and rest
+            and _lifts(rest & -rest, rest, even, odd, loose) == (rest, True))
 
 
-def _witness(G, component, part, cut) -> VologodskyWitness:
-    """The split of the component ``component`` into ``part``, with edge
-    cut ``cut``, and its rest, the part holding the least vertex first.
-    Every edge of the cut joins the two parts, since ``component`` is a
+def _witness(G, units, component, part, cut) -> VologodskyWitness:
+    """The split of the units ``component`` into ``part``, with edge cut
+    ``cut``, and its rest, the part holding the least vertex first.  Every
+    edge of the cut joins the two parts, since ``component`` lifts to a
     component and loops are in no cut."""
     rest = component ^ part
     first, second = (part, rest) if part & component & -component else (rest, part)
     return VologodskyWitness(
-        *(frozenset(v for i, v in enumerate(G.vertices) if bits >> i & 1)
+        *(frozenset(G.vertices[v] for i, unit in enumerate(units) if bits >> i & 1 for v in unit)
           for bits in (first, second)),
         tuple(sorted(lab for k, lab in enumerate(G.edge_labels) if cut >> k & 1)),
     )

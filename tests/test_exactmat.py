@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -88,6 +89,11 @@ def test_non_integer_entries_are_refused_with_the_same_error():
     assert IntMatrix.from_rows([[1.0, "2"], [3, True]]).entries == (1, 2, 3, 1)
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, "x"]])
+    # but nothing that int() refuses or would round
+    for bad in (2.999, 1.5, -0.5, Fraction(3, 2), None, "x", "2.5", [1], float("inf"), float("nan")):
+        with pytest.raises(MatrixError, match="^matrix entries must be integers$"):
+            IntMatrix.from_rows([[1, 0], [bad, 1]])
+    assert IntMatrix.from_rows([[Fraction(4, 2), -3.0, " 7 "]]).entries == (2, -3, 7)
 
 
 def test_gotmatches_the_entrywise_definition():
@@ -347,6 +353,12 @@ def test_each_malformed_matrix_input_is_refused_with_its_message():
         (lambda: hnf(IntMatrix(0, 2, ())), "hnf requires a nonempty matrix"),
         (lambda: hermite_lattice_contains(IntMatrix.identity(2), [1]),
          "vector length does not match column count"),
+        (lambda: hermite_lattice_contains(IntMatrix(1, 2, (0, 0)), [0, 1]),
+         "matrix is not in Hermite form"),
+        (lambda: hermite_lattice_contains(IntMatrix(2, 2, (1, 0, 0, 0)), [0, 1]),
+         "matrix is not in Hermite form"),
+        (lambda: hermite_lattice_contains(IntMatrix(2, 2, (0, 1, 1, 0)), [1, 1]),
+         "matrix is not in Hermite form"),
         (lambda: parse_matrix_text("# header\n1 2 3\n1 2\n"), "line 2: expected 'rows cols'"),
     ]
     for build, message in cases:

@@ -666,6 +666,25 @@ def test_vologodsky_verdicts_on_census_covers_are_pinned():
     )
 
 
+def test_vologodsky_witnesses_are_pinned():
+    # the first witness the search meets, not only the verdict: recorded
+    # with the walk over cover-vertex bitmasks, before it moved to units
+    def encoded(result):
+        w = result.witness
+        return result.passed, None if w is None else (
+            sorted(w.subgraph_0), sorted(w.subgraph_1), list(w.connecting_edges))
+
+    for covers, failing, digest in (
+        (list(census_covers()), 13,
+         "0bbb44002549433cd7b021e80cd89c4ffbd6884b295154c66923741061ac5186"),
+        (_small_covers(), 49,
+         "672179960935ad1707f44c47760bd356131b7f8341fb1c75bf43b13489b3a0c9"),
+    ):
+        results = [encoded(vologodsky_check(g, iota)) for g, iota in covers]
+        assert [passed for passed, _ in results].count(False) == failing
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
+
+
 def test_bipartition_lemma_matches_definition_oracle():
     for g, iota in _small_covers() + list(census_covers()):
         passed, _ = vologodsky_by_definition(g.vertices, g.edges, iota.vertex_map)
