@@ -219,20 +219,19 @@ def hermite_lattice_contains(H: IntMatrix, v) -> bool:
 
     Row by row, the entry of ``v`` at the row's pivot must be a multiple of
     the pivot, and subtracting that multiple of the row clears it; ``v`` is
-    in the lattice exactly when nothing is left.  A row that is zero from
-    the previous row's pivot column on, a zero row say, is refused.
+    in the lattice exactly when nothing is left.  Before any answer, the
+    rows' first nonzero columns must increase strictly: a zero row, or a
+    pivot column not right of the previous one, is refused.
     """
     v = [int(x) for x in v]
     if len(v) != H.cols:
         raise MatrixError("vector length does not match column count")
-    c = 0
-    for i in range(H.rows):
-        row = H.row(i)
-        try:
-            while row[c] == 0:
-                c += 1
-        except IndexError:
-            raise MatrixError("matrix is not in Hermite form") from None
+    rows = [H.row(i) for i in range(H.rows)]
+    # a zero row's first nonzero column reads as H.cols, past the last one
+    pivots = [next((c for c, x in enumerate(row) if x), H.cols) for row in rows]
+    if any(a >= b for a, b in zip([-1, *pivots], [*pivots, H.cols])):
+        raise MatrixError("matrix is not in Hermite form")
+    for c, row in zip(pivots, rows):
         q, r = divmod(v[c], row[c])
         if r:
             return False

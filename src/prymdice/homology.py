@@ -20,29 +20,19 @@ def betti_number(G: MultiGraph) -> int:
     return G.num_edges - G.num_vertices + len(components(G))
 
 
+def spanning_forest(G: MultiGraph, edges) -> frozenset:
+    """Greedy forest: the labels of the ``(label, tail, head)`` edges that
+    join two trees when ``edges`` are taken in the given order.  The
+    library grows every forest here."""
+    _, merge = union_find(G.vertices)
+    return frozenset([lab for lab, t, h in edges if merge(t, h)])
+
+
 def default_spanning_forest(G: MultiGraph) -> frozenset:
     """Greedy forest over edges in ascending label order (lexicographically
     smallest tree-edge set)."""
-    _, merge = union_find(G.vertices)
     # labels are distinct, so the edges sort by label
-    return frozenset(lab for lab, t, h in sorted(G.edges) if merge(t, h))
-
-
-def _validate_spanning_forest(G: MultiGraph, tree_edges) -> frozenset:
-    tree = frozenset(tree_edges)
-    for lab in tree:
-        G.edge_index(lab)  # raises on unknown label
-    _, merge = union_find(G.vertices)
-    for lab in sorted(tree):
-        if not merge(*G.endpoints(lab)):
-            raise GraphError(f"supplied edge set is not a forest: {lab!r} closes a cycle")
-    # the edges that still merge trees extend the forest to a spanning one
-    missing = sum(merge(t, h) for _, t, h in G.edges)
-    if missing:
-        raise GraphError(
-            f"supplied forest has {len(tree)} edges; a spanning forest needs {len(tree) + missing}"
-        )
-    return tree
+    return spanning_forest(G, sorted(G.edges))
 
 
 @dataclass(frozen=True)
@@ -69,11 +59,26 @@ class CycleBasis:
 
 
 def cycle_basis(G: MultiGraph, tree=None) -> CycleBasis:
-    """Fundamental cycle basis; a deterministic forest is chosen when none is given."""
+    """Fundamental cycle basis; a deterministic forest is chosen when none is given.
+
+    A supplied ``tree`` is grown first, in label order, and then extended in
+    label order; it is refused unless that gives back ``tree``, naming the
+    least unknown label, the least label that closed a cycle or the size
+    of the grown forest.
+    """
     if tree is None:
         forest = default_spanning_forest(G)
     else:
-        forest = _validate_spanning_forest(G, tree)
+        tree = frozenset(tree)
+        supplied = [G.edges[G.edge_index(lab)] for lab in sorted(tree)]
+        forest = spanning_forest(G, supplied + sorted(G.edges))
+        left_out = sorted(tree - forest)
+        if left_out:
+            raise GraphError(f"supplied edge set is not a forest: {left_out[0]!r} closes a cycle")
+        if forest != tree:
+            raise GraphError(
+                f"supplied forest has {len(tree)} edges; a spanning forest needs {len(forest)}"
+            )
     identity = [(k, 1) for k in range(G.num_edges)]
     return CycleBasis(G, forest, fundamental_cycle_rows(G, forest, identity, G.num_edges))
 

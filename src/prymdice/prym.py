@@ -25,9 +25,8 @@ from .graph import (
     GraphInvolution,
     MultiGraph,
     apply_involution,
-    union_find,
 )
-from .homology import fundamental_cycle_rows
+from .homology import fundamental_cycle_rows, spanning_forest
 from .unimod import UnimodularSystem, collapse_columns
 
 
@@ -110,11 +109,12 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
     j > k and 1 - s at a fixed edge j = k (the signs agree on an orbit).
 
     The generators are fundamental cycles c(e) of a spanning forest F,
-    mapped to these orbit coordinates during the forest walk.  F is grown
-    by ``union_find`` over the edges orbit by orbit, in ``edge_orbits``
-    order, and only two kinds of cycle are kept: c(e) for a non-tree e
-    that leads its orbit (a fixed edge included), and c(e) for a non-tree
-    partner e whose representative is a tree edge.
+    mapped to these orbit coordinates during the forest walk.  F is the
+    greedy forest that ``spanning_forest`` grows over the edges orbit by
+    orbit, in ``edge_orbits`` order, and only two kinds of cycle are kept:
+    c(e) for a non-tree e that leads its orbit (a fixed edge included),
+    and c(e) for a non-tree partner e whose representative is a tree edge.
+    A partner is given coordinates only when its representative is in F.
 
     Lemma.  For any spanning forest F, the kept cycles' images generate
     (1 - iota) of the cycle lattice.
@@ -154,8 +154,7 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
     action = iota.edge_action
     orbits = iota.edge_orbits
     edges = G.edges
-    _, merge = union_find(G.vertices)
-    forest = set()
+    forest = spanning_forest(G, map(edges.__getitem__, chain.from_iterable(orbits)))
     coordinates = [None] * G.num_edges
     # (o, sign) = expansion[j]: edge j's coordinate is orbit o's times sign
     expansion = [None] * G.num_edges
@@ -163,10 +162,6 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
         j, k = orbit[0], orbit[-1]
         s = action[j][1]
         expansion[j] = (o, 1)
-        lab, t, h = edges[j]
-        tree = merge(t, h)
-        if tree:
-            forest.add(lab)
         if j == k:
             coordinates[j] = (o, 1 - s)
             continue
@@ -174,11 +169,8 @@ def x_minus(G: MultiGraph, iota: GraphInvolution) -> HalfLattice:
         coordinates[j] = (o, 1)
         # the edges before this orbit are invariant, so k closes a cycle
         # when j does, and then only j's cycle is kept
-        if tree:
+        if edges[j][0] in forest:
             coordinates[k] = (o, -s)
-            lab, t, h = edges[k]
-            if merge(t, h):
-                forest.add(lab)
     rows = fundamental_cycle_rows(G, forest, coordinates, len(orbits))
     basis = hnf_basis(IntMatrix(len(rows), len(orbits), tuple(chain.from_iterable(rows))))
     # the expansion is anti-invariant except on a fixed edge of sign +1,

@@ -80,6 +80,18 @@ def test_cycles_bad_tree_is_input_error(capsys, triangle_file):
     assert "not a forest" in err
 
 
+def test_cycles_names_the_least_unknown_tree_label_under_any_hash_seed(triangle_file):
+    # set order follows the hash seed, so each run gets a fresh interpreter
+    src = os.path.dirname(os.path.dirname(prymdice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "prymdice", "cycles", triangle_file, "--tree", "zz,yy,a"]
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
+        result = subprocess.run(command, capture_output=True, env=env, text=True)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert "unknown edge label 'yy'" in result.stderr
+
+
 def test_jacobian_dice(capsys, triangle_file):
     code, out, _ = run(capsys, "--json", "jacobian-dice", triangle_file)
     assert code == 0

@@ -359,6 +359,9 @@ def test_each_malformed_matrix_input_is_refused_with_its_message():
          "matrix is not in Hermite form"),
         (lambda: hermite_lattice_contains(IntMatrix(2, 2, (0, 1, 1, 0)), [1, 1]),
          "matrix is not in Hermite form"),
+        # a repeated pivot column: the first row alone would answer False
+        (lambda: hermite_lattice_contains(IntMatrix(2, 2, (2, 0, 3, 0)), [1, 0]),
+         "matrix is not in Hermite form"),
         (lambda: parse_matrix_text("# header\n1 2 3\n1 2\n"), "line 2: expected 'rows cols'"),
     ]
     for build, message in cases:

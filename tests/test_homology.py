@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from prymdice import homology
@@ -43,12 +45,15 @@ def test_segre_cover_with_recorded_tree():
 
 
 def test_invalid_tree_rejected(triangle):
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="'c' closes a cycle"):
         cycle_basis(triangle, ["a", "b", "c"])  # has a cycle
     with pytest.raises(GraphError):
         cycle_basis(triangle, ["a"])  # too small
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="unknown edge label 'zzz'"):
         cycle_basis(triangle, ["a", "zzz"])  # unknown label
+    # labels are checked in sorted order, whatever the hash seed
+    with pytest.raises(GraphError, match="unknown edge label 'yy'"):
+        cycle_basis(triangle, ["zz", "yy", "a"])
     # the needed size counts the components, here a triangle and a looped vertex
     g = MultiGraph(["u", "v", "w", "x"], [("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u"), ("l", "x", "x")])
     assert cycle_basis(g, ["a", "b"]).rank == 2
@@ -77,6 +82,20 @@ def test_basis_coefficient_matrix_rank_formula():
             assert cb.rank == expected
             if expected:
                 assert rank(IntMatrix.from_rows(cb.rows)) == expected
+
+
+def test_default_cycle_bases_are_pinned():
+    # tree edges and rows of every multigraph with at most 7 edges, loops
+    # allowed; recorded before the forests were grown by spanning_forest
+    found = [
+        (sorted(cb.tree_edges), cb.rows)
+        for m in range(1, 8)
+        for cb in map(cycle_basis, eg.all_multigraphs(m, loops=True))
+    ]
+    assert len(found) == 5151
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "97aef995004bc92034d20d6a938307b81d85c59a1bc37a3399a4ab96160171c2"
+    )
 
 
 def test_is_cycle_rejects_single_edge(triangle):

@@ -365,6 +365,28 @@ def test_x_minus_walks_the_forest_once_through_the_module_global(monkeypatch):
     assert calls == [g]
 
 
+def test_x_minus_hands_its_walk_pinned_rows(monkeypatch):
+    # every row the forest walk returns to x_minus, over the free and small
+    # covers; recorded before x_minus grew its forest through
+    # homology.spanning_forest, under several hash seeds
+    real = prym.fundamental_cycle_rows
+    returned = []
+
+    def recorded(*args):
+        rows = real(*args)
+        returned.append(rows)
+        return rows
+
+    monkeypatch.setattr(prym, "fundamental_cycle_rows", recorded)
+    covers = _k5_cover_classes() + list(census_covers()) + list(_small_covers()) + [build_cover()]
+    for g, iota in covers:
+        x_minus(g, iota)
+    assert (len(covers), sum(map(len, returned))) == (525, 2383)
+    assert hashlib.sha256(repr(returned).encode()).hexdigest() == (
+        "a4642ec222dc6a4b4cb540db0c431d6238760d54841ebf2a1848133fb8d7fec6"
+    )
+
+
 def test_prym_dicing_reads_its_lattice_through_the_module_x_minus(monkeypatch):
     # the benchmark tracer times the lattice by rebinding prym.x_minus
     g, iota = build_cover()

@@ -97,6 +97,20 @@ def test_the_library_has_one_union_find():
     assert found == ["graph.py"]
 
 
+def test_forests_grow_in_one_place():
+    # a greedy forest is grown only by homology.spanning_forest, which the
+    # cycle bases, supplied forests and the Prym lattice share; components
+    # merges every edge and keeps no forest
+    callers = sorted(
+        (path.name, node.name)
+        for path, node in _library_nodes()
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "union_find"
+    )
+    assert callers == [("graph.py", "components"), ("homology.py", "spanning_forest")]
+
+
 def test_holders_is_defined_once_on_the_system():
     # a system's independence data is its own cached ``holders``; no second
     # object copies its elimination, and none stores holders or bases
