@@ -71,14 +71,7 @@ class IntMatrix:
         flat = []
         for r in rows:
             flat += r
-        try:
-            entries = list(map(int, flat))
-        except (TypeError, ValueError, OverflowError):
-            raise MatrixError("matrix entries must be integers") from None
-        # all-integer rows compare equal at C level; only others go entry by entry
-        if entries != flat and any(x != e for x, e in zip(flat, entries) if not isinstance(x, str)):
-            raise MatrixError("matrix entries must be integers")
-        return cls(n, m, tuple(entries))
+        return cls(n, m, tuple(_integers(flat, "matrix")))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -123,6 +116,22 @@ class IntMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"IntMatrix({self.rows}x{self.cols}: {body})"
+
+
+def _integers(values: list, what: str) -> list:
+    """``values`` through ``int()``, refusing what it refuses or would round.
+
+    An integral number or a numeric string is accepted; anything else
+    raises ``MatrixError("<what> entries must be integers")``.
+    """
+    try:
+        entries = list(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        raise MatrixError(f"{what} entries must be integers") from None
+    # all-integer lists compare equal at C level; only others go entry by entry
+    if entries != values and any(x != e for x, e in zip(values, entries) if not isinstance(x, str)):
+        raise MatrixError(f"{what} entries must be integers")
+    return entries
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -221,9 +230,11 @@ def hermite_lattice_contains(H: IntMatrix, v) -> bool:
     the pivot, and subtracting that multiple of the row clears it; ``v`` is
     in the lattice exactly when nothing is left.  Before any answer, the
     rows' first nonzero columns must increase strictly: a zero row, or a
-    pivot column not right of the previous one, is refused.
+    pivot column not right of the previous one, is refused.  The entries
+    of ``v`` are read as ``IntMatrix.from_rows`` reads a matrix's, so a
+    non-integral one is refused, not truncated.
     """
-    v = [int(x) for x in v]
+    v = _integers(list(v), "vector")
     if len(v) != H.cols:
         raise MatrixError("vector length does not match column count")
     rows = [H.row(i) for i in range(H.rows)]
@@ -393,13 +404,12 @@ def parse_matrix_text(text: str) -> IntMatrix:
             lines.append((lineno, stripped))
     if not lines:
         raise MatrixError("empty matrix file")
-    header = lines[0][1].split()
-    if len(header) != 2:
-        raise MatrixError(f"line {lines[0][0]}: expected 'rows cols'")
     try:
-        nrows, ncols = int(header[0]), int(header[1])
-    except ValueError:
-        raise MatrixError(f"line {lines[0][0]}: expected 'rows cols'") from None
+        nrows, ncols = map(int, lines[0][1].split())
+    except ValueError:  # not two integers
+        nrows = ncols = -1
+    if nrows < 0 or ncols < 0:
+        raise MatrixError(f"line {lines[0][0]}: expected 'rows cols'")
     body = lines[1:]
     if len(body) != nrows:
         raise MatrixError(f"expected {nrows} data lines, found {len(body)}")

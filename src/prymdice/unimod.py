@@ -8,20 +8,20 @@ signed relabeling of the vectors carries one onto the other; this is
 exactly invariance under change of lattice basis and re-orientation of
 edges.
 
-Total unimodularity is decided by Ghouila-Houri's theorem: every subset
-of the rows (or of the columns, when there are fewer) must have a signing
-whose sum lies in {-1, 0, 1}^m.  Each vector is packed into one integer,
-so a signed sum is one addition, and a subset usually extends the stored
-signing of a smaller one.  That draws no minor; the minors are swept, in
-certificate order, only to cite the first violation of a matrix found
-not TU.
+Total unimodularity of a matrix is decided by Ghouila-Houri's theorem:
+every subset of the rows (or of the columns, when there are fewer) must
+have a signing whose sum lies in {-1, 0, 1}^m.  Each vector is packed
+into one integer, so a signed sum is one addition, and a subset usually
+extends the stored signing of a smaller one.  That draws no minor; the
+minors are swept, in certificate order, only to cite the first violation
+of a matrix found not TU.
 
 Each system is eliminated once, at construction: one fraction-free
 Gauss-Jordan pass (``exactmat.gauss_jordan``) checks its rank and leaves
 its standard form, the system pivoted at its lexicographically first
 basis B with determinant d, every column's coordinates in B times d.
-``is_unimodular`` (|d| = 1 and a TU coordinate block) and ``holders``,
-the only source of independence data here, are read off that form.
+``is_unimodular`` and ``holders``, the only source of independence data
+here, are read off that form.
 
 For a set R of basis positions and a set K of other columns of the same
 size, (B minus the columns at R) plus K is a basis exactly when the
@@ -33,12 +33,13 @@ system's nonzero minors are its odd ones, and those come from mod-2
 exterior products packed into integers, XOR arithmetic that draws no
 minor.  It is taken only when certified: by Cauchy-Binet, det(I + A A^T)
 is the sum of the squared minors of the block A, and it equals the
-parity count exactly when every nonzero minor is +-1.  Any other system,
-and any whose count that sum refutes, takes the Laplace route
-(``_laplace_bases``), which draws every minor with ``exactmat.minors``.
-``is_unimodular`` does not pick the route: signing costs more than that
-count (117 against 36 us on E5's block; ``reject`` ran 5.8% slower), so
-both tests stay.
+parity count exactly when every nonzero minor is +-1.  That is also the
+unimodularity verdict: a system is unimodular exactly when |d| = 1 and
+its count is certified, so ``is_unimodular`` and ``holders`` share one
+cached enumeration, and the signing test serves only
+``is_totally_unimodular``, the verdict on a matrix.  Any other
+system takes the Laplace route (``_laplace_bases``), which draws every
+minor with ``exactmat.minors``.
 
 Each route lists the bases as column masks, basis b being the b-th in
 its list, and ``holders[e]`` is the bitset of the bases that contain
@@ -178,42 +179,41 @@ class UnimodularSystem:
         return IntMatrix.from_rows(self._rows)
 
     @cached_property
+    def _parity_holders(self) -> tuple | None:
+        # ``holders`` by the parity route, or None where it is not certified
+        found = _parity_bases(self.basis, self._rows) if abs(self.det) == 1 else None
+        return None if found is None else _transpose(found, self.size)
+
+    @property
+    def is_unimodular(self) -> bool:
+        """Whether every maximal minor is in {-1, 0, 1}: |det T| = 1 and adj(T) M is TU.
+
+        Unlike the matrix being TU, this is invariant under GL_n(Z).  It is
+        read off the parity route: with |det T| = 1 the maximal minors are,
+        up to sign, the minors of the coordinate block, and its odd-minor
+        count is certified exactly when every nonzero one is +-1.  So the
+        verdict and ``holders`` share one cached enumeration, and no signing
+        test runs: that serves ``is_totally_unimodular``, the verdict on a
+        matrix.
+        """
+        return self._parity_holders is not None
+
+    @cached_property
     def holders(self) -> tuple:
         """Per column, the bitset of the bases that contain it.
 
-        The bases' masks are laid out as bytes, last basis first; every
-        byte position gives a plane of one byte per basis, and the digits
-        of a column's bit in that plane, read in binary, are its bitset.
+        The bases are the parity route's, the enumeration that decided
+        ``is_unimodular``, when the system is unimodular, and the Laplace
+        route's otherwise.
         """
-        found = _parity_bases(self.basis, self._rows) if abs(self.det) == 1 else None
-        bases = found or _laplace_bases(self.basis, self._rows)
-        m = self.size
-        width = (m + 7) // 8
-        layout = itertools.repeat(width), itertools.repeat("little")
-        data = b"".join(map(int.to_bytes, reversed(bases), *layout))
-        holders = []
-        for low in range(width):
-            plane = data[low::width]
-            holders += [int(plane.translate(table), 2) for table in _BIT_DIGITS[:m - 8 * low]]
-        return tuple(holders)
+        if self.is_unimodular:
+            return self._parity_holders
+        return _transpose(_laplace_bases(self.basis, self._rows), self.size)
 
     @cached_property
     def gate(self) -> tuple:
         counts = tuple(sorted(h.bit_count() for h in self.holders))
         return self.dim, sum(counts) // self.dim, counts
-
-    @cached_property
-    def is_unimodular(self) -> bool:
-        """Whether every maximal minor is in {-1, 0, 1}: |det T| = 1 and adj(T) M is TU.
-
-        Unlike the matrix being TU, this is invariant under GL_n(Z).  The
-        signing test is exponential in the shorter side, so it runs on first use.
-        It stays beside the parity route's Cauchy-Binet count, which
-        certifies the same: TU verdicts by parity count were 3 to 12 times
-        slower (10.9 -> 34.6 us per small dicing, 40.9 -> 500 us per K5
-        dicing).
-        """
-        return abs(self.det) == 1 and _equitably_signable(self.coordinates)
 
     @property
     def dim(self) -> int:
@@ -466,6 +466,23 @@ def _laplace_bases(basis: tuple, rows: list) -> list:
 _BIT_DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
 
 
+def _transpose(bases: list, m: int) -> tuple:
+    """Per column of the m, the bitset of the ``bases`` (masks) that contain it.
+
+    The masks are laid out as bytes, last basis first; every byte position
+    gives a plane of one byte per basis, and the digits of a column's bit
+    in that plane, read in binary, are its bitset.
+    """
+    width = (m + 7) // 8
+    layout = itertools.repeat(width), itertools.repeat("little")
+    data = b"".join(map(int.to_bytes, reversed(bases), *layout))
+    holders = []
+    for low in range(width):
+        plane = data[low::width]
+        holders += [int(plane.translate(table), 2) for table in _BIT_DIGITS[:m - 8 * low]]
+    return tuple(holders)
+
+
 @cache
 def _wedge_moves(width: int) -> list:
     """Per coordinate r < ``width``: the mask of the coordinate sets without r,
@@ -653,16 +670,14 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     abs_multiset_a = Counter(tuple(abs(x) for x in col) for col in coords_a)
     rows_b = [B.matrix.row(i) for i in range(n)]
     cols_b = [B.column(k) for k in range(m)]
-    holders_b = B.holders
-
-    def try_full(chosen):
+    for chosen in _candidate_bases(B.holders, span_counts_a, (), -1):
         rows = [[row[j] for j in chosen] + list(row) for row in rows_b]
         _, det_b = gauss_jordan(rows, n)
         if abs(det_b) != abs(det_a):
-            return None  # |det U| = |det BT / det AT| would not be 1
+            continue  # |det U| = |det BT / det AT| would not be 1
         coords_b = _scaled_columns([row[n:] for row in rows], det_b)
         if Counter(tuple(abs(x) for x in col) for col in coords_b) != abs_multiset_a:
-            return None
+            continue
         # B's columns bucketed by sign-normalized coordinates, in ascending order
         buckets: dict[tuple, list[int]] = {}
         for k, col in enumerate(coords_b):
@@ -685,29 +700,27 @@ def systems_equivalent(A: UnimodularSystem, B: UnimodularSystem):
                 eq = Equivalence(U, tuple(column_map))
                 if verify_equivalence(A, B, eq):
                     return eq
-        return None
+    return None
 
-    def extend(chosen: tuple, common: int):
-        depth = len(chosen)
-        if depth == n:
-            return try_full(chosen)
-        for j in range(m):
-            grown = common & holders_b[j]
-            if not grown or j in chosen:
-                continue  # dependent on the prefix, or chosen already
-            if depth + 1 + sum(1 for h in holders_b if not grown & h) == span_counts_a[depth]:
-                result = extend(chosen + (j,), grown)
-                if result is not None:
-                    return result
-        return None
 
-    try:
-        return extend((), -1)
-    finally:
-        # extend refers to itself through its closure, and through try_full
-        # to A and B; clearing that cell frees them at once instead of at the
-        # next cyclic collection
-        del extend
+def _candidate_bases(holders: tuple, span_counts: list, chosen: tuple, common: int):
+    """The ordered bases of a system that extend ``chosen`` with matching span counts.
+
+    ``holders`` are the system's, ``common`` is the AND of the holders of
+    ``chosen``, and ``span_counts[k]`` is how many columns a prefix of
+    length k + 1 must span.  Each depth takes the columns in ascending
+    order, so the bases come as tuples in lexicographic order.
+    """
+    depth = len(chosen)
+    if depth == len(span_counts):
+        yield chosen
+        return
+    for j, held in enumerate(holders):
+        grown = common & held
+        if not grown or j in chosen:
+            continue  # dependent on the prefix, or chosen already
+        if depth + 1 + sum(1 for h in holders if not grown & h) == span_counts[depth]:
+            yield from _candidate_bases(holders, span_counts, chosen + (j,), grown)
 
 
 def _solve_transform(cols_b, chosen, signs, matrix_a: IntMatrix, basis_a: tuple):
@@ -774,7 +787,15 @@ def is_cographic(S: UnimodularSystem, max_graphs: int | None = None) -> Cographi
     The gate is on the system, not its matrix: a matrix that is not TU
     may still be T [I | A] with |det T| = 1 and A TU (any GL_n(Z) image
     of a TU system is), so a system is refused only when it is not
-    ``is_unimodular``.  That draws no minor; a refusal cites the first
+    ``is_unimodular``.  That verdict is the certified parity count that
+    ``holders`` reads its bases from, so a unimodular system pays for one
+    odd-minor enumeration, which the basis count needs anyway, and signs
+    nothing.  The cost falls on a system with |det T| = 1 that is not
+    unimodular: it pays for that enumeration before it is refused (on
+    random [I | A], A over {-1, 0, 0, 1}, about 0.6 ms at 6 x 15, 10 ms at
+    8 x 20 and 0.4 s at 10 x 25, where a signing test took at most 0.2 ms),
+    as a unimodular system of its shape does in ``gate``; the graph search
+    cannot finish past about 13 columns anyway.  A refusal cites the first
     violating minor of the matrix, which then exists.
 
     Raises ``ValueError`` on a negative ``max_graphs``,

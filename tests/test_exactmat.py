@@ -363,8 +363,21 @@ def test_each_malformed_matrix_input_is_refused_with_its_message():
         (lambda: hermite_lattice_contains(IntMatrix(2, 2, (2, 0, 3, 0)), [1, 0]),
          "matrix is not in Hermite form"),
         (lambda: parse_matrix_text("# header\n1 2 3\n1 2\n"), "line 2: expected 'rows cols'"),
+        # a negative count is refused at the header, with the header's line
+        (lambda: parse_matrix_text("-1 3\n"), "line 1: expected 'rows cols'"),
+        (lambda: parse_matrix_text("\n0 -2\n"), "line 2: expected 'rows cols'"),
+        # a vector entry that int() would round is refused, not truncated
+        (lambda: row_lattice_contains(IntMatrix.identity(2), [1.5, 0]),
+         "vector entries must be integers"),
+        (lambda: row_lattice_contains(IntMatrix.identity(2), [Fraction(3, 2), 0]),
+         "vector entries must be integers"),
+        (lambda: hermite_lattice_contains(IntMatrix.identity(2), ["x", 0]),
+         "vector entries must be integers"),
     ]
     for build, message in cases:
         with pytest.raises(MatrixError) as err:
             build()
         assert str(err.value) == message
+    # integral numbers and numeric strings are still read as integers
+    assert row_lattice_contains(IntMatrix.identity(2), ["3", 2.0])
+    assert not row_lattice_contains(M([[2, 0], [0, 1]]), [Fraction(3), "1"])

@@ -111,6 +111,20 @@ def test_forests_grow_in_one_place():
     assert callers == [("graph.py", "components"), ("homology.py", "spanning_forest")]
 
 
+def test_only_the_matrix_verdict_signs():
+    # a system is unimodular exactly when its parity count is certified,
+    # which its holders need anyway; the Ghouila-Houri signing test serves
+    # only is_totally_unimodular, the verdict on a matrix
+    callers = sorted(
+        (path.name, node.name)
+        for path, node in _library_nodes()
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_equitably_signable"
+    )
+    assert callers == [("unimod.py", "is_totally_unimodular")]
+
+
 def test_holders_is_defined_once_on_the_system():
     # a system's independence data is its own cached ``holders``; no second
     # object copies its elimination, and none stores holders or bases

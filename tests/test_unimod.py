@@ -740,6 +740,37 @@ def test_each_system_is_eliminated_once(monkeypatch):
         assert eliminated.count(True) == 1
 
 
+def test_is_cographic_signs_nothing_on_a_system(monkeypatch):
+    # the unimodularity verdict is the certified parity count that holders
+    # reads its bases from: one enumeration per system and no signing test
+    signed, enumerated = [], []
+    real_signable, real_parity = unimod._equitably_signable, unimod._parity_bases
+
+    def counting_signable(matrix):
+        signed.append(matrix)
+        return real_signable(matrix)
+
+    def counting_parity(basis, rows):
+        enumerated.append(rows)  # kept alive, so identities stay distinct
+        return real_parity(basis, rows)
+
+    monkeypatch.setattr(unimod, "_equitably_signable", counting_signable)
+    monkeypatch.setattr(unimod, "_parity_bases", counting_parity)
+    k4 = MultiGraph(
+        ["a", "b", "c", "d"],
+        [("ab", "a", "b"), ("ac", "a", "c"), ("ad", "a", "d"),
+         ("bc", "b", "c"), ("bd", "b", "d"), ("cd", "c", "d")],
+    )
+    for S, cographic in ((bond_system(k4), True), (scramble(seeded_rng(9), e5()), False)):
+        signed.clear()
+        enumerated.clear()
+        assert is_cographic(S).is_cographic is cographic
+        assert signed == []
+        assert sum(1 for rows in enumerated if rows is S._rows) == 1
+        # every candidate graph's system enumerates once too
+        assert len({id(rows) for rows in enumerated}) == len(enumerated)
+
+
 def _same_independence(holders_a, holders_b):
     # every column set gets the same verdict from the AND of either holders;
     # a set dependent under both has only dependent supersets, so the walk
