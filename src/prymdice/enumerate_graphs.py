@@ -22,7 +22,8 @@ group it carries.  A parent grows only by the least augmentation of each
 orbit under that group, and a support's multiplicity and loop patterns
 are reduced under the same group.
 
-Disconnected graphs are disjoint unions of connected representatives.
+Disconnected graphs are disjoint unions of connected representatives,
+one per part of a multiset of component shapes from ``_multisets``.
 The union generators walk the choices of components and join a choice
 into one pair-graph only on request.  The cographic search's connected
 loopless representatives carry their spanning-tree counts (Kirchhoff,
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from operator import add, sub
+from operator import add, le, sub
 
 from .exactmat import det_of_rows
 from .graph import MultiGraph
@@ -75,9 +76,10 @@ def _canonical_search(pairs, nverts: int):
     ``_dedup`` admits are searched: ``pairs`` has no loop and no repeated
     pair.  Colours start uniform and are refined to equitable; every
     vertex of the first non-singleton cell is individualized in turn,
-    recursively, until the colouring is a labelling.  The least
-    relabelled pair tuple over the leaves is the certificate: equal for
-    two graphs on ``nverts`` vertices exactly when they are isomorphic.
+    recursively, until the colouring is a labelling: ``_leaf_labellings``
+    yields these leaves depth first.  The least relabelled pair tuple over
+    the leaves is the certificate: equal for two graphs on ``nverts``
+    vertices exactly when they are isomorphic.
 
     Twins (vertices with the same neighbours apart from each other, so
     that their transposition is an automorphism) would repeat a subtree,
@@ -99,35 +101,14 @@ def _canonical_search(pairs, nverts: int):
                 twin_class[v] = u
                 break
     best = None
-    leaves = []
-
-    def search(colour):
-        nonlocal best, leaves
-        colour = _refine(colour, adj)
-        sizes = [0] * nverts
-        for c in colour:
-            sizes[c] += 1
-        target = next((c for c, size in enumerate(sizes) if size > 1), None)
-        if target is None:
-            relabelled = tuple(sorted(
-                (colour[u], colour[v]) if colour[u] <= colour[v] else (colour[v], colour[u])
-                for u, v in pairs
-            ))
-            if best is None or relabelled < best:
-                best, leaves = relabelled, [colour]
-            elif relabelled == best:
-                leaves.append(colour)
-            return
-        explored = set()
-        for v in range(nverts):
-            if colour[v] != target or twin_class[v] in explored:
-                continue
-            explored.add(twin_class[v])
-            # v goes first in its cell; the rest of the cell and the
-            # cells after it move up by one
-            search([c if c < target or u == v else c + 1 for u, c in enumerate(colour)])
-
-    search([0] * nverts)
+    for leaf in _leaf_labellings([0] * nverts, adj, twin_class):
+        relabelled = tuple(sorted(
+            (leaf[u], leaf[v]) if leaf[u] <= leaf[v] else (leaf[v], leaf[u]) for u, v in pairs
+        ))
+        if best is None or relabelled < best:
+            best, leaves = relabelled, [leaf]
+        elif relabelled == best:
+            leaves.append(leaf)
     first = leaves[0]
     found = []
     for leaf in leaves:
@@ -139,6 +120,33 @@ def _canonical_search(pairs, nverts: int):
     for v, rep in enumerate(twin_class):
         twin_classes.setdefault(rep, []).append(v)
     return best, found, [members for members in twin_classes.values() if len(members) > 1]
+
+
+def _leaf_labellings(colour: list, adj: list, twin_class: list):
+    """The leaves below ``colour`` of ``_canonical_search``'s search tree, depth first.
+
+    The colouring is refined; a labelling is a leaf, and otherwise each
+    vertex of the first non-singleton cell, except a twin of one taken
+    before it, is individualized in turn.
+    """
+    colour = _refine(colour, adj)
+    sizes = [0] * len(colour)
+    for c in colour:
+        sizes[c] += 1
+    target = next((c for c, size in enumerate(sizes) if size > 1), None)
+    if target is None:
+        yield colour
+        return
+    explored = set()
+    for v, cell in enumerate(colour):
+        if cell != target or twin_class[v] in explored:
+            continue
+        explored.add(twin_class[v])
+        # v goes first in its cell; the rest of the cell and the cells
+        # after it move up by one
+        yield from _leaf_labellings(
+            [c if c < target or u == v else c + 1 for u, c in enumerate(colour)], adj, twin_class
+        )
 
 
 def _group(found, twin_classes) -> list:
@@ -315,6 +323,21 @@ def _connected_reps(nedges: int, loops: bool) -> list:
     ]
 
 
+def _multisets(total: tuple, shapes: tuple):
+    """Every non-increasing tuple of entries of ``shapes`` whose entrywise sum is ``total``.
+
+    ``shapes`` lists tuples with positive entries in decreasing order, and
+    the multisets come with larger first parts first.
+    """
+    if not any(total):
+        yield ()
+        return
+    for i, shape in enumerate(shapes):
+        if all(map(le, shape, total)):
+            for rest in _multisets(tuple(map(sub, total, shape)), shapes[i:]):
+                yield (shape,) + rest
+
+
 @lru_cache(maxsize=None)
 def _component_specs(nedges: int, rank: int) -> tuple:
     """Multisets of (edges, rank) component shapes with the given totals,
@@ -323,22 +346,8 @@ def _component_specs(nedges: int, rank: int) -> tuple:
     Each component is connected and loopless with at least one edge, so its
     rank (vertices - 1) is >= 1 and <= its edge count.
     """
-
-    def rec(e_left, r_left, max_shape):
-        if e_left == 0 and r_left == 0:
-            yield ()
-            return
-        if e_left <= 0 or r_left <= 0:
-            return
-        for e in range(e_left, 0, -1):
-            for r in range(min(r_left, e), 0, -1):
-                shape = (e, r)
-                if shape > max_shape:
-                    continue
-                for rest in rec(e_left - e, r_left - r, shape):
-                    yield (shape,) + rest
-
-    return tuple(sorted(rec(nedges, rank, (nedges, rank)), key=lambda s: (len(s), s)))
+    shapes = tuple((e, r) for e in range(nedges, 0, -1) for r in range(e, 0, -1))
+    return tuple(sorted(_multisets((nedges, rank), shapes), key=lambda s: (len(s), s)))
 
 
 def _component_choices(parts, reps_of):
@@ -425,17 +434,8 @@ def multigraphs_with_cycle_space_rank(nedges: int, rank: int):
 def all_multigraphs(nedges: int, loops: bool = False):
     """All multigraphs with exactly ``nedges`` edges and no isolated vertices,
     up to isomorphism (disconnected shapes included)."""
-
-    def partitions(n, maximum):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, maximum), 0, -1):
-            for rest in partitions(n - first, first):
-                yield (first,) + rest
-
-    for part in partitions(nedges, nedges):
-        for chosen in _component_choices(part, lambda e: _connected_reps(e, loops)):
+    for parts in _multisets((nedges,), tuple((e,) for e in range(nedges, 0, -1))):
+        for chosen in _component_choices(parts, lambda part: _connected_reps(*part, loops)):
             yield pair_graph_to_multigraph(*disjoint_union(chosen))
 
 

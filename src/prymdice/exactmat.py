@@ -411,8 +411,10 @@ def parse_matrix_text(text: str) -> IntMatrix:
     if nrows < 0 or ncols < 0:
         raise MatrixError(f"line {lines[0][0]}: expected 'rows cols'")
     body = lines[1:]
-    if len(body) != nrows:
-        raise MatrixError(f"expected {nrows} data lines, found {len(body)}")
+    # the rows of a matrix without columns are blank lines, which were skipped
+    expected = nrows if ncols else 0
+    if len(body) != expected:
+        raise MatrixError(f"expected {expected} data lines, found {len(body)}")
     rows = []
     for lineno, line in body:
         parts = line.split()
@@ -422,7 +424,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
             rows.append([int(p) for p in parts])
         except ValueError:
             raise MatrixError(f"line {lineno}: non-integer entry") from None
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, ncols, ())
+    return IntMatrix.from_rows(rows) if rows else IntMatrix(nrows, ncols, ())
 
 
 def format_matrix_text(M: IntMatrix) -> str:

@@ -193,11 +193,13 @@ class MultiplierVector:
 
     def __init__(self, edges, values):
         self.edges = tuple(edges)
-        self.values = tuple(int(v) for v in values)
-        if len(self.edges) != len(self.values):
+        values = tuple(values)
+        if len(self.edges) != len(values):
             raise GraphError("multiplier count does not match edge count")
-        if any(v not in (0, 1, 2) for v in self.values):
+        # checked before int(), which would truncate 1.5 and refuse "x" with its own error
+        if any(v not in (0, 1, 2) for v in values):
             raise GraphError("multipliers must be 0, 1 or 2")
+        self.values = tuple(map(int, values))
 
     def as_dict(self) -> dict:
         return dict(zip(self.edges, self.values))

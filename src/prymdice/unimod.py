@@ -535,7 +535,8 @@ def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
     with the two elements' holders are both zero or both nonzero: S plus
     the element is independent in A exactly when its image is in B.  The
     nonzero ANDs are the pairs of the independent subsets of the longer
-    prefix.
+    prefix.  The search is ``_matroid_map``, walking each class's
+    candidates in ascending order; its first complete map is returned.
     """
     if A.size != B.size:
         raise ValueError("matroid comparison requires equal ground set sizes")
@@ -549,36 +550,41 @@ def matroid_equivalent(A: UnimodularSystem, B: UnimodularSystem):
         by_count.setdefault(h.bit_count(), []).append(e)
     # map rarest classes first
     order = sorted(range(m), key=lambda e: (len(by_count[counts_a[e]]), e))
-    image = [-1] * m
-    used = [False] * m
+    steps = [(holders_a[e], by_count[counts_a[e]]) for e in order]
+    chosen = _matroid_map(steps, holders_b, (), [(-1, -1)])
+    return None if chosen is None else tuple(k for _, k in sorted(zip(order, chosen)))
 
-    def extend(depth: int, pairs: list):
-        if depth == m:
-            return True
-        e = order[depth]
-        held_a = holders_a[e]
-        for candidate in by_count[counts_a[e]]:
-            if used[candidate]:
-                continue
-            held_b = holders_b[candidate]
-            grown = []
-            for common_a, common_b in pairs:
-                new_a, new_b = common_a & held_a, common_b & held_b
-                if bool(new_a) != bool(new_b):
-                    break
-                if new_a:
-                    grown.append((new_a, new_b))
-            else:
-                image[e] = candidate
-                used[candidate] = True
-                if extend(depth + 1, pairs + grown):
-                    return True
-                used[candidate] = False
-                image[e] = -1
-        return False
 
-    if extend(0, [(-1, -1)]):
-        return tuple(image)
+def _matroid_map(steps: list, holders_b: tuple, chosen: tuple, pairs: list) -> tuple | None:
+    """The first images in B of ``matroid_equivalent``'s ordered columns of A
+    that extend ``chosen``, or None.
+
+    ``steps[k]`` is the k-th column's ``holders`` in A with its candidate
+    columns of B, ascending, and ``pairs`` holds the AND pairs of the
+    independent subsets of the mapped prefix.  A candidate not yet chosen
+    is taken when every pair's ANDs with the two columns' holders are both
+    zero or both nonzero, and the nonzero ones extend ``pairs``.  A plain
+    function, not a generator: only the first map is wanted, and closing a
+    suspended generator chain costs a few microseconds a call.
+    """
+    if len(chosen) == len(steps):
+        return chosen
+    held_a, candidates = steps[len(chosen)]
+    for candidate in candidates:
+        if candidate in chosen:
+            continue
+        held_b = holders_b[candidate]
+        grown = []
+        for common_a, common_b in pairs:
+            new_a, new_b = common_a & held_a, common_b & held_b
+            if bool(new_a) != bool(new_b):
+                break
+            if new_a:
+                grown.append((new_a, new_b))
+        else:
+            found = _matroid_map(steps, holders_b, chosen + (candidate,), pairs + grown)
+            if found is not None:
+                return found
     return None
 
 
@@ -598,25 +604,31 @@ class Equivalence:
 def verify_equivalence(A: UnimodularSystem, B: UnimodularSystem, eq: Equivalence) -> bool:
     """Re-check an equivalence witness by direct multiplication.
 
-    A witness of the wrong shape is rejected, not an error: U must be
-    dim x dim and the column map must send each column of A to one column
+    A witness of the wrong shape is rejected, not an error: U must be a
+    dim x dim ``IntMatrix`` and the column map a tuple that sends each
+    column of A, as an ``(int, sign)`` pair with sign +-1, to one column
     of B, with A and B of the same dimension and size.
     """
-    n = A.dim
-    if (B.dim, B.size, len(eq.column_map)) != (n, A.size, A.size):
+    n, U, column_map = A.dim, eq.U, eq.column_map
+    if not (isinstance(U, IntMatrix) and isinstance(column_map, tuple)):
         return False
-    if (eq.U.rows, eq.U.cols) != (n, n) or abs(det(eq.U)) != 1:
+    if (B.dim, B.size, len(column_map)) != (n, A.size, A.size):
         return False
-    UA = eq.U @ A.matrix
-    targets = [t for t, _ in eq.column_map]
-    if sorted(targets) != list(range(B.size)):
+    if not all(
+        isinstance(pair, tuple) and len(pair) == 2
+        and isinstance(pair[0], int) and pair[1] in (-1, 1)
+        for pair in column_map
+    ):
         return False
-    for j, (target, sign) in enumerate(eq.column_map):
-        if sign not in (-1, 1):
-            return False
-        if tuple(sign * x for x in UA.column(j)) != B.column(target):
-            return False
-    return True
+    if (U.rows, U.cols) != (n, n) or abs(det(U)) != 1:
+        return False
+    if sorted(target for target, _ in column_map) != list(range(B.size)):
+        return False
+    UA = U @ A.matrix
+    return all(
+        tuple(sign * x for x in UA.column(j)) == B.column(target)
+        for j, (target, sign) in enumerate(column_map)
+    )
 
 
 def _scaled_columns(rows, d: int) -> list:

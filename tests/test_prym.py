@@ -995,6 +995,10 @@ def test_each_malformed_prym_input_is_refused_with_its_message():
          "basis width does not match the graph's edge count"),
         (lambda: MultiplierVector(["e"], [1, 2]), "multiplier count does not match edge count"),
         (lambda: MultiplierVector(["e", "f"], [1, 3]), "multipliers must be 0, 1 or 2"),
+        # refused, not truncated to 1 and 2 or refused with int()'s own error
+        (lambda: MultiplierVector(["e", "f"], [1.5, 1]), "multipliers must be 0, 1 or 2"),
+        (lambda: MultiplierVector(["e", "f"], [1, Fraction(5, 2)]), "multipliers must be 0, 1 or 2"),
+        (lambda: MultiplierVector(["e", "f"], ["x", 1]), "multipliers must be 0, 1 or 2"),
         (lambda: vologodsky_check(g, GraphInvolution.identity(other)),
          "involution belongs to a different graph"),
     ]

@@ -111,6 +111,29 @@ def test_forests_grow_in_one_place():
     assert callers == [("graph.py", "components"), ("homology.py", "spanning_forest")]
 
 
+def test_recursive_searches_are_module_level():
+    # a nested function that calls itself holds its own closure cell, a
+    # reference cycle that only the cycle collector frees, so a recursive
+    # search is a module-level function that gets its state as arguments;
+    # for the same reason no library function rebinds an outer name
+    nested_recursions = sorted({
+        (path.name, inner.name)
+        for path, node in _library_nodes()
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if inner is not node and isinstance(inner, ast.FunctionDef)
+        for call in ast.walk(inner)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == inner.name
+    })
+    nonlocals = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _library_nodes()
+        if isinstance(node, ast.Nonlocal)
+    ]
+    assert nested_recursions == []
+    assert nonlocals == []
+
+
 def test_only_the_matrix_verdict_signs():
     # a system is unimodular exactly when its parity count is certified,
     # which its holders need anyway; the Ghouila-Houri signing test serves

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 import sys
@@ -376,6 +377,16 @@ def test_verify_equivalence_rejects_misshapen_witnesses():
     assert not verify_equivalence(twice, A, Equivalence(I2, ((0, 1), (1, 1), (0, 1))))
     doubled = UnimodularSystem(M([[2, 0, 1], [0, 1, 1]]))
     assert not verify_equivalence(A, doubled, Equivalence(I2, ((0, 2), (1, 1), (2, 1))))
+    # entries that are not (int, +-1) pairs, and a U that is not a matrix
+    for cmap in (
+        ((0, 1, 0), (1, 1), (2, 1)),
+        ((0,), (1, 1), (2, 1)),
+        (0, (1, 1), (2, 1)),
+        ((0.0, 1), (1.0, 1), (2.0, 1)),
+    ):
+        assert not verify_equivalence(A, A, Equivalence(I2, cmap))
+    assert not verify_equivalence(A, A, Equivalence(None, full))
+    assert not verify_equivalence(A, A, Equivalence(I2, None))
 
 
 def test_a_non_integral_solve_is_rejected_by_verify_equivalence():
@@ -1093,6 +1104,26 @@ def test_cographic_search_results_are_pinned():
     assert hashlib.sha256(repr(certificates).encode()).hexdigest() == (
         "fe6f2142b651e9893c4fc113cc56e991d986a49b5723431b9b8b134d60ca75a0"
     )
+
+
+def test_the_searches_leave_no_cyclic_garbage():
+    # the recursive searches are module-level generators, so each search
+    # frees what it builds by reference counting; a self-recursive closure
+    # would leave a reference cycle per call for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        graphs = [g for m in range(1, 7) for g in eg.connected_multigraphs_any_order(m)]
+        assert len(graphs) == 156
+        for g in graphs:
+            is_cographic(bond_system(g))
+        for nedges in range(3, 7):
+            for pairs in eg.connected_simple_graphs(4, nedges):
+                eg._canonical_search(pairs, 4)
+        assert sum(1 for _ in eg.all_multigraphs(4, loops=True)) == 79
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _signed_permutation(rng, S):
